@@ -6,7 +6,6 @@ from .cache import (
     CacheConfig,
     Hierarchy,
     HierarchyConfig,
-    Level,
     SetAssociativeCache,
 )
 from .controller import ControllerConfig, Directive, PhaseState, SwapController

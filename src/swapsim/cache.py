@@ -1,13 +1,12 @@
 """Set-associative LRU caches and the three-level hierarchy with cycle accounting.
 
-The L1D slot of the hierarchy accepts anything exposing
-`hit_check(address, is_write) -> bool`, which is how statistical
-approximations get swapped in for the detailed model.
+The hierarchy works on one interval of references at a time. Its L1
+outcomes are a list of the positions that missed, whether they come from
+the detailed L1 or from a swapped-in statistical model; the missed
+references then go down through L2 and L3 in order.
 """
 from __future__ import annotations
 
-import enum
-import json
 from dataclasses import dataclass
 
 
@@ -89,18 +88,6 @@ class HierarchyConfig:
             memory_latency=d.get("memory_latency", DEFAULT_MEMORY_LATENCY),
         )
 
-    @classmethod
-    def from_file(cls, path) -> "HierarchyConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
-
-
-class Level(enum.IntEnum):
-    L1 = 0
-    L2 = 1
-    L3 = 2
-    MEM = 3
-
 
 class SetAssociativeCache:
     """Detailed LRU cache. Misses allocate (write-allocate), hits promote
@@ -118,16 +105,28 @@ class SetAssociativeCache:
     def hit_check(self, address: int, is_write: bool = False) -> bool:
         """True iff the line containing `address` is resident. Always leaves
         the line resident and MRU afterwards."""
-        line = address >> self._line_shift
-        s = self._sets[line & self._set_mask]
-        if line in s:
-            del s[line]
+        return not self.misses((address,))
+
+    def misses(self, addresses) -> list[int]:
+        """Look up each address in turn; returns the positions that missed.
+        A hit promotes its line to MRU, a miss allocates it and evicts the
+        LRU way of a full set."""
+        sets = self._sets
+        shift = self._line_shift
+        mask = self._set_mask
+        ways = self.config.associativity
+        out = []
+        for i, address in enumerate(addresses):
+            line = address >> shift
+            s = sets[line & mask]
+            if line in s:
+                del s[line]
+            else:
+                out.append(i)
+                if len(s) >= ways:
+                    del s[next(iter(s))]
             s[line] = None
-            return True
-        if len(s) >= self.config.associativity:
-            del s[next(iter(s))]
-        s[line] = None
-        return False
+        return out
 
     def resident(self, address: int) -> bool:
         """Non-mutating residency peek."""
@@ -142,7 +141,7 @@ class SetAssociativeCache:
 
 class Hierarchy:
     """Three-level inclusive-allocation hierarchy with per-level hit
-    counters and a cycle accumulator. Single-threaded per instance."""
+    counters; cycles follow from the counts. Single-threaded per instance."""
 
     def __init__(self, config: HierarchyConfig | None = None):
         self.config = config or HierarchyConfig()
@@ -153,51 +152,32 @@ class Hierarchy:
         self.l2_hits = 0
         self.l3_hits = 0
         self.mem_accesses = 0
-        self.cycles = 0
 
-    def access(self, address: int, is_write: bool = False) -> tuple[Level, int]:
-        """Full detailed access: L1 then the downstream levels."""
-        if self.l1.hit_check(address, is_write):
-            self.l1_hits += 1
-            lat = self.config.l1.hit_latency
-            self.cycles += lat
-            return Level.L1, lat
-        return self.miss_to_l2(address)
+    @property
+    def cycles(self) -> int:
+        c = self.config
+        return (self.l1_hits * c.l1.hit_latency + self.l2_hits * c.l2.hit_latency
+                + self.l3_hits * c.l3.hit_latency + self.mem_accesses * c.memory_latency)
 
-    def count_l1_hit(self) -> tuple[Level, int]:
-        """Account an L1 hit predicted by a swapped-in model (the detailed
-        L1 state is left untouched)."""
-        self.l1_hits += 1
-        lat = self.config.l1.hit_latency
-        self.cycles += lat
-        return Level.L1, lat
+    def run_detailed(self, addresses) -> list[int]:
+        """Run an interval through the detailed L1 and the miss path;
+        returns the positions that missed L1."""
+        misses = self.l1.misses(addresses)
+        self.serve_misses(addresses, misses)
+        return misses
 
-    def miss_to_l2(self, address: int) -> tuple[Level, int]:
-        """Forward an L1 miss down the hierarchy; allocates at every level
-        that missed."""
-        if self.l2.hit_check(address):
-            self.l2_hits += 1
-            level, lat = Level.L2, self.config.l2.hit_latency
-        elif self.l3.hit_check(address):
-            self.l3_hits += 1
-            level, lat = Level.L3, self.config.l3.hit_latency
-        else:
-            self.mem_accesses += 1
-            level, lat = Level.MEM, self.config.memory_latency
-        self.cycles += lat
-        return level, lat
-
-    def simulate_access(self, l1_model, is_write: bool, address: int) -> tuple[Level, int]:
-        """Drive one reference through the hierarchy with `l1_model` in the
-        L1D slot (the detailed cache or a swapped statistical model)."""
-        if l1_model.hit_check(address, is_write):
-            if l1_model is self.l1:
-                self.l1_hits += 1
-                lat = self.config.l1.hit_latency
-                self.cycles += lat
-                return Level.L1, lat
-            return self.count_l1_hit()
-        return self.miss_to_l2(address)
+    def serve_misses(self, addresses, misses: list[int]) -> None:
+        """Count an interval's L1 hits, and send the references at the
+        missed positions, in order, through L2, L3 and memory, allocating
+        at every level that missed. L2 sees only the L1 miss stream and L3
+        only the L2 miss stream, so each level runs as one batch."""
+        self.l1_hits += len(addresses) - len(misses)
+        to_l2 = [addresses[i] for i in misses]
+        to_l3 = [to_l2[i] for i in self.l2.misses(to_l2)]
+        to_mem = self.l3.misses(to_l3)
+        self.l2_hits += len(to_l2) - len(to_l3)
+        self.l3_hits += len(to_l3) - len(to_mem)
+        self.mem_accesses += len(to_mem)
 
     def totals(self) -> dict:
         return {

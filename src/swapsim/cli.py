@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -76,6 +77,10 @@ def _build_parser() -> _Parser:
 
 def _detector_config(args, file_cfg: dict) -> PhaseDetectorConfig:
     base = dict(file_cfg.get("detector", {}))
+    known = {f.name for f in dataclasses.fields(PhaseDetectorConfig)}
+    unknown = sorted(set(base) - known)
+    if unknown:
+        raise UsageError(f"unknown detector key(s) in config: {', '.join(unknown)}")
     for key, flag in (
         ("threshold", args.threshold),
         ("interval_len", args.interval_len),
@@ -177,9 +182,13 @@ def _cmd_run(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             file_cfg = json.load(f)
-    hier_cfg = HierarchyConfig.from_dict(file_cfg.get("hierarchy", {}))
-    det_cfg = _detector_config(args, file_cfg)
-    ctrl_cfg = _controller_config(args)
+    try:
+        hier_cfg = HierarchyConfig.from_dict(file_cfg.get("hierarchy", {}))
+        det_cfg = _detector_config(args, file_cfg)
+        ctrl_cfg = _controller_config(args)
+    except (TypeError, ValueError) as e:
+        # A config value or flag the configuration rejects is a usage error.
+        raise UsageError(str(e)) from None
 
     if args.trace:
         trace = load_trace(args.trace)

@@ -7,14 +7,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cache import Hierarchy, Level
-from .models import (
-    SWAP_KINDS,
-    AccessContext,
-    ModelKind,
-    NearFarTracker,
-    make_model,
-)
+from .cache import Hierarchy
+from .models import NEAR_LINE_SHIFT, SWAP_KINDS, AccessContext, ModelKind, make_model
 from .phase import PhaseEvent
 from .scoring import ShadowStats, score, select_best
 
@@ -76,8 +70,9 @@ _BASE_DIRECTIVE = Directive(phase_id=-1, swapped_kind=None, training=False)
 
 
 class SwapController:
-    """Owns the L1D slot of a hierarchy. Feed it every reference through
-    on_access and every detector event through on_interval_end."""
+    """Owns the L1D slot of a hierarchy. Feed it every interval's
+    references through run_interval and every detector event through
+    on_interval_end."""
 
     def __init__(self, hierarchy: Hierarchy, config: ControllerConfig | None = None, rng=None):
         self.hierarchy = hierarchy
@@ -85,7 +80,7 @@ class SwapController:
         self.rng = rng
         self.phases: dict[int, PhaseModelState] = {}
         self.directive: Directive = _BASE_DIRECTIVE
-        self._tracker = NearFarTracker()
+        self._last_line = -1  # 64 B line of the previous reference, for near/far
 
     def on_interval_end(self, event: PhaseEvent) -> Directive:
         pid = event.phase_id
@@ -128,39 +123,39 @@ class SwapController:
             self.directive = Directive(pid, None, False)
         return self.directive
 
-    def on_access(self, is_write: bool, address: int) -> tuple[Level, int, bool]:
-        """Run one reference under the current directive. Returns the
-        serviced level, its latency, and the L1 outcome the simulation saw
-        (predicted or actual)."""
-        ctx = AccessContext(is_write, address, self._tracker.classify(address))
+    def run_interval(self, ops, addresses) -> list[int]:
+        """Run one interval's references under the current directive and
+        account them in the hierarchy. Returns the positions where the L1
+        slot (the detailed cache or the swapped model) missed."""
         d = self.directive
-        hier = self.hierarchy
-        if d.swapped_kind is not None:
-            st = self.phases[d.phase_id]
-            hit = st.models[d.swapped_kind].predict(ctx, self.rng)
-            if hit:
-                level, lat = hier.count_l1_hit()
-            else:
-                level, lat = hier.miss_to_l2(address)
-            return level, lat, hit
-
-        hit = hier.l1.hit_check(address, is_write)
-        if hit:
-            hier.l1_hits += 1
-            lat = hier.config.l1.hit_latency
-            hier.cycles += lat
-            level = Level.L1
+        if d.swapped_kind is None:
+            misses = self.hierarchy.run_detailed(addresses)
+            if d.training:
+                self._shadow_train(self.phases[d.phase_id], ops, addresses, misses)
         else:
-            level, lat = hier.miss_to_l2(address)
+            model = self.phases[d.phase_id].models[d.swapped_kind]
+            misses = model.predict_interval(ops, addresses, self._last_line, self.rng)
+            self.hierarchy.serve_misses(addresses, misses)
+        if addresses:
+            self._last_line = addresses[-1] >> NEAR_LINE_SHIFT
+        return misses
 
-        if d.training:
-            st = self.phases[d.phase_id]
-            rng = self.rng
-            near = ctx.near
-            # Predict before training so accuracy measures generalization,
-            # not recall of the access being trained on.
-            for kind, model in st.models.items():
+    def _shadow_train(self, st: PhaseModelState, ops, addresses, misses: list[int]) -> None:
+        """Run every candidate beside the detailed L1's outcomes, reference
+        by reference, in the order of st.models. Each predicts before it
+        trains, so accuracy measures generalization, not recall of the
+        access being trained on."""
+        candidates = [(model, st.shadow[kind]) for kind, model in st.models.items()]
+        missed = set(misses)
+        rng = self.rng
+        prev = self._last_line
+        for i, address in enumerate(addresses):
+            line = address >> NEAR_LINE_SHIFT
+            near = line == prev
+            prev = line
+            hit = i not in missed
+            ctx = AccessContext(ops[i], address, near)
+            for model, shadow in candidates:
                 predicted = model.predict(ctx, rng)
                 model.train(ctx, hit)
-                st.shadow[kind].record(predicted, hit, near)
-        return level, lat, hit
+                shadow.record(predicted, hit, near)

@@ -31,8 +31,9 @@ class ReuseDistanceTracker:
 
     def _add(self, i: int, delta: int) -> None:
         tree = self._tree
+        n = len(tree)
         i += 1
-        while i < len(tree):
+        while i < n:
             tree[i] += delta
             i += i & (-i)
 

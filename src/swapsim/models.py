@@ -1,8 +1,9 @@
 """Statistical L1D approximations: fixed hit rate, 4-state and 8-state
 Markov chains with restricted prediction.
 
-All three share the train-on-observation / predict-hit interface. The
-Markov chains keep transition counts as the source of truth; the
+All three share the train-on-observation / predict-hit interface, and
+predict a whole interval at once with `predict_interval` while swapped
+in. The Markov chains keep transition counts as the source of truth; the
 row-stochastic probabilities and the restricted prediction tables are
 derived, memoized caches.
 """
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 
 from .cache import CacheConfig
 
-NEAR_LINE_BYTES = 64  # near/far granularity is fixed, independent of cache geometry
+# An access is near when it touches the same 64 B line as the previous
+# one; the granularity is fixed, independent of cache geometry.
+NEAR_LINE_SHIFT = 6
 
 
 class ModelKind(enum.Enum):
@@ -34,22 +37,6 @@ class AccessContext:
     is_write: bool
     address: int
     near: bool
-
-
-class NearFarTracker:
-    """Tracks the previous address of an L1D stream to classify each access
-    as near (same 64 B line) or far. The first access is far."""
-
-    __slots__ = ("_last_line",)
-
-    def __init__(self):
-        self._last_line = -1
-
-    def classify(self, address: int) -> bool:
-        line = address >> 6
-        near = line == self._last_line
-        self._last_line = line
-        return near
 
 
 class FixedHitRateModel:
@@ -74,13 +61,12 @@ class FixedHitRateModel:
     def predict(self, ctx: AccessContext, rng) -> bool:
         return rng.random() < self.hit_rate
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "hit_count": self.hit_count,
-            "total_count": self.total_count,
-            "hit_rate": self.hit_rate,
-        }
+    def predict_interval(self, ops, addresses, last_line: int, rng) -> list[int]:
+        """Predict every reference of an interval, one draw each; returns
+        the positions predicted to miss."""
+        rand = rng.random
+        p = self.hit_rate
+        return [i for i in range(len(addresses)) if not rand() < p]
 
 
 # State encoding: bit 1 = write, bit 0 = miss, giving RH=0, RM=1, WH=2,
@@ -95,7 +81,7 @@ class MarkovModel:
     that pair, and resolved with one uniform draw.
     """
 
-    __slots__ = ("n_states", "counts", "last_state", "_train_last", "_restricted")
+    __slots__ = ("n_states", "counts", "last_state", "_train_last", "_restricted", "_table")
 
     def __init__(self, n_states: int):
         if n_states not in (4, 8):
@@ -105,6 +91,7 @@ class MarkovModel:
         self.last_state = None
         self._train_last = None
         self._restricted: dict[tuple[int, int], float] = {}
+        self._table: list[float] | None = None
 
     @property
     def kind(self) -> ModelKind:
@@ -128,15 +115,17 @@ class MarkovModel:
         if self._train_last is not None:
             self.counts[self._train_last][s] += 1
             self._restricted.clear()
+            self._table = None
         self._train_last = s
         self.last_state = s
 
-    def predict(self, ctx: AccessContext, rng) -> bool:
-        h, m = self._restrict_pair(ctx)
-        row_state = self.last_state if self.last_state is not None else h
+    def _p_hit(self, row_state: int, h: int) -> float:
+        """Restricted hit probability of the pair (h, h + 1) from
+        `row_state`; -1.0 when the context was never observed."""
         key = (row_state, h)
         p_hit = self._restricted.get(key)
         if p_hit is None:
+            m = h + 1
             row = self.counts[row_state]
             total = row[h] + row[m]
             if total:
@@ -151,6 +140,11 @@ class MarkovModel:
                 cm = sum(r[m] for r in self.counts)
                 p_hit = ch / (ch + cm) if ch + cm else -1.0
             self._restricted[key] = p_hit
+        return p_hit
+
+    def predict(self, ctx: AccessContext, rng) -> bool:
+        h, m = self._restrict_pair(ctx)
+        p_hit = self._p_hit(self.last_state if self.last_state is not None else h, h)
         if p_hit < 0.0:
             # Context never observed at all: predict miss, let the
             # detailed L2 resolve it, and keep the chain where it is.
@@ -161,6 +155,48 @@ class MarkovModel:
         self.last_state = m
         return False
 
+    def _hit_states(self) -> list[int]:
+        """Hit state of the legal pair for each context
+        `(is_write << 1) | far`."""
+        return [self._restrict_pair(AccessContext(c >> 1, 0, not (c & 1)))[0] for c in range(4)]
+
+    def _compiled(self) -> list[float]:
+        """`_p_hit` for every row and context, flattened: entry
+        `(row << 2) | (is_write << 1) | far`, where row `n_states` stands
+        for "no last state" and predicts from the context's hit state."""
+        if self._table is None:
+            hit_states = self._hit_states()
+            self._table = [self._p_hit(row if row < self.n_states else h, h)
+                           for row in range(self.n_states + 1) for h in hit_states]
+        return self._table
+
+    def predict_interval(self, ops, addresses, last_line: int, rng) -> list[int]:
+        """Predict every reference of an interval as `predict` would, from
+        the compiled table; returns the positions predicted to miss.
+        `last_line` is the 64 B line of the reference before the interval
+        (-1 for none)."""
+        table = self._compiled()
+        hit_states = self._hit_states()
+        none = self.n_states
+        s = none if self.last_state is None else self.last_state
+        rand = rng.random
+        misses = []
+        prev = last_line
+        for i, address in enumerate(addresses):
+            line = address >> NEAR_LINE_SHIFT
+            ctx = ops[i] << 1 | (line != prev)
+            prev = line
+            p_hit = table[s << 2 | ctx]
+            if p_hit < 0.0:
+                misses.append(i)  # unseen context: miss, no draw, state kept
+            elif rand() < p_hit:
+                s = hit_states[ctx]
+            else:
+                s = hit_states[ctx] + 1
+                misses.append(i)
+        self.last_state = None if s == none else s
+        return misses
+
     def probs(self) -> list[list[float]]:
         """Row-stochastic transition matrix derived from the counts; rows
         with no support stay all-zero."""
@@ -169,13 +205,6 @@ class MarkovModel:
             t = sum(row)
             out.append([c / t for c in row] if t else [0.0] * self.n_states)
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "n_states": self.n_states,
-            "counts": [list(r) for r in self.counts],
-        }
 
 
 def make_model(kind: ModelKind):
@@ -214,19 +243,3 @@ def model_hit_check_comparisons(kind: ModelKind, base_config: CacheConfig | None
         return 2
     return 1
 
-
-class ModelSlot:
-    """Adapter that lets a statistical model sit in the hierarchy's L1D
-    slot: tracks near/far from the stream it sees and draws from its own
-    RNG."""
-
-    __slots__ = ("model", "rng", "_tracker")
-
-    def __init__(self, model, rng):
-        self.model = model
-        self.rng = rng
-        self._tracker = NearFarTracker()
-
-    def hit_check(self, address: int, is_write: bool = False) -> bool:
-        ctx = AccessContext(is_write, address, self._tracker.classify(address))
-        return self.model.predict(ctx, self.rng)

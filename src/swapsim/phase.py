@@ -1,7 +1,8 @@
 """Online phase detection from hashed working-set bit-vector signatures.
 
-Every reference address sets one bit in the current interval's signature.
-At each interval boundary the signature is compared with the previous one;
+Every distinct address of an interval sets one bit in its signature, so
+a signature does not depend on access order or repeats (a working-set
+signature). At each interval boundary it is compared with the previous one;
 enough consecutive similar intervals get cataloged as a new phase, and
 unstable intervals are matched against the catalog or labeled -1.
 """
@@ -58,6 +59,17 @@ def hash_address(address: int, config: PhaseDetectorConfig) -> int:
     return splitmix64(address >> config.drop_bits) >> shift
 
 
+def interval_signature(addresses, config: PhaseDetectorConfig) -> int:
+    """OR of `1 << hash_address(a)` over the addresses: one hash per
+    distinct address."""
+    shift = 64 - (config.sig_len.bit_length() - 1)
+    drop = config.drop_bits
+    sig = 0
+    for bit in {splitmix64(a >> drop) >> shift for a in set(addresses)}:
+        sig |= 1 << bit
+    return sig
+
+
 def signature_diff(a: int, b: int) -> float:
     """Jaccard distance of two bit-set signatures: popcount(XOR)/popcount(OR).
 
@@ -69,46 +81,23 @@ def signature_diff(a: int, b: int) -> float:
 
 
 class PhaseDetector:
-    """Single-threaded interval classifier; feed it one address per
-    reference and it emits a PhaseEvent at each interval boundary."""
+    """Single-threaded interval classifier; feed it the addresses of each
+    full interval and it emits that interval's PhaseEvent."""
 
     def __init__(self, config: PhaseDetectorConfig | None = None):
         self.config = config or PhaseDetectorConfig()
         self.table: list[int] = []  # cataloged signatures, index = phase id
-        self._sig = 0
         self._last_sig = 0
-        self._count = 0
         self._stable = 0
         self._phase = -1
         self._interval_index = 0
-        self._drop = self.config.drop_bits
-        self._shift = 64 - (self.config.sig_len.bit_length() - 1)
-        self._interval_len = self.config.interval_len
         self._threshold = self.config.threshold
 
-    @property
-    def phase(self) -> int:
-        return self._phase
+    def observe_interval(self, addresses) -> PhaseEvent:
+        """Close one full interval given its addresses."""
+        return self._close_interval(interval_signature(addresses, self.config))
 
-    @property
-    def intervals_seen(self) -> int:
-        return self._interval_index
-
-    def observe(self, address: int) -> PhaseEvent | None:
-        x = (address >> self._drop) & _M64
-        x ^= x >> 30
-        x = (x * 0xBF58476D1CE4E5B9) & _M64
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & _M64
-        self._sig |= 1 << ((x ^ (x >> 31)) >> self._shift)
-        self._count += 1
-        if self._count < self._interval_len:
-            return None
-        return self._close_interval()
-
-    def _close_interval(self) -> PhaseEvent:
-        self._count = 0
-        sig = self._sig
+    def _close_interval(self, sig: int) -> PhaseEvent:
         if signature_diff(sig, self._last_sig) < self._threshold:
             self._stable += 1
             if self._stable >= self.config.stable_min and self._phase == -1:
@@ -128,7 +117,6 @@ class PhaseDetector:
                 if best_diff < self._threshold:
                     self._phase = best
         self._last_sig = sig
-        self._sig = 0
         event = PhaseEvent(self._interval_index, self._phase)
         self._interval_index += 1
         return event

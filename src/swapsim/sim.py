@@ -2,13 +2,18 @@
 metrics out. Validation mode runs a second fully detailed hierarchy in
 lockstep as ground truth; it observes only and never feeds back into the
 swapped run's decisions.
+
+The trace is walked one interval at a time. The directive can change only
+at an interval boundary, so each interval runs as one loop chosen by its
+directive, and its L1 misses then go through L2/L3 and the reuse tracker
+in order.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 
-from .cache import Hierarchy, HierarchyConfig, Level
+from .cache import Hierarchy, HierarchyConfig
 from .controller import ControllerConfig, PhaseState, SwapController
 from .metrics import IntervalRecord, ReuseDistanceTracker, ReuseHistogram
 from .phase import PhaseDetector, PhaseDetectorConfig
@@ -43,6 +48,14 @@ class RunResult:
         return out
 
 
+def _add_distances(hists: dict[int, ReuseHistogram], phase_id: int,
+                   tracker: ReuseDistanceTracker, addrs, misses: list[int]) -> None:
+    hist = hists.setdefault(phase_id, ReuseHistogram())
+    observe = tracker.observe
+    for i in misses:
+        hist.add(observe(addrs[i] >> 6))
+
+
 def run_simulation(
     trace: Trace,
     hierarchy_config: HierarchyConfig | None = None,
@@ -68,46 +81,34 @@ def run_simulation(
     base_reuse: dict[int, ReuseHistogram] = {}
     tracker = ReuseDistanceTracker() if collect_reuse else None
     base_tracker = ReuseDistanceTracker() if (collect_reuse and validate) else None
-    pending_distances: list[int | None] = []
-    pending_base_distances: list[int | None] = []
 
     snapshot = hierarchy.totals()
-    correct = 0
     interval_len = dcfg.interval_len
-    cur_directive = controller.directive
-
     ops = trace.ops
     addrs = trace.addresses
-    observe = detector.observe
-    on_access = controller.on_access
 
-    for i in range(len(ops)):
-        addr = addrs[i]
-        level, _lat, l1_hit = on_access(ops[i], addr)
-
-        if level != Level.L1 and tracker is not None:
-            pending_distances.append(tracker.observe(addr >> 6))
-
+    for start in range(0, len(addrs), interval_len):
+        iv_ops = ops[start:start + interval_len]
+        iv_addrs = addrs[start:start + interval_len]
+        directive = controller.directive
+        misses = controller.run_interval(iv_ops, iv_addrs)
         if val_hier is not None:
-            v_level, _ = val_hier.access(addr)
-            if (v_level == Level.L1) == l1_hit:
-                correct += 1
-            if base_tracker is not None and v_level != Level.L1:
-                pending_base_distances.append(base_tracker.observe(addr >> 6))
+            val_misses = val_hier.run_detailed(iv_addrs)
+        if len(iv_addrs) < interval_len:
+            break  # a trailing partial interval is counted in the totals only
 
-        event = observe(addr)
-        if event is None:
-            continue
-
-        # Interval boundary: finalize the record for the interval that the
-        # event labels, then let the controller pick the next directive.
+        event = detector.observe_interval(iv_addrs)
         now = hierarchy.totals()
-        accuracy = correct / interval_len if val_hier is not None else None
+        accuracy = None
+        if val_hier is not None:
+            # The L1 outcomes differ exactly where one run missed and the other hit.
+            wrong = len(set(misses).symmetric_difference(val_misses))
+            accuracy = (interval_len - wrong) / interval_len
         intervals.append(
             IntervalRecord(
                 interval_index=event.interval_index,
                 phase_id=event.phase_id,
-                directive="base" if cur_directive.uses_base else cur_directive.swapped_kind.value,
+                directive="base" if directive.uses_base else directive.swapped_kind.value,
                 accuracy=accuracy,
                 l1_hits=now["l1_hits"] - snapshot["l1_hits"],
                 l2_hits=now["l2_hits"] - snapshot["l2_hits"],
@@ -117,18 +118,13 @@ def run_simulation(
             )
         )
         snapshot = now
-        correct = 0
+        # Reuse distances of the L2-bound stream, filed under the phase
+        # the detector gave the interval.
         if tracker is not None:
-            hist = reuse.setdefault(event.phase_id, ReuseHistogram())
-            for d in pending_distances:
-                hist.add(d)
-            pending_distances.clear()
+            _add_distances(reuse, event.phase_id, tracker, iv_addrs, misses)
         if base_tracker is not None:
-            hist = base_reuse.setdefault(event.phase_id, ReuseHistogram())
-            for d in pending_base_distances:
-                hist.add(d)
-            pending_base_distances.clear()
-        cur_directive = controller.on_interval_end(event)
+            _add_distances(base_reuse, event.phase_id, base_tracker, iv_addrs, val_misses)
+        controller.on_interval_end(event)
 
     chosen = {}
     scores = {}

@@ -10,9 +10,10 @@ from swapsim.cache import (
     CacheConfig,
     Hierarchy,
     HierarchyConfig,
-    Level,
     SetAssociativeCache,
 )
+
+LEVELS = ("l1_hits", "l2_hits", "l3_hits", "mem_accesses")
 
 
 class ReferenceLRU:
@@ -126,16 +127,23 @@ def test_fingerprint_tracks_state():
     assert c.fingerprint() == f1  # resident() and fingerprint() do not mutate
 
 
+def serve(h, address):
+    """Run one reference through the hierarchy; returns the counter it
+    advanced and the cycles it added."""
+    before = h.totals()
+    h.run_detailed([address])
+    after = h.totals()
+    level = next(k for k in LEVELS if after[k] != before[k])
+    return level, after["cycles"] - before["cycles"]
+
+
 def test_hierarchy_levels_and_cycles():
     h = Hierarchy()
-    level, lat = h.access(0x40)
-    assert level is Level.MEM and lat == 200
-    level, lat = h.access(0x40)
-    assert level is Level.L1 and lat == 4
+    assert serve(h, 0x40) == ("mem_accesses", 200)
+    assert serve(h, 0x40) == ("l1_hits", 4)
     # Line 0x40..0x5f shares the 64-byte L2/L3 line with 0x60 but not the
     # 32-byte L1 line, so the neighbor hits L2.
-    level, lat = h.access(0x60)
-    assert level is Level.L2 and lat == 12
+    assert serve(h, 0x60) == ("l2_hits", 12)
     assert h.totals() == {
         "l1_hits": 1,
         "l2_hits": 1,
@@ -147,32 +155,37 @@ def test_hierarchy_levels_and_cycles():
 
 def test_l3_hit_after_l2_eviction():
     h = Hierarchy()
-    h.access(0x40)
+    serve(h, 0x40)
     # Evict the line from L2 (512 sets, 8 ways) without evicting it from
     # L3 (2048 sets, 16 ways): walk same-L2-set lines spread over L3 sets.
     l2_stride = 512 * 64
-    for i in range(1, 9):
-        h.access(0x40 + i * l2_stride)
-    level, _ = h.access(0x40)
-    assert level is Level.L3
+    h.run_detailed([0x40 + i * l2_stride for i in range(1, 9)])
+    assert serve(h, 0x40) == ("l3_hits", 40)
 
 
 def test_cycles_recompute_from_counts():
     h = Hierarchy()
     rng = random.Random(1)
-    for _ in range(5000):
-        h.access(rng.randrange(0, 1 << 22))
+    addrs = [rng.randrange(0, 1 << 22) for _ in range(5000)]
+    misses = h.run_detailed(addrs)
     t = h.totals()
+    # One batch per level gives what one reference at a time gives.
+    one = Hierarchy()
+    assert [i for i, a in enumerate(addrs) if one.run_detailed([a])] == misses
+    assert one.totals() == t
     assert t["cycles"] == (
         4 * t["l1_hits"] + 12 * t["l2_hits"] + 40 * t["l3_hits"] + 200 * t["mem_accesses"]
     )
     assert t["l1_hits"] + t["l2_hits"] + t["l3_hits"] + t["mem_accesses"] == 5000
 
 
-def test_count_l1_hit_leaves_caches_untouched():
+def test_serve_misses_leaves_l1_untouched():
+    # A swapped-in model's predicted hits are counted without touching
+    # the detailed L1; its predicted misses still allocate in L2 and L3.
     h = Hierarchy()
     f = h.l1.fingerprint()
-    level, lat = h.count_l1_hit()
-    assert level is Level.L1 and lat == 4
+    h.serve_misses([0x40, 0x80], [1])
     assert h.l1.fingerprint() == f
-    assert h.l1_hits == 1 and h.cycles == 4
+    assert h.totals() == {"l1_hits": 1, "l2_hits": 0, "l3_hits": 0, "mem_accesses": 1,
+                          "cycles": 4 + 200}
+    assert h.l2.resident(0x80) and h.l3.resident(0x80) and not h.l2.resident(0x40)

@@ -111,3 +111,18 @@ def test_config_file_with_flag_override(trace_file, tmp_path):
     assert code == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["interval_len"] == 2000  # the flag wins over the file
+
+
+def test_usage_error_on_unknown_detector_key(trace_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"detector": {"interval_length": 4000}}))
+    code = run_cli("run", "--trace", trace_file, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--interval-len", "--train-intervals"])
+def test_usage_error_on_zero_count_flag(trace_file, tmp_path, capsys, flag):
+    code = run_cli("run", "--trace", trace_file, flag, "0", "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err

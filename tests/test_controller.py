@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from swapsim.cache import Hierarchy, Level
+from swapsim.cache import Hierarchy
 from swapsim.controller import ControllerConfig, PhaseState, SwapController
 from swapsim.models import ModelKind
 from swapsim.phase import PhaseEvent
@@ -14,8 +14,11 @@ def make_controller(**kwargs):
 
 
 def train_accesses(ctrl, n=50, base=0x1000):
-    for i in range(n):
-        ctrl.on_access(False, base + (i % 16) * 8)
+    return ctrl.run_interval(bytes(n), [base + (i % 16) * 8 for i in range(n)])
+
+
+def served(totals):
+    return sum(totals[k] for k in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses"))
 
 
 def test_config_validation():
@@ -88,16 +91,16 @@ def test_base_cache_frozen_while_swapped():
     train_accesses(ctrl)
     ctrl.on_interval_end(PhaseEvent(1, 0))
     fp = ctrl.hierarchy.l1.fingerprint()
-    for i in range(200):
-        level, lat, hit = ctrl.on_access(False, 0x1000 + i * 8)
-        assert level in (Level.L1, Level.L2, Level.L3, Level.MEM)
+    misses = ctrl.run_interval(bytes(200), [0x1000 + i * 8 for i in range(200)])
+    assert all(0 <= i < 200 for i in misses)
+    assert served(ctrl.hierarchy.totals()) == 250
     assert ctrl.hierarchy.l1.fingerprint() == fp
 
 
 def test_base_cache_updates_when_not_swapped():
     ctrl = make_controller()
     fp = ctrl.hierarchy.l1.fingerprint()
-    ctrl.on_access(False, 0x1000)
+    assert ctrl.run_interval(bytes(1), [0x1000]) == [0]
     assert ctrl.hierarchy.l1.fingerprint() != fp
 
 
@@ -107,12 +110,11 @@ def test_counters_advance_under_swap():
     train_accesses(ctrl)  # high-hit training stream
     ctrl.on_interval_end(PhaseEvent(1, 0))
     before = ctrl.hierarchy.totals()
-    for i in range(100):
-        ctrl.on_access(False, 0x1000 + (i % 16) * 8)
+    misses = train_accesses(ctrl, n=100)
     after = ctrl.hierarchy.totals()
     assert after["cycles"] > before["cycles"]
-    served = sum(after[k] - before[k] for k in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses"))
-    assert served == 100
+    assert served(after) - served(before) == 100
+    assert after["l1_hits"] - before["l1_hits"] == 100 - len(misses)
 
 
 def test_give_up_after_budget():

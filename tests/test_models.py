@@ -9,7 +9,6 @@ from swapsim.models import (
     FixedHitRateModel,
     MarkovModel,
     ModelKind,
-    NearFarTracker,
     make_model,
     model_hit_check_comparisons,
     model_size_bytes,
@@ -30,12 +29,16 @@ class FixedU:
         return self.u
 
 
-def test_near_far_tracker():
-    t = NearFarTracker()
-    assert t.classify(0x100) is False  # first access is far
-    assert t.classify(0x13F) is True  # same 64-byte line
-    assert t.classify(0x140) is False
-    assert t.classify(0x141) is True
+def test_near_far_classification():
+    # Read counts that make every far read a hit and every near read a
+    # miss, so the predicted misses are exactly the near accesses.
+    m = MarkovModel(8)
+    m.counts[0][1] = 1  # RM near
+    m.counts[0][4] = 1  # RH far
+    addrs = [0x100, 0x13F, 0x140, 0x141]  # far, same 64-byte line, far, near
+    assert m.predict_interval(bytes(4), addrs, -1, random.Random(0)) == [1, 3]
+    # The line of the reference before the interval carries over.
+    assert m.predict_interval(bytes(4), addrs, 0x100 >> 6, random.Random(0)) == [0, 1, 3]
 
 
 def test_fixed_rate_training_and_prediction():
@@ -141,10 +144,11 @@ def test_markov_unseen_context_predicts_miss_and_stays():
 def test_markov_probs_row_stochastic():
     m = MarkovModel(8)
     rng = random.Random(2)
-    tk = NearFarTracker()
+    prev = -1
     for _ in range(2000):
         a = rng.randrange(1 << 20)
-        m.train(AccessContext(rng.random() < 0.3, a, tk.classify(a)), rng.random() < 0.6)
+        m.train(AccessContext(rng.random() < 0.3, a, a >> 6 == prev), rng.random() < 0.6)
+        prev = a >> 6
     for row in m.probs():
         s = sum(row)
         assert s == 0.0 or abs(s - 1.0) < 1e-12
@@ -224,7 +228,6 @@ def test_prediction_deterministic_under_seed():
     for _ in range(2):
         m = MarkovModel(8)
         r = random.Random(99)
-        tk = NearFarTracker()
         for w, hit in stream:
             m.train(AccessContext(w, 0x40, True), hit)
         out.append([m.predict(AccessContext(w, 0x40, True), r) for w, _ in stream])

@@ -87,17 +87,19 @@ def loop_addresses(n, base=0x1000, words=64):
     return [base + (i % words) * 8 for i in range(n)]
 
 
+def feed(det, addrs):
+    """Observe every full interval of addrs; returns the events."""
+    n = det.config.interval_len
+    return [det.observe_interval(addrs[k:k + n]) for k in range(0, len(addrs) - n + 1, n)]
+
+
 def test_tight_loop_phase_lifecycle():
     # First boundary diffs against the empty signature (distance 1.0), so
     # it is always unstable; the phase is cataloged only after stable_min
     # consecutive similar intervals.
     cfg = PhaseDetectorConfig(interval_len=1000, stable_min=5)
     det = PhaseDetector(cfg)
-    events = []
-    for a in loop_addresses(8000):
-        ev = det.observe(a)
-        if ev is not None:
-            events.append(ev)
+    events = feed(det, loop_addresses(8000))
     assert [e.interval_index for e in events] == list(range(8))
     assert [e.phase_id for e in events] == [-1, -1, -1, -1, -1, 0, 0, 0]
     assert len(det.table) == 1
@@ -106,17 +108,10 @@ def test_tight_loop_phase_lifecycle():
 def test_reentry_reuses_id():
     cfg = PhaseDetectorConfig(interval_len=1000, stable_min=2)
     det = PhaseDetector(cfg)
-    labels = []
-
-    def feed(addrs):
-        for a in addrs:
-            ev = det.observe(a)
-            if ev is not None:
-                labels.append(ev.phase_id)
-
-    feed(loop_addresses(4000, base=0x10000))
-    feed(loop_addresses(4000, base=0x900000))
-    feed(loop_addresses(4000, base=0x10000))
+    events = []
+    for base in (0x10000, 0x900000, 0x10000):
+        events += feed(det, loop_addresses(4000, base=base))
+    labels = [e.phase_id for e in events]
     assert 0 in labels and 1 in labels
     # the second visit to the first loop reuses id 0 immediately: its
     # signature matches the catalog even at the unstable boundary
@@ -130,10 +125,7 @@ def test_alternating_content_never_stabilizes():
     labels = []
     for i in range(10):
         base = 0x10000 if i % 2 == 0 else 0x900000
-        for a in loop_addresses(1000, base=base):
-            ev = det.observe(a)
-            if ev is not None:
-                labels.append(ev.phase_id)
+        labels += [e.phase_id for e in feed(det, loop_addresses(1000, base=base))]
     assert labels == [-1] * 10
     assert det.table == []
 
@@ -143,8 +135,9 @@ def test_detector_is_deterministic():
     addrs = [rng.randrange(1 << 40) for _ in range(30000)]
     cfg = PhaseDetectorConfig(interval_len=1000, stable_min=2)
     d1, d2 = PhaseDetector(cfg), PhaseDetector(cfg)
-    ev1 = [d1.observe(a) for a in addrs]
-    ev2 = [d2.observe(a) for a in addrs]
+    ev1 = feed(d1, addrs)
+    ev2 = feed(d2, addrs)
+    assert len(ev1) == 30
     assert ev1 == ev2
     assert d1.table == d2.table
 
@@ -153,10 +146,8 @@ def test_observe_matches_hash_address():
     cfg = PhaseDetectorConfig(interval_len=4)
     det = PhaseDetector(cfg)
     addrs = [0x7FFF0040, 0xDEADBEEF, 0x8, 0x0]
-    ev = None
-    for a in addrs:
-        ev = det.observe(a)
-    assert isinstance(ev, PhaseEvent)
+    ev = det.observe_interval(addrs)
+    assert ev == PhaseEvent(0, -1)
     expected = 0
     for a in addrs:
         expected |= 1 << hash_address(a, cfg)

@@ -1,0 +1,137 @@
+"""Property tests of the interval-level paths against their per-reference
+definitions: the compiled Markov table, the interval signature, and the
+detailed L1 across swapped and base intervals."""
+import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from swapsim.cache import DEFAULT_L1, Hierarchy, SetAssociativeCache
+from swapsim.controller import ControllerConfig, PhaseState, SwapController
+from swapsim.models import SWAP_KINDS, AccessContext, MarkovModel
+from swapsim.phase import (
+    PhaseDetector,
+    PhaseDetectorConfig,
+    PhaseEvent,
+    hash_address,
+    interval_signature,
+)
+
+U_GRID = [k / 8 for k in range(8)] + [0.999]
+ADDR = 0x1040  # 64-byte line 0x41
+
+
+class CountingU:
+    """Stand-in RNG returning a preset uniform value and counting draws."""
+
+    def __init__(self, u):
+        self.u = u
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def markov(n, counts, zero_rows, zero_pairs):
+    m = MarkovModel(n)
+    m.counts = [[0 if r in zero_rows or c // 2 in zero_pairs else counts[r * n + c]
+                 for c in range(n)] for r in range(n)]
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([4, 8]),
+       counts=st.lists(st.sampled_from([0, 0, 1, 3, 17]), min_size=64, max_size=64),
+       zero_rows=st.sets(st.integers(0, 7)),
+       zero_pairs=st.sets(st.integers(0, 3)))
+# Row 1 empty: marginal fallback; columns 2 and 3 empty: the write
+# context is unseen (-1.0, no draw).
+@example(n=4, counts=[1] * 64, zero_rows={1}, zero_pairs={1})
+def test_compiled_markov_matches_predict(n, counts, zero_rows, zero_pairs):
+    for row in [None, *range(n)]:
+        for is_write in (0, 1):
+            for near in (False, True):
+                for u in U_GRID:
+                    ref = markov(n, counts, zero_rows, zero_pairs)
+                    got = markov(n, counts, zero_rows, zero_pairs)
+                    ref.last_state = got.last_state = row
+                    ref_rng, got_rng = CountingU(u), CountingU(u)
+                    hit = ref.predict(AccessContext(is_write, ADDR, near), ref_rng)
+                    last_line = ADDR >> 6 if near else -1
+                    misses = got.predict_interval([is_write], [ADDR], last_line, got_rng)
+                    assert (misses == []) == hit
+                    assert got.last_state == ref.last_state
+                    assert got_rng.draws == ref_rng.draws
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([4, 8]),
+       counts=st.lists(st.sampled_from([0, 0, 1, 3, 17]), min_size=64, max_size=64),
+       zero_rows=st.sets(st.integers(0, 7)),
+       zero_pairs=st.sets(st.integers(0, 3)),
+       stream=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7)), max_size=60),
+       seed=st.integers(0, 2**32 - 1))
+def test_compiled_markov_matches_predict_over_a_stream(n, counts, zero_rows, zero_pairs,
+                                                       stream, seed):
+    # Addresses walk 32-byte steps, so neighbours are near or far.
+    addrs = [0x4000 + 32 * sum(step for _, step in stream[:i + 1]) for i in range(len(stream))]
+    ops = [w for w, _ in stream]
+    ref = markov(n, counts, zero_rows, zero_pairs)
+    got = markov(n, counts, zero_rows, zero_pairs)
+    ref_rng, got_rng = random.Random(seed), random.Random(seed)
+    want, prev = [], -1
+    for i, (w, a) in enumerate(zip(ops, addrs)):
+        if not ref.predict(AccessContext(w, a, a >> 6 == prev), ref_rng):
+            want.append(i)
+        prev = a >> 6
+    assert got.predict_interval(ops, addrs, -1, got_rng) == want
+    assert got.last_state == ref.last_state
+    assert got_rng.random() == ref_rng.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(addrs=st.lists(st.integers(0, 2**64 - 1), max_size=200),
+       sig_len=st.sampled_from([64, 1024]),
+       drop_bits=st.integers(0, 6))
+def test_interval_signature_is_or_of_hashes(addrs, sig_len, drop_bits):
+    cfg = PhaseDetectorConfig(interval_len=max(1, len(addrs)), sig_len=sig_len,
+                              drop_bits=drop_bits)
+    expected = 0
+    for a in addrs:
+        expected |= 1 << hash_address(a, cfg)
+    assert interval_signature(addrs, cfg) == expected
+    det = PhaseDetector(cfg)
+    det.observe_interval(addrs)
+    assert det._last_sig == expected
+
+
+ADDRS = st.lists(st.integers(0, 1 << 22), min_size=1, max_size=300)
+
+
+@settings(max_examples=50, deadline=None)
+@given(addrs=ADDRS, kind=st.sampled_from(SWAP_KINDS), seed=st.integers(0, 1000))
+def test_detailed_l1_frozen_across_swapped_interval(addrs, kind, seed):
+    ctrl = SwapController(Hierarchy(), ControllerConfig(train_intervals=1,
+                                                        single_model_override=kind),
+                          rng=random.Random(seed))
+    ctrl.on_interval_end(PhaseEvent(0, 0))
+    ctrl.run_interval(bytes(64), [0x1000 + (i % 24) * 8 for i in range(64)])
+    ctrl.on_interval_end(PhaseEvent(1, 0))
+    assert ctrl.phases[0].state is PhaseState.SWAPPED
+    fp = ctrl.hierarchy.l1.fingerprint()
+    l1_hits = ctrl.hierarchy.l1_hits
+    misses = ctrl.run_interval(bytes(a & 1 for a in addrs), addrs)
+    assert ctrl.hierarchy.l1.fingerprint() == fp
+    assert ctrl.hierarchy.l1_hits - l1_hits == len(addrs) - len(misses)
+
+
+@settings(max_examples=50, deadline=None)
+@given(addrs=ADDRS)
+def test_detailed_l1_advances_across_base_interval(addrs):
+    ctrl = SwapController(Hierarchy(), ControllerConfig(), rng=random.Random(0))
+    fp = ctrl.hierarchy.l1.fingerprint()
+    ref = SetAssociativeCache(DEFAULT_L1)
+    want = [i for i, a in enumerate(addrs) if not ref.hit_check(a)]
+    assert ctrl.run_interval(bytes(len(addrs)), addrs) == want
+    assert ctrl.hierarchy.l1.fingerprint() == ref.fingerprint() != fp

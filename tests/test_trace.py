@@ -118,8 +118,7 @@ def test_marker_phase_is_nearly_all_hits():
     spec = SyntheticPhaseSpec(PhaseKind.MARKER, 10_000, seed=3)
     t = generate_trace([spec])
     h = Hierarchy()
-    for i in range(len(t)):
-        h.access(t.addresses[i], bool(t.ops[i]))
+    h.run_detailed(t.addresses)
     assert h.l1_hits / len(t) > 0.99
 
 
