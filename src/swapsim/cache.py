@@ -7,7 +7,7 @@ references then go down through L2 and L3 in order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 
 def _is_pow2(n: int) -> bool:
@@ -70,16 +70,17 @@ class HierarchyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HierarchyConfig":
+        """Build from a config file's "hierarchy" section; keys left out
+        keep their defaults. Raises ValueError on an unknown key or on a
+        section that is not a JSON object."""
+        d = config_section(d, "hierarchy", {f.name for f in fields(cls)})
+        cache_keys = {f.name for f in fields(CacheConfig)}
+
         def cache(key, dflt):
             sub = d.get(key)
             if sub is None:
                 return dflt
-            return CacheConfig(
-                total_bytes=sub.get("total_bytes", dflt.total_bytes),
-                associativity=sub.get("associativity", dflt.associativity),
-                line_bytes=sub.get("line_bytes", dflt.line_bytes),
-                hit_latency=sub.get("hit_latency", dflt.hit_latency),
-            )
+            return replace(dflt, **config_section(sub, f"hierarchy.{key}", cache_keys))
 
         return cls(
             l1=cache("l1", DEFAULT_L1),
@@ -87,6 +88,17 @@ class HierarchyConfig:
             l3=cache("l3", DEFAULT_L3),
             memory_latency=d.get("memory_latency", DEFAULT_MEMORY_LATENCY),
         )
+
+
+def config_section(value, where: str, known: set[str]) -> dict:
+    """Return `value` if it is a JSON object whose keys all lie in `known`;
+    otherwise raise ValueError naming the section `where`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config {where} must be a JSON object, not {type(value).__name__}")
+    unknown = sorted(set(value) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) in config: {', '.join(unknown)}")
+    return value
 
 
 class SetAssociativeCache:

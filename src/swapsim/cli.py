@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cache import HierarchyConfig
+from .cache import HierarchyConfig, config_section
 from .controller import ControllerConfig
 from .metrics import IntervalRecord, per_phase_accuracy
 from .models import ModelKind
@@ -76,11 +76,8 @@ def _build_parser() -> _Parser:
 
 
 def _detector_config(args, file_cfg: dict) -> PhaseDetectorConfig:
-    base = dict(file_cfg.get("detector", {}))
     known = {f.name for f in dataclasses.fields(PhaseDetectorConfig)}
-    unknown = sorted(set(base) - known)
-    if unknown:
-        raise UsageError(f"unknown detector key(s) in config: {', '.join(unknown)}")
+    base = dict(config_section(file_cfg.get("detector", {}), "detector", known))
     for key, flag in (
         ("threshold", args.threshold),
         ("interval_len", args.interval_len),
@@ -125,20 +122,7 @@ def _result_to_report(result: RunResult) -> dict:
         "per_phase_accuracy": {
             str(k): list(v) for k, v in per_phase_accuracy(result.intervals).items()
         },
-        "intervals": [
-            {
-                "interval_index": r.interval_index,
-                "phase_id": r.phase_id,
-                "directive": r.directive,
-                "accuracy": r.accuracy,
-                "l1_hits": r.l1_hits,
-                "l2_hits": r.l2_hits,
-                "l3_hits": r.l3_hits,
-                "mem_accesses": r.mem_accesses,
-                "cycles": r.cycles,
-            }
-            for r in result.intervals
-        ],
+        "intervals": [dataclasses.asdict(r) for r in result.intervals],
         "reuse": {
             str(pid): {"cold": h.cold_count, "cap": h.cap, "buckets": h.to_rows()}
             for pid, h in sorted(result.reuse.items())
@@ -152,16 +136,47 @@ def _result_to_report(result: RunResult) -> dict:
     }
 
 
+# The keys of a report's interval records and the columns of intervals.csv.
+_INTERVAL_FIELDS = [f.name for f in dataclasses.fields(IntervalRecord)]
+
+
+def _check_report(report) -> None:
+    """Raise ValueError unless `report` has every key and shape that
+    `_write_csvs` reads."""
+    def malformed(what):
+        return ValueError(f"malformed report.json: {what}")
+
+    if not isinstance(report, dict):
+        raise malformed("top level is not a JSON object")
+    intervals = report.get("intervals")
+    if not isinstance(intervals, list):
+        raise malformed("'intervals' is not a list")
+    for n, r in enumerate(intervals):
+        if not isinstance(r, dict) or not all(k in r for k in _INTERVAL_FIELDS):
+            raise malformed(f"intervals[{n}] lacks one of {', '.join(_INTERVAL_FIELDS)}")
+    for key in ("reuse", "base_reuse"):
+        data = report.get(key)
+        if not data:
+            continue
+        if not isinstance(data, dict):
+            raise malformed(f"{key!r} is not a JSON object")
+        for pid, hist in data.items():
+            try:
+                int(pid)
+            except ValueError:
+                raise malformed(f"{key}: phase id {pid!r} is not an integer") from None
+            if (not isinstance(hist, dict) or "cold" not in hist
+                    or not isinstance(hist.get("buckets"), list)
+                    or not all(isinstance(b, list) and len(b) == 2 for b in hist["buckets"])):
+                raise malformed(f"{key}[{pid!r}] needs 'cold' and 'buckets' of [distance, count] rows")
+
+
 def _write_csvs(report: dict, out: Path) -> None:
     with open(out / "intervals.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(["interval_index", "phase_id", "directive", "accuracy",
-                    "l1_hits", "l2_hits", "l3_hits", "mem_accesses", "cycles"])
+        w.writerow(_INTERVAL_FIELDS)
         for r in report["intervals"]:
-            w.writerow([r["interval_index"], r["phase_id"], r["directive"],
-                        "" if r["accuracy"] is None else r["accuracy"],
-                        r["l1_hits"], r["l2_hits"], r["l3_hits"],
-                        r["mem_accesses"], r["cycles"]])
+            w.writerow(["" if r[k] is None else r[k] for k in _INTERVAL_FIELDS])
 
     with open(out / "reuse.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
@@ -183,6 +198,7 @@ def _cmd_run(args) -> int:
         with open(args.config, "r", encoding="utf-8") as f:
             file_cfg = json.load(f)
     try:
+        file_cfg = config_section(file_cfg, "top level", {"hierarchy", "detector"})
         hier_cfg = HierarchyConfig.from_dict(file_cfg.get("hierarchy", {}))
         det_cfg = _detector_config(args, file_cfg)
         ctrl_cfg = _controller_config(args)
@@ -226,11 +242,7 @@ def _cmd_report(args) -> int:
     run_dir = Path(args.run)
     with open(run_dir / "report.json", "r", encoding="utf-8") as f:
         report = json.load(f)
-    # JSON round-trips bucket rows as lists; normalize for the CSV writer.
-    for key in ("reuse", "base_reuse"):
-        if report.get(key):
-            for hist in report[key].values():
-                hist["buckets"] = [tuple(b) for b in hist["buckets"]]
+    _check_report(report)
     _write_csvs(report, run_dir)
     print(f"re-rendered CSV files in {run_dir}")
     return EXIT_OK

@@ -4,6 +4,7 @@ stream, and run-to-run comparison helpers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -21,54 +22,77 @@ class IntervalRecord:
 
 
 class ReuseDistanceTracker:
-    """LRU stack distance over distinct lines, computed with a Fenwick
-    tree of last-occurrence markers: O(log n) per access."""
+    """LRU stack distance over distinct lines (Bennett & Kruskal, 1975;
+    Olken, 1981). Every access takes a position; a position dies when its
+    line is touched again. The lines seen between a reuse at `t` and its
+    previous access `prev` are the live positions in (prev, t), so the
+    distance is (t - prev - 1) minus the dead positions there, which a
+    Fenwick tree of dead markers counts with one prefix walk.
+
+    When the positions run out, the live ones are renumbered 0..d-1 in
+    last-access order and the tree restarts empty at the smallest power
+    of two >= 2d + 2 (at least 1024), so it stays within 4x the distinct
+    lines however long the stream is."""
 
     def __init__(self):
-        self._last: dict[int, int] = {}
+        self._last: dict[int, int] = {}  # line -> position of its last access
         self._tree = [0] * 1024
-        self._n = 0
+        self._n = 0  # next position
+        self._dead = 0  # dead positions below _n
 
-    def _add(self, i: int, delta: int) -> None:
-        tree = self._tree
-        n = len(tree)
-        i += 1
-        while i < n:
-            tree[i] += delta
-            i += i & (-i)
+    def _compact(self) -> None:
+        last = self._last
+        for pos, line in enumerate(sorted(last, key=last.__getitem__)):
+            last[line] = pos
+        live = len(last)
+        self._tree = [0] * max(1024, 1 << (2 * live + 1).bit_length())
+        self._n = live
+        self._dead = 0
 
-    def _prefix(self, i: int) -> int:
-        # Sum of markers at positions [0, i].
+    def observe_all(self, lines) -> list[int | None]:
+        """Record line-granular accesses in order; for each, the number of
+        distinct lines seen since that line's previous access, or None on
+        first touch."""
+        last = self._last
         tree = self._tree
-        total = 0
-        i += 1
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
+        size = len(tree)
+        t = self._n
+        dead = self._dead
+        out: list[int | None] = []
+        append = out.append
+        for line in lines:
+            if t + 1 >= size:
+                self._n = t
+                self._compact()
+                tree = self._tree
+                size = len(tree)
+                t = self._n
+                dead = 0
+            prev = last.get(line)
+            last[line] = t
+            t += 1
+            if prev is None:
+                append(None)
+                continue
+            # Dead positions in [0, prev], then mark prev dead.
+            i = prev + 1
+            below = 0
+            while i:
+                below += tree[i]
+                i &= i - 1
+            append(t - prev - 2 - dead + below)
+            i = prev + 1
+            while i < size:
+                tree[i] += 1
+                i += i & -i
+            dead += 1
+        self._n = t
+        self._dead = dead
+        return out
 
     def observe(self, line: int) -> int | None:
-        """Record one line-granular access; returns the number of distinct
-        lines seen since this line's previous access, or None on first
-        touch."""
-        t = self._n
-        self._n += 1
-        if t + 1 >= len(self._tree):
-            # Doubling invalidates Fenwick ranges; rebuild from the
-            # surviving last-occurrence markers.
-            self._tree = [0] * (len(self._tree) * 2)
-            for pos in self._last.values():
-                self._add(pos, 1)
-        prev = self._last.get(line)
-        if prev is None:
-            self._add(t, 1)
-            self._last[line] = t
-            return None
-        distance = self._prefix(t - 1) - self._prefix(prev)
-        self._add(prev, -1)
-        self._add(t, 1)
-        self._last[line] = t
-        return distance
+        """`observe_all` for a single access."""
+        return self.observe_all((line,))[0]
 
 
 class ReuseHistogram:
@@ -80,12 +104,18 @@ class ReuseHistogram:
         self.buckets: dict[int, int] = {}
         self.cold_count = 0
 
+    def add_all(self, distances) -> None:
+        cap = self.cap
+        buckets = self.buckets
+        for distance, count in Counter(distances).items():
+            if distance is None:
+                self.cold_count += count
+                continue
+            key = distance if distance < cap else cap
+            buckets[key] = buckets.get(key, 0) + count
+
     def add(self, distance: int | None) -> None:
-        if distance is None:
-            self.cold_count += 1
-            return
-        key = distance if distance < self.cap else self.cap
-        self.buckets[key] = self.buckets.get(key, 0) + 1
+        self.add_all((distance,))
 
     @property
     def total(self) -> int:

@@ -50,10 +50,8 @@ class RunResult:
 
 def _add_distances(hists: dict[int, ReuseHistogram], phase_id: int,
                    tracker: ReuseDistanceTracker, addrs, misses: list[int]) -> None:
-    hist = hists.setdefault(phase_id, ReuseHistogram())
-    observe = tracker.observe
-    for i in misses:
-        hist.add(observe(addrs[i] >> 6))
+    hists.setdefault(phase_id, ReuseHistogram()).add_all(
+        tracker.observe_all([addrs[i] >> 6 for i in misses]))
 
 
 def run_simulation(

@@ -126,3 +126,36 @@ def test_usage_error_on_zero_count_flag(trace_file, tmp_path, capsys, flag):
     code = run_cli("run", "--trace", trace_file, flag, "0", "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, section", [
+    ([], "top level"),
+    ({"hierarchy": 5}, "hierarchy"),
+    ({"hierarchy": {"l1": 5}}, "hierarchy.l1"),
+    ({"detector": []}, "detector"),
+    ({"hierarchy": {"assoc": 4}}, "hierarchy"),
+    ({"hierarchy": {"l2": {"assoc": 4}}}, "hierarchy.l2"),
+    ({"hierarchie": {}}, "top level"),
+])
+def test_usage_error_on_malformed_config(trace_file, tmp_path, capsys, cfg, section):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run_cli("run", "--trace", trace_file, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and section in err
+
+
+@pytest.mark.parametrize("report", [
+    {},
+    [],
+    {"intervals": [{"interval_index": 0}]},
+    {"intervals": [], "reuse": {"0": {"cold": 1}}},
+    {"intervals": [], "reuse": {"x": {"cold": 1, "buckets": []}}},
+    {"intervals": [], "base_reuse": {"0": {"cold": 1, "buckets": [[1, 2, 3]]}}},
+])
+def test_runtime_error_on_malformed_report(tmp_path, capsys, report):
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    assert run_cli("report", "--run", str(tmp_path)) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "intervals.csv").exists()

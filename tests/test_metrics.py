@@ -57,6 +57,20 @@ def test_tracker_survives_internal_resize():
     assert [t.observe(x) for x in stream] == expect
 
 
+@pytest.mark.parametrize("k", [1, 511, 512, 3000])
+def test_tracker_tree_bounded_by_distinct_lines(k):
+    # 200 000 accesses over k lines: the tree follows the working set,
+    # not the trace length. 512 lines is the worst case for rounding
+    # 2k + 2 up to a power of two.
+    rng = random.Random(k)
+    t = ReuseDistanceTracker()
+    largest = 0
+    for _ in range(20):
+        t.observe_all([rng.randrange(k) for _ in range(10_000)])
+        largest = max(largest, len(t._tree))
+    assert largest <= max(1024, 4 * k)
+
+
 def test_histogram_buckets_and_cap():
     h = ReuseHistogram(cap=10)
     for d in [0, 0, 3, 9, 10, 11, 500, None, None]:

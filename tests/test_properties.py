@@ -1,6 +1,7 @@
 """Property tests of the interval-level paths against their per-reference
-definitions: the compiled Markov table, the interval signature, and the
-detailed L1 across swapped and base intervals."""
+definitions: the compiled Markov table, the interval signature, the
+detailed L1 across swapped and base intervals, and the batched reuse
+tracker."""
 import random
 
 from hypothesis import example, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from swapsim.cache import DEFAULT_L1, Hierarchy, SetAssociativeCache
 from swapsim.controller import ControllerConfig, PhaseState, SwapController
+from swapsim.metrics import ReuseDistanceTracker
 from swapsim.models import SWAP_KINDS, AccessContext, MarkovModel
 from swapsim.phase import (
     PhaseDetector,
@@ -135,3 +137,39 @@ def test_detailed_l1_advances_across_base_interval(addrs):
     want = [i for i, a in enumerate(addrs) if not ref.hit_check(a)]
     assert ctrl.run_interval(bytes(len(addrs)), addrs) == want
     assert ctrl.hierarchy.l1.fingerprint() == ref.fingerprint() != fp
+
+
+def quadratic_reuse_distances(stream):
+    """O(n^2) oracle: distinct lines between consecutive uses of a line."""
+    out = []
+    last = {}
+    for t, line in enumerate(stream):
+        out.append(len(set(stream[last[line] + 1:t])) if line in last else None)
+        last[line] = t
+    return out
+
+
+class CountingTracker(ReuseDistanceTracker):
+    compactions = 0
+
+    def _compact(self):
+        self.compactions += 1
+        super()._compact()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), universe=st.integers(1, 400),
+       n=st.integers(3100, 5000), max_chunk=st.integers(1, 700))
+def test_reuse_tracker_chunks_match_oracle(seed, universe, n, max_chunk):
+    rng = random.Random(seed)
+    hot = rng.randrange(1, universe + 1)
+    stream = [rng.randrange(hot if rng.random() < 0.5 else universe) for _ in range(n)]
+    tracker = CountingTracker()
+    got = []
+    start = 0
+    while start < n:
+        size = rng.randrange(max_chunk + 1)  # empty chunks included
+        got += tracker.observe_all(stream[start:start + size])
+        start += size
+    assert got == quadratic_reuse_distances(stream)
+    assert tracker.compactions >= 3
