@@ -38,10 +38,8 @@ from .trace import (
     PhaseKind,
     SyntheticPhaseSpec,
     Trace,
-    TraceRecord,
     generate_trace,
     load_trace,
-    read_trace,
     write_trace,
 )
 

@@ -71,16 +71,15 @@ class HierarchyConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "HierarchyConfig":
         """Build from a config file's "hierarchy" section; keys left out
-        keep their defaults. Raises ValueError on an unknown key or on a
-        section that is not a JSON object."""
-        d = config_section(d, "hierarchy", {f.name for f in fields(cls)})
-        cache_keys = {f.name for f in fields(CacheConfig)}
+        keep their defaults. Raises ValueError on an unknown key, a
+        mistyped value or a section that is not a JSON object."""
+        d = config_section(d, "hierarchy", cls)
 
         def cache(key, dflt):
             sub = d.get(key)
             if sub is None:
                 return dflt
-            return replace(dflt, **config_section(sub, f"hierarchy.{key}", cache_keys))
+            return replace(dflt, **config_section(sub, f"hierarchy.{key}", CacheConfig))
 
         return cls(
             l1=cache("l1", DEFAULT_L1),
@@ -90,14 +89,28 @@ class HierarchyConfig:
         )
 
 
-def config_section(value, where: str, known: set[str]) -> dict:
-    """Return `value` if it is a JSON object whose keys all lie in `known`;
-    otherwise raise ValueError naming the section `where`."""
+# The JSON values a numeric config field accepts, keyed by its annotation
+# (a string, under `from __future__ import annotations`). bool is an int
+# subclass, so it is rejected separately.
+_NUMBER_FIELDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
+
+
+def config_section(value, where: str, cls) -> dict:
+    """Return `value` if it is a JSON object whose keys are all fields of
+    the dataclass `cls`, and whose values for `int` and `float` fields are
+    numbers of that type; otherwise raise ValueError naming the section
+    `where` or the offending `where.key`."""
     if not isinstance(value, dict):
         raise ValueError(f"config {where} must be a JSON object, not {type(value).__name__}")
-    unknown = sorted(set(value) - known)
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(value) - set(types))
     if unknown:
         raise ValueError(f"unknown {where} key(s) in config: {', '.join(unknown)}")
+    for key, v in value.items():
+        if types[key] in _NUMBER_FIELDS:
+            accepted, name = _NUMBER_FIELDS[types[key]]
+            if isinstance(v, bool) or not isinstance(v, accepted):
+                raise ValueError(f"config {where}.{key} must be {name}, not {type(v).__name__}")
     return value
 
 
@@ -114,7 +127,7 @@ class SetAssociativeCache:
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.set_count - 1
 
-    def hit_check(self, address: int, is_write: bool = False) -> bool:
+    def hit_check(self, address: int) -> bool:
         """True iff the line containing `address` is resident. Always leaves
         the line resident and MRU afterwards."""
         return not self.misses((address,))

@@ -75,9 +75,16 @@ def _build_parser() -> _Parser:
     return p
 
 
+@dataclasses.dataclass(frozen=True)
+class _ConfigFile:
+    """The sections a --config file may have."""
+
+    hierarchy: dict
+    detector: dict
+
+
 def _detector_config(args, file_cfg: dict) -> PhaseDetectorConfig:
-    known = {f.name for f in dataclasses.fields(PhaseDetectorConfig)}
-    base = dict(config_section(file_cfg.get("detector", {}), "detector", known))
+    base = dict(config_section(file_cfg.get("detector", {}), "detector", PhaseDetectorConfig))
     for key, flag in (
         ("threshold", args.threshold),
         ("interval_len", args.interval_len),
@@ -107,6 +114,11 @@ def _controller_config(args) -> ControllerConfig:
     )
 
 
+def _reuse_report(hists: dict) -> dict:
+    return {str(pid): {"cold": h.cold_count, "cap": h.cap, "buckets": h.to_rows()}
+            for pid, h in sorted(hists.items())}
+
+
 def _result_to_report(result: RunResult) -> dict:
     return {
         "seed": result.seed,
@@ -123,16 +135,8 @@ def _result_to_report(result: RunResult) -> dict:
             str(k): list(v) for k, v in per_phase_accuracy(result.intervals).items()
         },
         "intervals": [dataclasses.asdict(r) for r in result.intervals],
-        "reuse": {
-            str(pid): {"cold": h.cold_count, "cap": h.cap, "buckets": h.to_rows()}
-            for pid, h in sorted(result.reuse.items())
-        },
-        "base_reuse": None
-        if result.base_reuse is None
-        else {
-            str(pid): {"cold": h.cold_count, "cap": h.cap, "buckets": h.to_rows()}
-            for pid, h in sorted(result.base_reuse.items())
-        },
+        "reuse": _reuse_report(result.reuse),
+        "base_reuse": None if result.base_reuse is None else _reuse_report(result.base_reuse),
     }
 
 
@@ -198,7 +202,7 @@ def _cmd_run(args) -> int:
         with open(args.config, "r", encoding="utf-8") as f:
             file_cfg = json.load(f)
     try:
-        file_cfg = config_section(file_cfg, "top level", {"hierarchy", "detector"})
+        file_cfg = config_section(file_cfg, "top level", _ConfigFile)
         hier_cfg = HierarchyConfig.from_dict(file_cfg.get("hierarchy", {}))
         det_cfg = _detector_config(args, file_cfg)
         ctrl_cfg = _controller_config(args)

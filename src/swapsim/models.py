@@ -4,8 +4,7 @@ Markov chains with restricted prediction.
 All three share the train-on-observation / predict-hit interface, and
 predict a whole interval at once with `predict_interval` while swapped
 in. The Markov chains keep transition counts as the source of truth; the
-row-stochastic probabilities and the restricted prediction tables are
-derived, memoized caches.
+compiled prediction table is derived from them and rebuilt after training.
 """
 from __future__ import annotations
 
@@ -81,7 +80,7 @@ class MarkovModel:
     that pair, and resolved with one uniform draw.
     """
 
-    __slots__ = ("n_states", "counts", "last_state", "_train_last", "_restricted", "_table")
+    __slots__ = ("n_states", "counts", "last_state", "_train_last", "_table")
 
     def __init__(self, n_states: int):
         if n_states not in (4, 8):
@@ -90,31 +89,24 @@ class MarkovModel:
         self.counts = [[0] * n_states for _ in range(n_states)]
         self.last_state = None
         self._train_last = None
-        self._restricted: dict[tuple[int, int], float] = {}
         self._table: list[float] | None = None
 
     @property
     def kind(self) -> ModelKind:
         return ModelKind.MARKOV4 if self.n_states == 4 else ModelKind.MARKOV8
 
-    def _encode(self, is_write: bool, near: bool, hit: bool) -> int:
-        s = (2 if is_write else 0) + (0 if hit else 1)
+    def _hit_state(self, is_write: bool, near: bool) -> int:
+        """Hit state of the pair legal for a request; its miss state is
+        the hit state + 1."""
+        s = 2 if is_write else 0
         if self.n_states == 8 and not near:
             s += 4
         return s
 
-    def _restrict_pair(self, ctx: AccessContext) -> tuple[int, int]:
-        """(hit_state, miss_state) reachable for this request."""
-        base = 2 if ctx.is_write else 0
-        if self.n_states == 8 and not ctx.near:
-            base += 4
-        return base, base + 1
-
     def train(self, ctx: AccessContext, hit: bool) -> None:
-        s = self._encode(ctx.is_write, ctx.near, hit)
+        s = self._hit_state(ctx.is_write, ctx.near) + (0 if hit else 1)
         if self._train_last is not None:
             self.counts[self._train_last][s] += 1
-            self._restricted.clear()
             self._table = None
         self._train_last = s
         self.last_state = s
@@ -122,28 +114,22 @@ class MarkovModel:
     def _p_hit(self, row_state: int, h: int) -> float:
         """Restricted hit probability of the pair (h, h + 1) from
         `row_state`; -1.0 when the context was never observed."""
-        key = (row_state, h)
-        p_hit = self._restricted.get(key)
-        if p_hit is None:
-            m = h + 1
-            row = self.counts[row_state]
-            total = row[h] + row[m]
-            if total:
-                p_hit = row[h] / total
-            else:
-                # Degenerate pair: neither legal state was ever reached
-                # from here, so the row carries no information about this
-                # context. Fall back to the column marginals, the model's
-                # aggregate behavior for the context; conditioning on the
-                # row alone would strand the chain in untrained states.
-                ch = sum(r[h] for r in self.counts)
-                cm = sum(r[m] for r in self.counts)
-                p_hit = ch / (ch + cm) if ch + cm else -1.0
-            self._restricted[key] = p_hit
-        return p_hit
+        m = h + 1
+        row = self.counts[row_state]
+        total = row[h] + row[m]
+        if total:
+            return row[h] / total
+        # Degenerate pair: neither legal state was ever reached from here,
+        # so the row carries no information about this context. Fall back
+        # to the column marginals, the model's aggregate behavior for the
+        # context; conditioning on the row alone would strand the chain in
+        # untrained states.
+        ch = sum(r[h] for r in self.counts)
+        cm = sum(r[m] for r in self.counts)
+        return ch / (ch + cm) if ch + cm else -1.0
 
     def predict(self, ctx: AccessContext, rng) -> bool:
-        h, m = self._restrict_pair(ctx)
+        h = self._hit_state(ctx.is_write, ctx.near)
         p_hit = self._p_hit(self.last_state if self.last_state is not None else h, h)
         if p_hit < 0.0:
             # Context never observed at all: predict miss, let the
@@ -152,13 +138,13 @@ class MarkovModel:
         if rng.random() < p_hit:
             self.last_state = h
             return True
-        self.last_state = m
+        self.last_state = h + 1
         return False
 
     def _hit_states(self) -> list[int]:
         """Hit state of the legal pair for each context
         `(is_write << 1) | far`."""
-        return [self._restrict_pair(AccessContext(c >> 1, 0, not (c & 1)))[0] for c in range(4)]
+        return [self._hit_state(c >> 1, not (c & 1)) for c in range(4)]
 
     def _compiled(self) -> list[float]:
         """`_p_hit` for every row and context, flattened: entry
@@ -196,15 +182,6 @@ class MarkovModel:
                 misses.append(i)
         self.last_state = None if s == none else s
         return misses
-
-    def probs(self) -> list[list[float]]:
-        """Row-stochastic transition matrix derived from the counts; rows
-        with no support stay all-zero."""
-        out = []
-        for row in self.counts:
-            t = sum(row)
-            out.append([c / t for c in row] if t else [0.0] * self.n_states)
-        return out
 
 
 def make_model(kind: ModelKind):

@@ -41,12 +41,6 @@ class RunResult:
         swapped = sum(1 for r in self.intervals if r.directive != "base")
         return swapped / len(self.intervals)
 
-    def per_phase_intervals(self) -> dict[int, list[IntervalRecord]]:
-        out: dict[int, list[IntervalRecord]] = {}
-        for r in self.intervals:
-            out.setdefault(r.phase_id, []).append(r)
-        return out
-
 
 def _add_distances(hists: dict[int, ReuseHistogram], phase_id: int,
                    tracker: ReuseDistanceTracker, addrs, misses: list[int]) -> None:

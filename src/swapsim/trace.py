@@ -1,4 +1,4 @@
-"""Memory trace records, trace file I/O, and synthetic phased workload generation.
+"""Memory traces, trace file I/O, and synthetic phased workload generation.
 
 Trace files are plain text, one reference per line: `R 0x7fff0040` or
 `W 0x10`. Lines starting with `#` are comments, blank lines are skipped.
@@ -9,18 +9,6 @@ import enum
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-
-class Op(enum.Enum):
-    READ = "R"
-    WRITE = "W"
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    op: Op
-    address: int
 
 
 class TraceFormatError(ValueError):
@@ -71,7 +59,7 @@ class Trace:
     """A materialized reference stream, stored compactly as parallel arrays.
 
     `ops[i]` is 1 for a write, 0 for a read; `addresses[i]` is the 64-bit
-    byte address. Iteration yields TraceRecord values.
+    byte address.
     """
 
     __slots__ = ("ops", "addresses")
@@ -87,38 +75,31 @@ class Trace:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def __iter__(self) -> Iterator[TraceRecord]:
-        for w, a in zip(self.ops, self.addresses):
-            yield TraceRecord(Op.WRITE if w else Op.READ, a)
 
-    @classmethod
-    def from_records(cls, records: Iterable[TraceRecord]) -> "Trace":
-        t = cls()
-        for r in records:
-            t.append(r.op is Op.WRITE, r.address)
-        return t
+_OP_CODES = {"R": 0, "W": 1}
+_OP_NAMES = "RW"
 
 
-def read_trace(path) -> Iterator[TraceRecord]:
-    """Stream TraceRecords from a trace file.
+def load_trace(path) -> Trace:
+    """Parse a trace file line by line into a Trace.
 
     Malformed lines raise TraceFormatError naming the line number. An empty
-    file yields nothing.
+    file gives an empty trace.
     """
+    trace = Trace()
+    ops = trace.ops
+    addresses = trace.addresses
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or parts[0][0] == "#":
+                continue
             if len(parts) != 2:
-                raise TraceFormatError(f"line {lineno}: expected '<op> <address>', got {line!r}")
+                raise TraceFormatError(
+                    f"line {lineno}: expected '<op> <address>', got {line.strip()!r}")
             op_s, addr_s = parts
-            if op_s == "R":
-                op = Op.READ
-            elif op_s == "W":
-                op = Op.WRITE
-            else:
+            op = _OP_CODES.get(op_s)
+            if op is None:
                 raise TraceFormatError(f"line {lineno}: invalid op code {op_s!r}")
             try:
                 addr = int(addr_s, 16)
@@ -126,17 +107,14 @@ def read_trace(path) -> Iterator[TraceRecord]:
                 raise TraceFormatError(f"line {lineno}: invalid address {addr_s!r}") from None
             if addr < 0 or addr >= 1 << 64:
                 raise TraceFormatError(f"line {lineno}: address out of 64-bit range")
-            yield TraceRecord(op, addr)
+            ops.append(op)
+            addresses.append(addr)
+    return trace
 
 
-def load_trace(path) -> Trace:
-    return Trace.from_records(read_trace(path))
-
-
-def write_trace(records: Iterable[TraceRecord], path) -> None:
+def write_trace(trace: Trace, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(f"{r.op.value} 0x{r.address:x}\n")
+        f.writelines(f"{_OP_NAMES[w]} 0x{a:x}\n" for w, a in zip(trace.ops, trace.addresses))
 
 
 # --- synthetic workload generation -------------------------------------

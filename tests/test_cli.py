@@ -136,6 +136,11 @@ def test_usage_error_on_zero_count_flag(trace_file, tmp_path, capsys, flag):
     ({"hierarchy": {"assoc": 4}}, "hierarchy"),
     ({"hierarchy": {"l2": {"assoc": 4}}}, "hierarchy.l2"),
     ({"hierarchie": {}}, "top level"),
+    ({"detector": {"interval_len": 2.5}}, "detector.interval_len"),
+    ({"hierarchy": {"l1": {"total_bytes": "x"}}}, "hierarchy.l1.total_bytes"),
+    ({"detector": {"threshold": "a"}}, "detector.threshold"),
+    ({"hierarchy": {"memory_latency": "9"}}, "hierarchy.memory_latency"),
+    ({"detector": {"interval_len": True}}, "detector.interval_len"),
 ])
 def test_usage_error_on_malformed_config(trace_file, tmp_path, capsys, cfg, section):
     path = tmp_path / "cfg.json"

@@ -65,14 +65,18 @@ def test_fixed_rate_certain_hit():
 
 def test_markov_state_encoding():
     m = MarkovModel(4)
-    assert m._encode(False, True, True) == 0  # RH
-    assert m._encode(False, True, False) == 1  # RM
-    assert m._encode(True, True, True) == 2  # WH
-    assert m._encode(True, True, False) == 3  # WM
+    assert m._hit_state(False, True) == 0  # RH
+    assert m._hit_state(True, True) == 2  # WH
+    assert m._hit_state(True, False) == 2  # near/far ignored with 4 states
     m8 = MarkovModel(8)
-    assert m8._encode(False, False, True) == 4  # RH far
-    assert m8._encode(True, False, False) == 7  # WM far
-    assert m8._encode(False, True, False) == 1  # near keeps the low block
+    assert m8._hit_state(False, False) == 4  # RH far
+    assert m8._hit_state(True, False) == 6  # WH far
+    assert m8._hit_state(False, True) == 0  # near keeps the low block
+    # Training files each outcome under the hit state, + 1 for a miss.
+    m8.train(ctx(is_write=True, near=False), False)  # WM far
+    m8.train(ctx(is_write=False, near=True), False)  # RM near
+    m8.train(ctx(is_write=False, near=False), True)  # RH far
+    assert m8.counts[7][1] == 1 and m8.counts[1][4] == 1
 
 
 def test_markov_invalid_size():
@@ -102,12 +106,18 @@ def test_markov4_restricted_renormalization_example():
 
 
 def test_markov_restricted_pair_legality():
-    m4 = MarkovModel(4)
-    assert m4._restrict_pair(ctx(is_write=False)) == (0, 1)
-    assert m4._restrict_pair(ctx(is_write=True)) == (2, 3)
-    m8 = MarkovModel(8)
-    assert m8._restrict_pair(ctx(is_write=False, near=True)) == (0, 1)
-    assert m8._restrict_pair(ctx(is_write=True, near=False)) == (6, 7)
+    # A prediction moves the chain only to the hit state or the miss state
+    # (hit state + 1) legal for the request.
+    for n, w, near, h in ((4, False, True, 0), (4, True, True, 2),
+                          (8, False, True, 0), (8, True, False, 6)):
+        m = MarkovModel(n)
+        assert m._hit_state(w, near) == h
+        m.counts[h][h] = m.counts[h][h + 1] = 1
+        m.last_state = h
+        assert m.predict(ctx(is_write=w, near=near), FixedU(0.4)) is True
+        assert m.last_state == h
+        assert m.predict(ctx(is_write=w, near=near), FixedU(0.6)) is False
+        assert m.last_state == h + 1
 
 
 def test_markov_prediction_updates_last_state():
@@ -117,7 +127,6 @@ def test_markov_prediction_updates_last_state():
     assert m.predict(ctx(), FixedU(0.5)) is True
     assert m.last_state == 0
     m.counts[0] = [1, 3, 0, 0]
-    m._restricted.clear()
     assert m.predict(ctx(), FixedU(0.9)) is False
     assert m.last_state == 1
 
@@ -139,35 +148,6 @@ def test_markov_unseen_context_predicts_miss_and_stays():
     m.last_state = 0
     assert m.predict(ctx(is_write=True), FixedU(0.0)) is False
     assert m.last_state == 0  # chain not moved into an untrained state
-
-
-def test_markov_probs_row_stochastic():
-    m = MarkovModel(8)
-    rng = random.Random(2)
-    prev = -1
-    for _ in range(2000):
-        a = rng.randrange(1 << 20)
-        m.train(AccessContext(rng.random() < 0.3, a, a >> 6 == prev), rng.random() < 0.6)
-        prev = a >> 6
-    for row in m.probs():
-        s = sum(row)
-        assert s == 0.0 or abs(s - 1.0) < 1e-12
-        assert all(p >= 0 for p in row)
-
-
-def test_markov_memoization_transparent():
-    m = MarkovModel(4)
-    rng = random.Random(3)
-    for _ in range(500):
-        m.train(ctx(is_write=rng.random() < 0.5), rng.random() < 0.7)
-    for row_state in range(4):
-        for h, mi in ((0, 1), (2, 3)):
-            m.last_state = row_state
-            m._restricted.clear()
-            direct = m.predict(ctx(is_write=h == 2), FixedU(0.42))
-            m.last_state = row_state
-            memo = m.predict(ctx(is_write=h == 2), FixedU(0.42))
-            assert direct == memo
 
 
 def test_markov_hit_frequency_preserved():

@@ -62,8 +62,6 @@ def test_swapped_fraction_and_phase_grouping():
     r = run_simulation(tr, detector_config=FAST, seed=5)
     swapped = sum(1 for rec in r.intervals if rec.directive != "base")
     assert r.swapped_fraction == swapped / len(r.intervals)
-    grouped = r.per_phase_intervals()
-    assert sum(len(v) for v in grouped.values()) == len(r.intervals)
 
 
 def test_reuse_histograms_track_l1_miss_stream():

@@ -1,75 +1,119 @@
 """Trace parsing, serialization and synthetic generation."""
+import hashlib
+
 import pytest
 from scipy.stats import chisquare
 
 from swapsim.cache import Hierarchy
 from swapsim.trace import (
     DEFAULT_WORKING_SET,
-    Op,
     PhaseKind,
     SyntheticPhaseSpec,
     Trace,
     TraceFormatError,
-    TraceRecord,
     build_preset,
     generate_trace,
     load_trace,
     preset_specs,
-    read_trace,
     write_trace,
 )
+
+
+def parsed(path):
+    t = load_trace(path)
+    return list(t.ops), list(t.addresses)
 
 
 def test_parse_basic_lines(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("# header\nR 0x7fff0040\n\nW 0x10\n")
-    recs = list(read_trace(p))
-    assert recs == [
-        TraceRecord(Op.READ, 0x7FFF0040),
-        TraceRecord(Op.WRITE, 0x10),
-    ]
+    assert parsed(p) == ([0, 1], [0x7FFF0040, 0x10])
+
+
+@pytest.mark.parametrize("line, op, address", [
+    ("  R\t0x10  ", 0, 0x10),
+    ("\tW   0xAbC\t", 1, 0xABC),
+    ("R 10", 0, 0x10),
+    ("R 0X1F", 0, 0x1F),
+    ("R 0xffffffffffffffff", 0, (1 << 64) - 1),
+])
+def test_parse_accepts(tmp_path, line, op, address):
+    p = tmp_path / "t.txt"
+    p.write_text(f"   # indented comment\n{line}\n")
+    assert parsed(p) == ([op], [address])
+
+
+@pytest.mark.parametrize("line, message", [
+    ("r 0x10", "line 4: invalid op code 'r'"),
+    ("R 0x10 extra", "line 4: expected '<op> <address>', got 'R 0x10 extra'"),
+    ("R -0x1", "line 4: address out of 64-bit range"),
+    ("R 0x10000000000000000", "line 4: address out of 64-bit range"),
+])
+def test_parse_rejects(tmp_path, line, message):
+    p = tmp_path / "t.txt"
+    p.write_text(f"# header\n\nW 0x8\n{line}\nR 0x10\n")
+    with pytest.raises(TraceFormatError) as e:
+        load_trace(p)
+    assert str(e.value) == message
 
 
 def test_parse_bad_op_names_line(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("R 0x10\nX 0x10\n")
     with pytest.raises(TraceFormatError, match="line 2"):
-        list(read_trace(p))
+        load_trace(p)
 
 
 def test_parse_bad_address(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("R zzz\n")
     with pytest.raises(TraceFormatError, match="line 1"):
-        list(read_trace(p))
+        load_trace(p)
 
 
 def test_parse_missing_field(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("R\n")
     with pytest.raises(TraceFormatError):
-        list(read_trace(p))
+        load_trace(p)
 
 
 def test_empty_file_yields_nothing(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("")
-    assert list(read_trace(p)) == []
+    assert len(load_trace(p)) == 0
 
 
 def test_write_read_round_trip(tmp_path):
-    recs = [TraceRecord(Op.READ, 0x40), TraceRecord(Op.WRITE, 0xDEADBEEF)]
+    t = Trace()
+    t.append(0, 0x40)
+    t.append(1, 0xDEADBEEF)
     p = tmp_path / "t.txt"
-    write_trace(recs, p)
-    assert list(read_trace(p)) == recs
-    assert len(load_trace(p)) == 2
+    write_trace(t, p)
+    assert p.read_text() == "R 0x40\nW 0xdeadbeef\n"
+    assert parsed(p) == ([0, 1], [0x40, 0xDEADBEEF])
+
+
+def test_write_trace_bytes_pinned(tmp_path):
+    # sha256 of the text this generated trace has always been written as.
+    t = generate_trace(
+        [SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 500, seed=3),
+         SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 300, seed=4, working_set_bytes=2048)],
+        iterations=2, marker_between=True,
+        marker_spec=SyntheticPhaseSpec(PhaseKind.MARKER, 50, seed=5))
+    p = tmp_path / "t.txt"
+    write_trace(t, p)
+    assert len(t) == 1800
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "8346af0cb0a4f6d24cb250affb61bcd3d2bcc68b54b16cf99148f859ab560525")
+    assert parsed(p) == (list(t.ops), list(t.addresses))
 
 
 def test_trace_container_round_trip():
     t = Trace()
     t.append(0, 0x40)
     t.append(1, 0x80)
-    assert [r.op for r in t] == [Op.READ, Op.WRITE]
+    assert list(t.ops) == [0, 1]
     assert list(t.addresses) == [0x40, 0x80]
 
 
