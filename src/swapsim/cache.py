@@ -7,7 +7,7 @@ references then go down through L2 and L3 in order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 
 def _is_pow2(n: int) -> bool:
@@ -22,6 +22,8 @@ class CacheConfig:
     hit_latency: int
 
     def __post_init__(self):
+        if self.associativity <= 0 or self.line_bytes <= 0:
+            raise ValueError("associativity and line_bytes must be positive")
         if self.total_bytes % (self.associativity * self.line_bytes) != 0:
             raise ValueError("total_bytes must be divisible by associativity * line_bytes")
         if not _is_pow2(self.set_count):
@@ -67,51 +69,6 @@ class HierarchyConfig:
         lat = [self.l1.hit_latency, self.l2.hit_latency, self.l3.hit_latency, self.memory_latency]
         if any(a >= b for a, b in zip(lat, lat[1:])):
             raise ValueError("latencies must strictly increase from L1 to memory")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HierarchyConfig":
-        """Build from a config file's "hierarchy" section; keys left out
-        keep their defaults. Raises ValueError on an unknown key, a
-        mistyped value or a section that is not a JSON object."""
-        d = config_section(d, "hierarchy", cls)
-
-        def cache(key, dflt):
-            sub = d.get(key)
-            if sub is None:
-                return dflt
-            return replace(dflt, **config_section(sub, f"hierarchy.{key}", CacheConfig))
-
-        return cls(
-            l1=cache("l1", DEFAULT_L1),
-            l2=cache("l2", DEFAULT_L2),
-            l3=cache("l3", DEFAULT_L3),
-            memory_latency=d.get("memory_latency", DEFAULT_MEMORY_LATENCY),
-        )
-
-
-# The JSON values a numeric config field accepts, keyed by its annotation
-# (a string, under `from __future__ import annotations`). bool is an int
-# subclass, so it is rejected separately.
-_NUMBER_FIELDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
-
-
-def config_section(value, where: str, cls) -> dict:
-    """Return `value` if it is a JSON object whose keys are all fields of
-    the dataclass `cls`, and whose values for `int` and `float` fields are
-    numbers of that type; otherwise raise ValueError naming the section
-    `where` or the offending `where.key`."""
-    if not isinstance(value, dict):
-        raise ValueError(f"config {where} must be a JSON object, not {type(value).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(value) - set(types))
-    if unknown:
-        raise ValueError(f"unknown {where} key(s) in config: {', '.join(unknown)}")
-    for key, v in value.items():
-        if types[key] in _NUMBER_FIELDS:
-            accepted, name = _NUMBER_FIELDS[types[key]]
-            if isinstance(v, bool) or not isinstance(v, accepted):
-                raise ValueError(f"config {where}.{key} must be {name}, not {type(v).__name__}")
-    return value
 
 
 class SetAssociativeCache:

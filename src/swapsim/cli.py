@@ -11,10 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-from .cache import HierarchyConfig, config_section
+from .cache import HierarchyConfig
 from .controller import ControllerConfig
 from .metrics import IntervalRecord, per_phase_accuracy
-from .models import ModelKind
+from .models import SWAP_KINDS
 from .phase import PhaseDetectorConfig
 from .sim import RunResult, run_simulation
 from .trace import PRESET_NAMES, build_preset, load_trace, write_trace
@@ -33,11 +33,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_MODEL_FLAGS = {
-    "fixed-rate": ModelKind.FIXED_RATE,
-    "markov4": ModelKind.MARKOV4,
-    "markov8": ModelKind.MARKOV8,
-}
+_MODELS = {k.value: k for k in SWAP_KINDS}
+
+# How a numeric config field is read, keyed by its annotation (a string,
+# under `from __future__ import annotations`): its flag type, the JSON
+# values it accepts and their name. bool is an int subclass, so it is
+# rejected separately.
+_NUMBER_FIELDS = {"int": (int, (int,), "an integer"), "float": (float, (int, float), "a number")}
 
 
 def _build_parser() -> _Parser:
@@ -51,19 +53,15 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--models", default="all",
                      help="comma-separated candidate models, or 'all'")
-    run.add_argument("--force-model", choices=sorted(_MODEL_FLAGS),
-                     help="train and swap only this model for every phase")
     run.add_argument("--train-intervals", type=int, default=2)
     run.add_argument("--give-up-after", type=int, default=None)
     run.add_argument("--validate", action="store_true",
                      help="run a detailed hierarchy in parallel as ground truth")
     run.add_argument("--out", default="swapsim-out", help="output directory")
     run.add_argument("--config", help="JSON config file (flags win)")
-    run.add_argument("--threshold", type=float, default=None)
-    run.add_argument("--interval-len", type=int, default=None)
-    run.add_argument("--sig-len", type=int, default=None)
-    run.add_argument("--drop-bits", type=int, default=None)
-    run.add_argument("--stable-min", type=int, default=None)
+    for f in dataclasses.fields(PhaseDetectorConfig):
+        run.add_argument("--" + f.name.replace("_", "-"), type=_NUMBER_FIELDS[f.type][0],
+                         default=None)
 
     gen = sub.add_parser("trace-gen", help="write a synthetic trace file")
     gen.add_argument("--synthetic", choices=PRESET_NAMES, required=True)
@@ -79,38 +77,56 @@ def _build_parser() -> _Parser:
 class _ConfigFile:
     """The sections a --config file may have."""
 
-    hierarchy: dict
-    detector: dict
+    hierarchy: HierarchyConfig = HierarchyConfig()
+    detector: PhaseDetectorConfig = PhaseDetectorConfig()
 
 
-def _detector_config(args, file_cfg: dict) -> PhaseDetectorConfig:
-    base = dict(config_section(file_cfg.get("detector", {}), "detector", PhaseDetectorConfig))
-    for key, flag in (
-        ("threshold", args.threshold),
-        ("interval_len", args.interval_len),
-        ("sig_len", args.sig_len),
-        ("drop_bits", args.drop_bits),
-        ("stable_min", args.stable_min),
-    ):
-        if flag is not None:
-            base[key] = flag
-    return PhaseDetectorConfig(**base)
+def _section(value, default, flags: dict, prefix: str = ""):
+    """Return the dataclass `default` with the keys of the config section
+    `value` put in, then each entry of `flags` whose key is `prefix` plus
+    a field name. A field holding a dataclass is a nested section, whose
+    keys left out keep their defaults. Raise ValueError naming the section
+    or `section.key` when `value` is not a JSON object, has a key that is
+    not a field, or gives an `int` or `float` field a value of another
+    type."""
+    where = prefix[:-1] or "top level"
+    if not isinstance(value, dict):
+        raise ValueError(f"config {where} must be a JSON object, not {type(value).__name__}")
+    fields = dataclasses.fields(default)
+    unknown = sorted(set(value) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) in config: {', '.join(unknown)}")
+    changes = {}
+    for f in fields:
+        key = prefix + f.name
+        current = getattr(default, f.name)
+        if dataclasses.is_dataclass(current):
+            changes[f.name] = _section(value.get(f.name, {}), current, flags, key + ".")
+            continue
+        if f.name in value:
+            v = value[f.name]
+            if f.type in _NUMBER_FIELDS:
+                _, accepted, name = _NUMBER_FIELDS[f.type]
+                if isinstance(v, bool) or not isinstance(v, accepted):
+                    raise ValueError(f"config {key} must be {name}, not {type(v).__name__}")
+            changes[f.name] = v
+        if key in flags:
+            changes[f.name] = flags[key]
+    return dataclasses.replace(default, **changes)
 
 
 def _controller_config(args) -> ControllerConfig:
-    override = _MODEL_FLAGS[args.force_model] if args.force_model else None
     if args.models == "all":
-        kinds = tuple(_MODEL_FLAGS.values())
+        kinds = SWAP_KINDS
     else:
         try:
-            kinds = tuple(_MODEL_FLAGS[m.strip()] for m in args.models.split(","))
+            kinds = tuple(_MODELS[m.strip()] for m in args.models.split(","))
         except KeyError as e:
             raise UsageError(f"unknown model {e.args[0]!r}") from None
     return ControllerConfig(
         train_intervals=args.train_intervals,
         candidate_kinds=kinds,
         give_up_after=args.give_up_after,
-        single_model_override=override,
     )
 
 
@@ -197,16 +213,20 @@ def _write_csvs(report: dict, out: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    file_cfg = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            file_cfg = json.load(f)
+    # Each detector flag's dest is its field name; a flag wins over the file.
+    flags = {f"detector.{f.name}": getattr(args, f.name)
+             for f in dataclasses.fields(PhaseDetectorConfig)
+             if getattr(args, f.name) is not None}
     try:
-        file_cfg = config_section(file_cfg, "top level", _ConfigFile)
-        hier_cfg = HierarchyConfig.from_dict(file_cfg.get("hierarchy", {}))
-        det_cfg = _detector_config(args, file_cfg)
+        file_cfg = {}
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as f:
+                file_cfg = json.load(f)
+        cfg = _section(file_cfg, _ConfigFile(), flags)
         ctrl_cfg = _controller_config(args)
-    except (TypeError, ValueError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise UsageError(f"config file {args.config} is not valid JSON: {e}") from None
+    except ValueError as e:
         # A config value or flag the configuration rejects is a usage error.
         raise UsageError(str(e)) from None
 
@@ -217,8 +237,8 @@ def _cmd_run(args) -> int:
 
     result = run_simulation(
         trace,
-        hierarchy_config=hier_cfg,
-        detector_config=det_cfg,
+        hierarchy_config=cfg.hierarchy,
+        detector_config=cfg.detector,
         controller_config=ctrl_cfg,
         seed=args.seed,
         validate=args.validate,

@@ -30,6 +30,8 @@ class ControllerConfig:
     def __post_init__(self):
         if self.train_intervals < 1:
             raise ValueError("train_intervals must be >= 1")
+        if self.give_up_after is not None and self.give_up_after < 1:
+            raise ValueError("give_up_after must be >= 1")
         if self.single_model_override is not None:
             self.candidate_kinds = (self.single_model_override,)
         if not self.candidate_kinds:

@@ -114,9 +114,6 @@ class ReuseHistogram:
             key = distance if distance < cap else cap
             buckets[key] = buckets.get(key, 0) + count
 
-    def add(self, distance: int | None) -> None:
-        self.add_all((distance,))
-
     @property
     def total(self) -> int:
         return self.cold_count + sum(self.buckets.values())
@@ -125,17 +122,13 @@ class ReuseHistogram:
         return sorted(self.buckets.items())
 
 
-def per_phase_accuracy(
-    records: list[IntervalRecord], swapped_only: bool = True
-) -> dict[int, tuple[float, float]]:
+def per_phase_accuracy(records: list[IntervalRecord]) -> dict[int, tuple[float, float]]:
     """Mean and stddev of interval accuracies grouped by phase id. Phases
-    with no accuracy data are omitted; by default only intervals run under
-    a swapped model contribute (the model's real predictions)."""
+    with no accuracy data are omitted; only intervals run under a swapped
+    model contribute (the model's real predictions)."""
     grouped: dict[int, list[float]] = {}
     for r in records:
-        if r.accuracy is None or r.phase_id < 0:
-            continue
-        if swapped_only and r.directive == "base":
+        if r.accuracy is None or r.phase_id < 0 or r.directive == "base":
             continue
         grouped.setdefault(r.phase_id, []).append(r.accuracy)
     out = {}

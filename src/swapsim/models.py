@@ -25,6 +25,7 @@ class ModelKind(enum.Enum):
     MARKOV8 = "markov8"
 
 
+# Smallest model first: `scoring.select_best` breaks score ties in this order.
 SWAP_KINDS = (ModelKind.FIXED_RATE, ModelKind.MARKOV4, ModelKind.MARKOV8)
 
 
@@ -195,9 +196,10 @@ def make_model(kind: ModelKind):
 
 
 def model_size_bytes(kind: ModelKind, base_config: CacheConfig | None = None) -> int:
-    """Storage cost of a model. The base cache's cost is its tag array;
-    the Markov chains store three NxN matrices of 8-byte values (counts,
-    probabilities, and the memoized restricted tables)."""
+    """Storage cost of a model. The base cache's cost is its tag array.
+    A Markov chain counts as three NxN matrices of 8-byte values: this is
+    the paper's storage accounting, which criterion 1 of the acceptance suite pins, not
+    the memory this code uses."""
     if kind is ModelKind.BASE:
         if base_config is None:
             raise ValueError("base model size requires a CacheConfig")

@@ -7,12 +7,9 @@ import math
 from dataclasses import dataclass
 
 from .cache import CacheConfig
-from .models import ModelKind, model_hit_check_comparisons, model_size_bytes
+from .models import SWAP_KINDS, ModelKind, model_hit_check_comparisons, model_size_bytes
 
 IDEAL_VECTOR = (1.0, 1.0, 0.0, 0.0)
-
-# Tie-break order for equal scalar scores: the smaller model wins.
-_TIE_ORDER = {ModelKind.FIXED_RATE: 0, ModelKind.MARKOV4: 1, ModelKind.MARKOV8: 2}
 
 
 @dataclass
@@ -77,7 +74,8 @@ def score(stats: ShadowStats, kind: ModelKind, base_config: CacheConfig) -> tupl
 
 
 def select_best(scores: dict[ModelKind, float]) -> ModelKind:
-    """Argmin over scalar scores; exact ties go to the smaller model."""
+    """Argmin over scalar scores; exact ties go to the smaller model, the
+    earlier one in `SWAP_KINDS`."""
     if not scores:
         raise ValueError("no scored models to select from")
-    return min(scores, key=lambda k: (scores[k], _TIE_ORDER[k]))
+    return min(scores, key=lambda k: (scores[k], SWAP_KINDS.index(k)))

@@ -46,6 +46,10 @@ def test_config_validation():
         CacheConfig(3 * 32 * 1024, 8, 32, 4)  # 384 sets, not a power of two
     with pytest.raises(ValueError):
         CacheConfig(32 * 1024, 8, 32, 0)
+    with pytest.raises(ValueError):
+        CacheConfig(32 * 1024, 0, 32, 4)  # no ways
+    with pytest.raises(ValueError):
+        CacheConfig(32 * 1024, 8, 0, 4)  # no line
 
 
 def test_default_geometry():
@@ -59,13 +63,6 @@ def test_default_geometry():
 def test_hierarchy_latency_ordering_enforced():
     with pytest.raises(ValueError):
         HierarchyConfig(l1=CacheConfig(32 * 1024, 8, 32, 12))  # ties L2
-
-
-def test_config_from_dict_overrides():
-    cfg = HierarchyConfig.from_dict({"l1": {"hit_latency": 2}, "memory_latency": 300})
-    assert cfg.l1.hit_latency == 2
-    assert cfg.l1.total_bytes == DEFAULT_L1.total_bytes
-    assert cfg.memory_latency == 300
 
 
 def test_cold_miss_then_hit():

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, file outputs, reproducibility."""
+import dataclasses
 import json
 
 import pytest
 
-from swapsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from swapsim.cache import DEFAULT_L1, DEFAULT_L2
+from swapsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _build_parser, _ConfigFile, _section, main
+from swapsim.phase import PhaseDetectorConfig
 from swapsim.trace import PhaseKind, SyntheticPhaseSpec, generate_trace, write_trace
 
 FAST = ["--interval-len", "2000", "--stable-min", "2"]
@@ -84,7 +87,7 @@ def test_run_twice_byte_identical(trace_file, tmp_path):
 def test_force_model_flows_to_report(trace_file, tmp_path):
     out = tmp_path / "out"
     code = run_cli("run", "--trace", trace_file, "--seed", "1",
-                   "--force-model", "fixed-rate", "--out", str(out), *FAST)
+                   "--models", "fixed-rate", "--out", str(out), *FAST)
     assert code == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert set(report["chosen_models"].values()) <= {"fixed-rate"}
@@ -121,11 +124,50 @@ def test_usage_error_on_unknown_detector_key(trace_file, tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--interval-len", "--train-intervals"])
+@pytest.mark.parametrize("flag", ["--interval-len", "--train-intervals", "--give-up-after"])
 def test_usage_error_on_zero_count_flag(trace_file, tmp_path, capsys, flag):
     code = run_cli("run", "--trace", trace_file, flag, "0", "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+def test_config_section_keeps_defaults():
+    cfg = _section({"hierarchy": {"l1": {"hit_latency": 2}, "memory_latency": 300}},
+                   _ConfigFile(), {})
+    assert cfg.hierarchy.l1 == dataclasses.replace(DEFAULT_L1, hit_latency=2)
+    assert cfg.hierarchy.l2 == DEFAULT_L2
+    assert cfg.hierarchy.memory_latency == 300
+    assert cfg.detector == PhaseDetectorConfig()
+
+
+@pytest.mark.parametrize("interval_len, code", [(0, EXIT_OK), (2.5, EXIT_USAGE)])
+def test_flag_wins_over_checked_file_value(trace_file, tmp_path, interval_len, code):
+    # The flag is merged in before the detector config is built, so a file
+    # value it overrides need not be valid; it must still have its type.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"detector": {"interval_len": interval_len}}))
+    assert run_cli("run", "--trace", trace_file, "--config", str(cfg),
+                   "--out", str(tmp_path / "o"), *FAST) == code
+
+
+def test_detector_flags_match_fields():
+    fields = dataclasses.fields(PhaseDetectorConfig)
+    argv = ["run", "--synthetic", "locality"]
+    for f in fields:
+        argv += ["--" + f.name.replace("_", "-"), "1"]
+    args = _build_parser().parse_args(argv)
+    for f in fields:
+        assert type(getattr(args, f.name)).__name__ == f.type
+
+
+@pytest.mark.parametrize("text", [b'{"detector": ', b"\xff{}"])
+def test_usage_error_on_invalid_json_config(trace_file, tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    code = run_cli("run", "--trace", trace_file, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and str(path) in err
 
 
 @pytest.mark.parametrize("cfg, section", [

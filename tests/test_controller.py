@@ -26,6 +26,9 @@ def test_config_validation():
         ControllerConfig(train_intervals=0)
     with pytest.raises(ValueError):
         ControllerConfig(candidate_kinds=())
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            ControllerConfig(give_up_after=budget)
     cfg = ControllerConfig(single_model_override=ModelKind.MARKOV4)
     assert cfg.candidate_kinds == (ModelKind.MARKOV4,)
 

@@ -39,9 +39,9 @@ def traces(tmp_path_factory):
 
 CASES = {
     "validate": ("even", ["--validate"]),
-    "fixed-rate": ("even", ["--validate", "--force-model", "fixed-rate"]),
-    "markov4": ("even", ["--validate", "--force-model", "markov4"]),
-    "markov8": ("even", ["--validate", "--force-model", "markov8"]),
+    "fixed-rate": ("even", ["--validate", "--models", "fixed-rate"]),
+    "markov4": ("even", ["--validate", "--models", "markov4"]),
+    "markov8": ("even", ["--validate", "--models", "markov8"]),
     "tail": ("tail", ["--validate"]),
     "given-up": ("even", ["--give-up-after", "1"]),
 }
