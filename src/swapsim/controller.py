@@ -14,7 +14,6 @@ from .scoring import ShadowStats, score, select_best
 
 
 class PhaseState(enum.Enum):
-    UNSEEN = "unseen"
     TRAINING = "training"
     SWAPPED = "swapped"
     GIVEN_UP = "given-up"
@@ -45,7 +44,7 @@ class PhaseModelState:
                  "chosen", "scores", "score_vectors")
 
     def __init__(self, kinds):
-        self.state = PhaseState.UNSEEN
+        self.state = PhaseState.TRAINING
         self.intervals_trained = 0
         self.intervals_observed = 0
         self.models = {k: make_model(k) for k in kinds}
@@ -94,9 +93,6 @@ class SwapController:
         st = self.phases.get(pid)
         if st is None:
             st = self.phases[pid] = PhaseModelState(self.config.candidate_kinds)
-
-        if st.state is PhaseState.UNSEEN:
-            st.state = PhaseState.TRAINING
         elif st.state is PhaseState.TRAINING:
             # The completed interval only counts if it actually trained
             # this phase (the label can disagree right after a transition).

@@ -21,73 +21,40 @@ class IntervalRecord:
     cycles: int
 
 
-class ReuseDistanceTracker:
-    """LRU stack distance over distinct lines (Bennett & Kruskal, 1975;
-    Olken, 1981). Every access takes a position; a position dies when its
-    line is touched again. The lines seen between a reuse at `t` and its
-    previous access `prev` are the live positions in (prev, t), so the
-    distance is (t - prev - 1) minus the dead positions there, which a
-    Fenwick tree of dead markers counts with one prefix walk.
+# Distances at or beyond this share the histogram's overflow bucket, so
+# the tracker need not tell them apart.
+REUSE_CAP = 500
 
-    When the positions run out, the live ones are renumbered 0..d-1 in
-    last-access order and the tree restarts empty at the smallest power
-    of two >= 2d + 2 (at least 1024), so it stays within 4x the distinct
-    lines however long the stream is."""
+
+class ReuseDistanceTracker:
+    """LRU stack distance over distinct lines (Mattson et al., 1970), cut
+    off at REUSE_CAP: the stack holds only the REUSE_CAP most recent
+    distinct lines, so a line's depth in it is its exact distance, and a
+    line that fell off reports REUSE_CAP."""
 
     def __init__(self):
-        self._last: dict[int, int] = {}  # line -> position of its last access
-        self._tree = [0] * 1024
-        self._n = 0  # next position
-        self._dead = 0  # dead positions below _n
-
-    def _compact(self) -> None:
-        last = self._last
-        for pos, line in enumerate(sorted(last, key=last.__getitem__)):
-            last[line] = pos
-        live = len(last)
-        self._tree = [0] * max(1024, 1 << (2 * live + 1).bit_length())
-        self._n = live
-        self._dead = 0
+        self._stack: list[int] = []  # most recent first
+        self._in_stack: dict[int, bool] = {}  # every line seen -> on the stack
 
     def observe_all(self, lines) -> list[int | None]:
         """Record line-granular accesses in order; for each, the number of
-        distinct lines seen since that line's previous access, or None on
-        first touch."""
-        last = self._last
-        tree = self._tree
-        size = len(tree)
-        t = self._n
-        dead = self._dead
+        distinct lines seen since that line's previous access, capped at
+        REUSE_CAP, or None on first touch."""
+        stack = self._stack
+        in_stack = self._in_stack
         out: list[int | None] = []
         append = out.append
         for line in lines:
-            if t + 1 >= size:
-                self._n = t
-                self._compact()
-                tree = self._tree
-                size = len(tree)
-                t = self._n
-                dead = 0
-            prev = last.get(line)
-            last[line] = t
-            t += 1
-            if prev is None:
-                append(None)
-                continue
-            # Dead positions in [0, prev], then mark prev dead.
-            i = prev + 1
-            below = 0
-            while i:
-                below += tree[i]
-                i &= i - 1
-            append(t - prev - 2 - dead + below)
-            i = prev + 1
-            while i < size:
-                tree[i] += 1
-                i += i & -i
-            dead += 1
-        self._n = t
-        self._dead = dead
+            if in_stack.get(line):
+                d = stack.index(line)
+                del stack[d]
+            else:
+                d = REUSE_CAP if line in in_stack else None
+                in_stack[line] = True
+                if len(stack) == REUSE_CAP:
+                    in_stack[stack.pop()] = False
+            stack.insert(0, line)
+            append(d)
         return out
 
     def observe(self, line: int) -> int | None:
@@ -96,11 +63,11 @@ class ReuseDistanceTracker:
 
 
 class ReuseHistogram:
-    """Histogram of reuse distances; distances at or beyond `cap` share
-    one overflow bucket, first touches count separately."""
+    """Histogram of reuse distances; distances at or beyond REUSE_CAP
+    share one overflow bucket, first touches count separately."""
 
-    def __init__(self, cap: int = 500):
-        self.cap = cap
+    def __init__(self):
+        self.cap = REUSE_CAP
         self.buckets: dict[int, int] = {}
         self.cold_count = 0
 

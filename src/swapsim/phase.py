@@ -40,6 +40,8 @@ class PhaseDetectorConfig:
             raise ValueError("interval_len must be positive")
         if self.sig_len <= 0 or (self.sig_len & (self.sig_len - 1)) != 0:
             raise ValueError("sig_len must be a power of two")
+        if self.sig_len > 1 << 64:
+            raise ValueError("sig_len must be at most 2**64, the hash width")
         if self.drop_bits < 0:
             raise ValueError("drop_bits must be nonnegative")
         if self.stable_min < 1:

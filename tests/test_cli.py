@@ -131,6 +131,13 @@ def test_usage_error_on_zero_count_flag(trace_file, tmp_path, capsys, flag):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_usage_error_on_oversized_sig_len(capsys):
+    # Rejected by the config check before any interval runs.
+    code = run_cli("run", "--synthetic", "locality", "--sig-len", str(2**65))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_config_section_keeps_defaults():
     cfg = _section({"hierarchy": {"l1": {"hit_latency": 2}, "memory_latency": 300}},
                    _ConfigFile(), {})

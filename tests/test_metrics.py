@@ -4,6 +4,7 @@ import random
 import pytest
 
 from swapsim.metrics import (
+    REUSE_CAP,
     IntervalRecord,
     ReuseDistanceTracker,
     ReuseHistogram,
@@ -50,37 +51,38 @@ def test_matches_quadratic_oracle():
 
 
 def test_tracker_survives_internal_resize():
-    # More observations than the initial tree capacity.
+    # A stream far longer than the cap over a few lines.
     t = ReuseDistanceTracker()
     stream = [i % 7 for i in range(5000)]
     expect = quadratic_reuse_distances(stream)
     assert [t.observe(x) for x in stream] == expect
 
 
-@pytest.mark.parametrize("k", [1, 511, 512, 3000])
+@pytest.mark.parametrize("k", [1, REUSE_CAP - 1, REUSE_CAP, REUSE_CAP + 1, 3000])
 def test_tracker_tree_bounded_by_distinct_lines(k):
-    # 200 000 accesses over k lines: the tree follows the working set,
-    # not the trace length. 512 lines is the worst case for rounding
-    # 2k + 2 up to a power of two.
+    # 200 000 accesses over k lines: the stack never holds more than the
+    # cap, however many lines or accesses there are.
     rng = random.Random(k)
     t = ReuseDistanceTracker()
     largest = 0
     for _ in range(20):
         t.observe_all([rng.randrange(k) for _ in range(10_000)])
-        largest = max(largest, len(t._tree))
-    assert largest <= max(1024, 4 * k)
+        largest = max(largest, len(t._stack))
+    assert largest <= REUSE_CAP
 
 
 def test_histogram_buckets_and_cap():
-    h = ReuseHistogram(cap=10)
-    h.add_all([0, 0, 3, 9, 10, 11, 500, None, None])
+    h = ReuseHistogram()
+    assert h.cap == REUSE_CAP
+    cap = REUSE_CAP
+    h.add_all([0, 0, 3, cap - 1, cap, cap + 1, 10 * cap, None, None])
     assert h.cold_count == 2
     assert h.buckets[0] == 2
     assert h.buckets[3] == 1
-    assert h.buckets[9] == 1
-    assert h.buckets[10] == 3  # overflow bucket collects everything >= cap
+    assert h.buckets[cap - 1] == 1
+    assert h.buckets[cap] == 3  # overflow bucket collects everything >= cap
     assert h.total == 9
-    assert h.to_rows() == [(0, 2), (3, 1), (9, 1), (10, 3)]
+    assert h.to_rows() == [(0, 2), (3, 1), (cap - 1, 1), (cap, 3)]
 
 
 def rec(idx, pid, directive, acc):

@@ -76,6 +76,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PhaseDetectorConfig(sig_len=1000)
     with pytest.raises(ValueError):
+        PhaseDetectorConfig(sig_len=2**65)  # wider than the 64-bit hash
+    with pytest.raises(ValueError):
         PhaseDetectorConfig(interval_len=0)
     with pytest.raises(ValueError):
         PhaseDetectorConfig(stable_min=0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from swapsim.cache import DEFAULT_L1, Hierarchy, SetAssociativeCache
 from swapsim.controller import ControllerConfig, PhaseState, SwapController
-from swapsim.metrics import ReuseDistanceTracker
+from swapsim.metrics import REUSE_CAP, ReuseDistanceTracker
 from swapsim.models import SWAP_KINDS, AccessContext, MarkovModel
 from swapsim.phase import (
     PhaseDetector,
@@ -139,6 +139,18 @@ def test_detailed_l1_advances_across_base_interval(addrs):
     assert ctrl.hierarchy.l1.fingerprint() == ref.fingerprint() != fp
 
 
+def observe_in_chunks(stream, rng, max_chunk):
+    """One tracker over the stream, fed in random chunks (empty ones too)."""
+    tracker = ReuseDistanceTracker()
+    got = []
+    start = 0
+    while start < len(stream):
+        size = rng.randrange(max_chunk + 1)
+        got += tracker.observe_all(stream[start:start + size])
+        start += size
+    return got
+
+
 def quadratic_reuse_distances(stream):
     """O(n^2) oracle: distinct lines between consecutive uses of a line."""
     out = []
@@ -149,14 +161,6 @@ def quadratic_reuse_distances(stream):
     return out
 
 
-class CountingTracker(ReuseDistanceTracker):
-    compactions = 0
-
-    def _compact(self):
-        self.compactions += 1
-        super()._compact()
-
-
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32), universe=st.integers(1, 400),
        n=st.integers(3100, 5000), max_chunk=st.integers(1, 700))
@@ -164,12 +168,21 @@ def test_reuse_tracker_chunks_match_oracle(seed, universe, n, max_chunk):
     rng = random.Random(seed)
     hot = rng.randrange(1, universe + 1)
     stream = [rng.randrange(hot if rng.random() < 0.5 else universe) for _ in range(n)]
-    tracker = CountingTracker()
-    got = []
-    start = 0
-    while start < n:
-        size = rng.randrange(max_chunk + 1)  # empty chunks included
-        got += tracker.observe_all(stream[start:start + size])
-        start += size
-    assert got == quadratic_reuse_distances(stream)
-    assert tracker.compactions >= 3
+    assert observe_in_chunks(stream, rng, max_chunk) == quadratic_reuse_distances(stream)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32), universe=st.integers(REUSE_CAP + 1, 3 * REUSE_CAP),
+       n=st.integers(3000, 6000), max_chunk=st.integers(1, 700))
+def test_reuse_tracker_caps_distances(seed, universe, n, max_chunk):
+    # Universes past the cap: lines fall off the stack and come back. The
+    # closing permutation, played twice, reuses every line at distance
+    # universe - 1 >= REUSE_CAP.
+    rng = random.Random(seed)
+    hot = rng.randrange(1, universe + 1)
+    stream = [rng.randrange(hot if rng.random() < 0.5 else universe) for _ in range(n)]
+    stream += rng.sample(range(universe), universe) * 2
+    got = observe_in_chunks(stream, rng, max_chunk)
+    want = [d if d is None else min(d, REUSE_CAP) for d in quadratic_reuse_distances(stream)]
+    assert got == want
+    assert REUSE_CAP in got
