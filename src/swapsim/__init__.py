@@ -29,7 +29,6 @@ from .phase import (
     PhaseDetector,
     PhaseDetectorConfig,
     PhaseEvent,
-    hash_address,
     signature_diff,
 )
 from .scoring import ScoreVector, ShadowStats, score, select_best

@@ -110,11 +110,6 @@ class SetAssociativeCache:
             s[line] = None
         return out
 
-    def resident(self, address: int) -> bool:
-        """Non-mutating residency peek."""
-        line = address >> self._line_shift
-        return line in self._sets[line & self._set_mask]
-
     def fingerprint(self) -> int:
         """Order-sensitive hash of all set contents; used to assert the
         detailed model stays frozen during swapped intervals."""

@@ -4,6 +4,7 @@ stream, and run-to-run comparison helpers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,31 +31,47 @@ class ReuseDistanceTracker:
     """LRU stack distance over distinct lines (Mattson et al., 1970), cut
     off at REUSE_CAP: the stack holds only the REUSE_CAP most recent
     distinct lines, so a line's depth in it is its exact distance, and a
-    line that fell off reports REUSE_CAP."""
+    line that fell off reports REUSE_CAP. The depth is the count of later
+    last-access times (Olken, 1981): one bisection of the sorted `_times`."""
 
     def __init__(self):
-        self._stack: list[int] = []  # most recent first
-        self._in_stack: dict[int, bool] = {}  # every line seen -> on the stack
+        self._stack: list[int] = []  # oldest first
+        self._times: list[int] = []  # last-access time of each stack line
+        self._last: dict[int, int] = {}  # every line seen -> its time, -1 once off the stack
+        self._now = 0  # time of the latest access
 
     def observe_all(self, lines) -> list[int | None]:
         """Record line-granular accesses in order; for each, the number of
         distinct lines seen since that line's previous access, capped at
         REUSE_CAP, or None on first touch."""
         stack = self._stack
-        in_stack = self._in_stack
+        times = self._times
+        last = self._last
+        get = last.get
+        push_line = stack.append
+        push_time = times.append
+        t = self._now
         out: list[int | None] = []
         append = out.append
         for line in lines:
-            if in_stack.get(line):
-                d = stack.index(line)
-                del stack[d]
+            prev = get(line, -2)
+            if prev == t:  # the latest access again: on top, nothing moves
+                append(0)
+                continue
+            if prev >= 0:
+                i = bisect_left(times, prev)
+                append(len(times) - 1 - i)
+                del stack[i], times[i]
             else:
-                d = REUSE_CAP if line in in_stack else None
-                in_stack[line] = True
+                append(REUSE_CAP if prev == -1 else None)
                 if len(stack) == REUSE_CAP:
-                    in_stack[stack.pop()] = False
-            stack.insert(0, line)
-            append(d)
+                    last[stack[0]] = -1
+                    del stack[0], times[0]
+            t += 1
+            push_line(line)
+            push_time(t)
+            last[line] = t
+        self._now = t
         return out
 
     def observe(self, line: int) -> int | None:

@@ -54,16 +54,9 @@ class PhaseEvent:
     phase_id: int  # -1 means unstable / unclassified
 
 
-def hash_address(address: int, config: PhaseDetectorConfig) -> int:
-    """Map an address to a signature bit index: drop the low bits, mix, and
-    keep the top log2(sig_len) bits."""
-    shift = 64 - (config.sig_len.bit_length() - 1)
-    return splitmix64(address >> config.drop_bits) >> shift
-
-
 def interval_signature(addresses, config: PhaseDetectorConfig) -> int:
-    """OR of `1 << hash_address(a)` over the addresses: one hash per
-    distinct address."""
+    """OR of one bit per distinct address: the top log2(sig_len) bits of
+    the mixed address, its low drop_bits dropped."""
     shift = 64 - (config.sig_len.bit_length() - 1)
     drop = config.drop_bits
     sig = 0

@@ -79,10 +79,9 @@ def test_ninth_line_evicts_lru_way():
     for i in range(8):
         assert not c.hit_check(i * stride)
     assert not c.hit_check(8 * stride)  # evicts line 0
-    assert not c.resident(0)
     assert not c.hit_check(0)  # line 0 gone; this in turn evicts line 1
-    assert not c.resident(stride)
-    assert c.resident(2 * stride)
+    # Line 2 still hits; line 1 is gone and misses.
+    assert c.misses([2 * stride, stride]) == [1]
 
 
 def test_hit_promotes_to_mru():
@@ -92,8 +91,7 @@ def test_hit_promotes_to_mru():
         c.hit_check(i * stride)
     c.hit_check(0)  # promote the oldest line
     c.hit_check(8 * stride)  # now evicts line 1 instead
-    assert c.resident(0)
-    assert not c.resident(stride)
+    assert c.misses([0, stride]) == [1]
 
 
 @pytest.mark.parametrize(
@@ -121,7 +119,7 @@ def test_fingerprint_tracks_state():
     c.hit_check(0x40)
     f1 = c.fingerprint()
     assert f0 != f1
-    assert c.fingerprint() == f1  # resident() and fingerprint() do not mutate
+    assert c.fingerprint() == f1  # fingerprint() does not mutate
 
 
 def serve(h, address):
@@ -185,4 +183,5 @@ def test_serve_misses_leaves_l1_untouched():
     assert h.l1.fingerprint() == f
     assert h.totals() == {"l1_hits": 1, "l2_hits": 0, "l3_hits": 0, "mem_accesses": 1,
                           "cycles": 4 + 200}
-    assert h.l2.resident(0x80) and h.l3.resident(0x80) and not h.l2.resident(0x40)
+    assert h.l2.misses([0x80, 0x40]) == [1]
+    assert h.l3.misses([0x80]) == []

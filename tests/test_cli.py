@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, file outputs, reproducibility."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import swapsim
 from swapsim.cache import DEFAULT_L1, DEFAULT_L2
 from swapsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _build_parser, _ConfigFile, _section, main
 from swapsim.phase import PhaseDetectorConfig
@@ -136,6 +141,18 @@ def test_usage_error_on_oversized_sig_len(capsys):
     code = run_cli("run", "--synthetic", "locality", "--sig-len", str(2**65))
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m swapsim` works from a checkout, with src/ on the path only.
+    src = str(Path(swapsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "swapsim", "run", "--interval-len", "0", "--synthetic", "locality"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("usage error:")
 
 
 def test_config_section_keeps_defaults():

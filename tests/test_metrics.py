@@ -71,6 +71,29 @@ def test_tracker_tree_bounded_by_distinct_lines(k):
     assert largest <= REUSE_CAP
 
 
+def test_tracker_cap_boundary():
+    # Line 0 is reused after k distinct other lines: exact below the cap,
+    # REUSE_CAP once it fell off the stack.
+    for k in (REUSE_CAP - 1, REUSE_CAP):
+        t = ReuseDistanceTracker()
+        assert t.observe_all([0, *range(1, k + 1), 0])[-1] == k
+    # After the REUSE_CAP case line 0 is back on the stack, so its next
+    # reuse is exact again; line 1 fell off when line 0 came back.
+    assert t.observe_all([REUSE_CAP, 0, 0, 1]) == [1, 1, 0, REUSE_CAP]
+
+
+def test_tracker_keeps_times_for_stack_lines_only():
+    # 200 000 accesses over 3 000 lines: a line that fell off the stack
+    # keeps no last-access time, so at most REUSE_CAP of them stay live.
+    rng = random.Random(3000)
+    t = ReuseDistanceTracker()
+    for _ in range(20):
+        t.observe_all([rng.randrange(3000) for _ in range(10_000)])
+    live = sum(1 for v in t._last.values() if v >= 0)
+    assert live == len(t._stack) == len(t._times) <= REUSE_CAP
+    assert len(t._last) == 3000
+
+
 def test_histogram_buckets_and_cap():
     h = ReuseHistogram()
     assert h.cap == REUSE_CAP

@@ -7,7 +7,7 @@ from swapsim.phase import (
     PhaseDetector,
     PhaseDetectorConfig,
     PhaseEvent,
-    hash_address,
+    interval_signature,
     signature_diff,
     splitmix64,
 )
@@ -29,26 +29,27 @@ def test_splitmix64_reference_vector():
 
 
 def test_hash_address_golden_values():
+    # One address sets one signature bit.
     cfg = PhaseDetectorConfig()
-    assert hash_address(0x0, cfg) == 0
-    assert hash_address(0x8, cfg) == 346
-    assert hash_address(0x7FFF0040, cfg) == 165
-    assert hash_address(0xDEADBEEF, cfg) == 167
+    assert interval_signature([0x0], cfg) == bits(0)
+    assert interval_signature([0x8], cfg) == bits(346)
+    assert interval_signature([0x7FFF0040], cfg) == bits(165)
+    assert interval_signature([0xDEADBEEF], cfg) == bits(167)
 
 
 def test_hash_address_range_and_granularity():
     cfg = PhaseDetectorConfig()
     for a in range(0, 4096, 64):
-        assert 0 <= hash_address(a, cfg) < cfg.sig_len
+        sig = interval_signature([a], cfg)
+        assert sig.bit_count() == 1 and sig < 1 << cfg.sig_len
     # drop_bits=3 makes all addresses within one 8-byte word collide
-    assert hash_address(0x100, cfg) == hash_address(0x107, cfg)
+    assert interval_signature([0x100, 0x107], cfg) == interval_signature([0x100], cfg)
 
 
 def test_hash_avalanche():
     # Neighboring granules should scatter across the signature.
     cfg = PhaseDetectorConfig()
-    idx = {hash_address(a, cfg) for a in range(0, 8 * 500, 8)}
-    assert len(idx) > 300
+    assert interval_signature(range(0, 8 * 500, 8), cfg).bit_count() > 300
 
 
 def test_signature_diff_examples():
@@ -150,8 +151,6 @@ def test_observe_matches_hash_address():
     addrs = [0x7FFF0040, 0xDEADBEEF, 0x8, 0x0]
     ev = det.observe_interval(addrs)
     assert ev == PhaseEvent(0, -1)
-    expected = 0
-    for a in addrs:
-        expected |= 1 << hash_address(a, cfg)
-    # the closed interval's signature becomes the comparison baseline
-    assert det._last_sig == expected
+    # the closed interval's signature, the golden bits of its addresses,
+    # becomes the comparison baseline
+    assert det._last_sig == bits(165, 167, 346, 0)

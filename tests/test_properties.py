@@ -15,8 +15,8 @@ from swapsim.phase import (
     PhaseDetector,
     PhaseDetectorConfig,
     PhaseEvent,
-    hash_address,
     interval_signature,
+    splitmix64,
 )
 
 U_GRID = [k / 8 for k in range(8)] + [0.999]
@@ -99,9 +99,10 @@ def test_compiled_markov_matches_predict_over_a_stream(n, counts, zero_rows, zer
 def test_interval_signature_is_or_of_hashes(addrs, sig_len, drop_bits):
     cfg = PhaseDetectorConfig(interval_len=max(1, len(addrs)), sig_len=sig_len,
                               drop_bits=drop_bits)
+    shift = 64 - (sig_len.bit_length() - 1)
     expected = 0
     for a in addrs:
-        expected |= 1 << hash_address(a, cfg)
+        expected |= 1 << (splitmix64(a >> drop_bits) >> shift)
     assert interval_signature(addrs, cfg) == expected
     det = PhaseDetector(cfg)
     det.observe_interval(addrs)
