@@ -8,21 +8,19 @@ unstable intervals are matched against the catalog or labeled -1.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-_M64 = (1 << 64) - 1
+# One 128-bit lane: a 64-bit value in the low half, zeros above it.
+_LANE = b"\xff" * 8 + b"\x00" * 8
+_SWAP = sys.byteorder == "big"  # lanes are read as little-endian bytes
 
-
-def splitmix64(x: int) -> int:
-    """The SplitMix64 finalizer: a fixed 64-bit mixing hash, deterministic
-    across runs and platforms."""
-    x &= _M64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _M64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _M64
-    x ^= x >> 31
-    return x
+# A signature is an int of up to sig_len bits: 2 MiB at 2**24 bits, while
+# 2**32 bits already run out of memory in signature_diff.
+MAX_SIG_LEN = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -40,8 +38,8 @@ class PhaseDetectorConfig:
             raise ValueError("interval_len must be positive")
         if self.sig_len <= 0 or (self.sig_len & (self.sig_len - 1)) != 0:
             raise ValueError("sig_len must be a power of two")
-        if self.sig_len > 1 << 64:
-            raise ValueError("sig_len must be at most 2**64, the hash width")
+        if self.sig_len > MAX_SIG_LEN:
+            raise ValueError("sig_len must be at most 2**24")
         if self.drop_bits < 0:
             raise ValueError("drop_bits must be nonnegative")
         if self.stable_min < 1:
@@ -55,14 +53,33 @@ class PhaseEvent:
 
 
 def interval_signature(addresses, config: PhaseDetectorConfig) -> int:
-    """OR of one bit per distinct address: the top log2(sig_len) bits of
-    the mixed address, its low drop_bits dropped."""
-    shift = 64 - (config.sig_len.bit_length() - 1)
-    drop = config.drop_bits
-    sig = 0
-    for bit in {splitmix64(a >> drop) >> shift for a in set(addresses)}:
-        sig |= 1 << bit
-    return sig
+    """OR of one bit per distinct 64-bit address: the top log2(sig_len)
+    bits of its SplitMix64 finalizer hash, its low drop_bits dropped.
+
+    The distinct addresses are hashed all at once, each in its own 128-bit
+    lane of one int. A lane value below 2**64 times a 64-bit constant stays
+    below 2**128, and every shifted term is masked back to the low halves,
+    so no lane's bits reach another lane."""
+    distinct = array("Q", set(addresses))
+    n = len(distinct)
+    lanes = array("Q", bytes(16 * n))
+    lanes[::2] = distinct
+    if _SWAP:
+        lanes.byteswap()
+    m = int.from_bytes(_LANE * n, "little")
+    # A shift past 64 would pull the next lane's value into this one; any
+    # 64-bit address shifted that far is 0 anyway.
+    x = int.from_bytes(lanes, "little") >> min(config.drop_bits, 64) & m
+    x ^= x >> 30 & m
+    x = x * 0xBF58476D1CE4E5B9 & m
+    x ^= x >> 27 & m
+    x = x * 0x94D049BB133111EB & m
+    x ^= x >> 31 & m
+    x = x >> 64 - (config.sig_len.bit_length() - 1) & m
+    lanes = array("Q", x.to_bytes(16 * n, "little"))
+    if _SWAP:
+        lanes.byteswap()
+    return reduce(or_, map((1).__lshift__, set(lanes[::2])), 0)
 
 
 def signature_diff(a: int, b: int) -> float:

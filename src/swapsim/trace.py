@@ -89,7 +89,9 @@ def load_trace(path) -> Trace:
     trace = Trace()
     ops = trace.ops
     addresses = trace.addresses
-    with open(path, "r", encoding="utf-8") as f:
+    # A byte that is not UTF-8 decodes to a lone surrogate, which then fails
+    # the op or address check of its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts or parts[0][0] == "#":

@@ -138,9 +138,10 @@ def test_usage_error_on_zero_count_flag(trace_file, tmp_path, capsys, flag):
 
 def test_usage_error_on_oversized_sig_len(capsys):
     # Rejected by the config check before any interval runs.
-    code = run_cli("run", "--synthetic", "locality", "--sig-len", str(2**65))
-    assert code == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("usage error:")
+    for sig_len in (2**65, 2**32):
+        code = run_cli("run", "--synthetic", "locality", "--sig-len", str(sig_len))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_python_dash_m_runs_the_cli():

@@ -9,7 +9,6 @@ from swapsim.phase import (
     PhaseEvent,
     interval_signature,
     signature_diff,
-    splitmix64,
 )
 
 
@@ -22,10 +21,14 @@ def bits(*idx):
 
 def test_splitmix64_reference_vector():
     # First output of the published SplitMix64 sequence from seed 0: the
-    # finalizer applied to seed + 0x9E3779B97F4A7C15.
-    assert splitmix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
-    assert splitmix64(0) == 0
-    assert splitmix64(1) == 0x5692161D100B05E5
+    # finalizer applied to seed + 0x9E3779B97F4A7C15. With drop_bits 0 the
+    # widest signature sets the bit named by the top 24 bits of the hash.
+    cfg = PhaseDetectorConfig(sig_len=2**24, drop_bits=0)
+    assert interval_signature([0x9E3779B97F4A7C15], cfg) == bits(0xE220A8)
+    assert interval_signature([0], cfg) == bits(0)
+    assert interval_signature([1], cfg) == bits(0x569216)
+    # Both in one interval: each address hashes in its own lane.
+    assert interval_signature([1, 0x9E3779B97F4A7C15], cfg) == bits(0x569216, 0xE220A8)
 
 
 def test_hash_address_golden_values():
@@ -78,6 +81,8 @@ def test_config_validation():
         PhaseDetectorConfig(sig_len=1000)
     with pytest.raises(ValueError):
         PhaseDetectorConfig(sig_len=2**65)  # wider than the 64-bit hash
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        PhaseDetectorConfig(sig_len=2**25)  # too wide to diff in memory
     with pytest.raises(ValueError):
         PhaseDetectorConfig(interval_len=0)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ definitions: the compiled Markov table, the interval signature, the
 detailed L1 across swapped and base intervals, and the batched reuse
 tracker."""
 import random
+from array import array
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from swapsim.phase import (
     PhaseDetectorConfig,
     PhaseEvent,
     interval_signature,
-    splitmix64,
 )
 
 U_GRID = [k / 8 for k in range(8)] + [0.999]
@@ -92,20 +92,46 @@ def test_compiled_markov_matches_predict_over_a_stream(n, counts, zero_rows, zer
     assert got_rng.random() == ref_rng.random()
 
 
+def splitmix64(x):
+    """The SplitMix64 finalizer, one 64-bit value at a time."""
+    m64 = (1 << 64) - 1
+    x &= m64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & m64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & m64
+    x ^= x >> 31
+    return x
+
+
+def test_splitmix64_oracle_reference_vector():
+    assert splitmix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
+    assert splitmix64(0) == 0
+    assert splitmix64(1) == 0x5692161D100B05E5
+
+
+# drop_bits beyond 64 and the top of the address range check that no lane
+# of the whole-interval hash leaks into its neighbour.
 @settings(max_examples=100, deadline=None)
 @given(addrs=st.lists(st.integers(0, 2**64 - 1), max_size=200),
-       sig_len=st.sampled_from([64, 1024]),
-       drop_bits=st.integers(0, 6))
-def test_interval_signature_is_or_of_hashes(addrs, sig_len, drop_bits):
+       sig_len=st.sampled_from([1, 2, 64, 1024, 2**16]),
+       drop_bits=st.integers(0, 130),
+       packed=st.booleans())
+@example(addrs=[], sig_len=1024, drop_bits=3, packed=True)
+@example(addrs=[1, 2**64 - 1], sig_len=1024, drop_bits=65, packed=False)
+@example(addrs=[2**64 - 1, 2**63, 5], sig_len=2**16, drop_bits=0, packed=True)
+def test_interval_signature_is_or_of_hashes(addrs, sig_len, drop_bits, packed):
     cfg = PhaseDetectorConfig(interval_len=max(1, len(addrs)), sig_len=sig_len,
                               drop_bits=drop_bits)
     shift = 64 - (sig_len.bit_length() - 1)
     expected = 0
     for a in addrs:
         expected |= 1 << (splitmix64(a >> drop_bits) >> shift)
-    assert interval_signature(addrs, cfg) == expected
+    # run_simulation passes each interval as an array("Q") slice.
+    interval = array("Q", addrs) if packed else addrs
+    assert interval_signature(interval, cfg) == expected
     det = PhaseDetector(cfg)
-    det.observe_interval(addrs)
+    det.observe_interval(interval)
     assert det._last_sig == expected
 
 

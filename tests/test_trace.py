@@ -48,10 +48,13 @@ def test_parse_accepts(tmp_path, line, op, address):
     ("R 0x10 extra", "line 4: expected '<op> <address>', got 'R 0x10 extra'"),
     ("R -0x1", "line 4: address out of 64-bit range"),
     ("R 0x10000000000000000", "line 4: address out of 64-bit range"),
+    # \udcff writes the single byte 0xff, which is not UTF-8.
+    pytest.param("R 0x\udcff20", "line 4: invalid address '0x\\udcff20'", id="non-utf8"),
 ])
 def test_parse_rejects(tmp_path, line, message):
     p = tmp_path / "t.txt"
-    p.write_text(f"# header\n\nW 0x8\n{line}\nR 0x10\n")
+    p.write_text(f"# header\n\nW 0x8\n{line}\nR 0x10\n", encoding="utf-8",
+                 errors="surrogateescape")
     with pytest.raises(TraceFormatError) as e:
         load_trace(p)
     assert str(e.value) == message
