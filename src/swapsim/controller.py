@@ -8,7 +8,7 @@ import enum
 from dataclasses import dataclass
 
 from .cache import Hierarchy
-from .models import NEAR_LINE_SHIFT, SWAP_KINDS, AccessContext, ModelKind, make_model
+from .models import SWAP_KINDS, ModelKind, contexts, make_model
 from .phase import PhaseEvent
 from .scoring import ShadowStats, score, select_best
 
@@ -81,7 +81,7 @@ class SwapController:
         self.rng = rng
         self.phases: dict[int, PhaseModelState] = {}
         self.directive: Directive = _BASE_DIRECTIVE
-        self._last_line = -1  # 64 B line of the previous reference, for near/far
+        self._prev_address = -1  # previous reference, for near/far; -1 for none
 
     def on_interval_end(self, event: PhaseEvent) -> Directive:
         pid = event.phase_id
@@ -132,10 +132,10 @@ class SwapController:
                 self._shadow_train(self.phases[d.phase_id], ops, addresses, misses)
         else:
             model = self.phases[d.phase_id].models[d.swapped_kind]
-            misses = model.predict_interval(ops, addresses, self._last_line, self.rng)
+            misses = model.predict_interval(ops, addresses, self._prev_address, self.rng)
             self.hierarchy.serve_misses(addresses, misses)
         if addresses:
-            self._last_line = addresses[-1] >> NEAR_LINE_SHIFT
+            self._prev_address = addresses[-1]
         return misses
 
     def _shadow_train(self, st: PhaseModelState, ops, addresses, misses: list[int]) -> None:
@@ -146,13 +146,9 @@ class SwapController:
         candidates = [(model, st.shadow[kind]) for kind, model in st.models.items()]
         missed = set(misses)
         rng = self.rng
-        prev = self._last_line
-        for i, address in enumerate(addresses):
-            line = address >> NEAR_LINE_SHIFT
-            near = line == prev
-            prev = line
+        for i, ctx in enumerate(contexts(ops, addresses, self._prev_address)):
             hit = i not in missed
-            ctx = AccessContext(ops[i], address, near)
+            near = not ctx & 1
             for model, shadow in candidates:
                 predicted = model.predict(ctx, rng)
                 model.train(ctx, hit)

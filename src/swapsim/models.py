@@ -9,7 +9,8 @@ compiled prediction table is derived from them and rebuilt after training.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from itertools import repeat
+from operator import lshift, ne, or_
 
 from .cache import CacheConfig
 
@@ -29,14 +30,27 @@ class ModelKind(enum.Enum):
 SWAP_KINDS = (ModelKind.FIXED_RATE, ModelKind.MARKOV4, ModelKind.MARKOV8)
 
 
-@dataclass(slots=True)
-class AccessContext:
-    """One L1D request as seen by a statistical model: read or write, and
-    whether it touches the same 64 B line as the previous access."""
+def contexts(ops, addresses, prev_address: int) -> bytes:
+    """The access context of every reference of an interval: its column
+    `(is_write << 1) | far` of the compiled Markov table, where far means
+    another 64 B line than the reference before. `prev_address` is the
+    address before the interval; -1 (whose line is -1) makes the first
+    reference far."""
+    lines = [a >> NEAR_LINE_SHIFT for a in addresses]
+    far = map(ne, lines, [prev_address >> NEAR_LINE_SHIFT, *lines])
+    return bytes(map(or_, map(lshift, ops, repeat(1)), far))
 
-    is_write: bool
-    address: int
-    near: bool
+
+class AccessContext(int):
+    """One L1D request as seen by a statistical model: the table column
+    `contexts` gives, built from read or write and whether the request
+    touches the same 64 B line as the previous access. The address is
+    not kept."""
+
+    __slots__ = ()
+
+    def __new__(cls, is_write: bool, address: int, near: bool):
+        return super().__new__(cls, is_write << 1 | (not near))
 
 
 class FixedHitRateModel:
@@ -52,16 +66,16 @@ class FixedHitRateModel:
         self.total_count = 0
         self.hit_rate = 0.0
 
-    def train(self, ctx: AccessContext, hit: bool) -> None:
+    def train(self, ctx: int, hit: bool) -> None:
         self.total_count += 1
         if hit:
             self.hit_count += 1
         self.hit_rate = self.hit_count / self.total_count
 
-    def predict(self, ctx: AccessContext, rng) -> bool:
+    def predict(self, ctx: int, rng) -> bool:
         return rng.random() < self.hit_rate
 
-    def predict_interval(self, ops, addresses, last_line: int, rng) -> list[int]:
+    def predict_interval(self, ops, addresses, prev_address: int, rng) -> list[int]:
         """Predict every reference of an interval, one draw each; returns
         the positions predicted to miss."""
         rand = rng.random
@@ -70,7 +84,8 @@ class FixedHitRateModel:
 
 
 # State encoding: bit 1 = write, bit 0 = miss, giving RH=0, RM=1, WH=2,
-# WM=3. The 8-state model adds +4 for far accesses.
+# WM=3. The 8-state model adds +4 for far accesses. `_hits[ctx]` is the
+# hit state legal for context column `ctx`; its miss state is one above.
 
 
 class MarkovModel:
@@ -81,7 +96,7 @@ class MarkovModel:
     that pair, and resolved with one uniform draw.
     """
 
-    __slots__ = ("n_states", "counts", "last_state", "_train_last", "_table")
+    __slots__ = ("n_states", "counts", "last_state", "_train_last", "_table", "_hits")
 
     def __init__(self, n_states: int):
         if n_states not in (4, 8):
@@ -91,21 +106,14 @@ class MarkovModel:
         self.last_state = None
         self._train_last = None
         self._table: list[float] | None = None
+        self._hits = (0, 4, 2, 6) if n_states == 8 else (0, 0, 2, 2)
 
     @property
     def kind(self) -> ModelKind:
         return ModelKind.MARKOV4 if self.n_states == 4 else ModelKind.MARKOV8
 
-    def _hit_state(self, is_write: bool, near: bool) -> int:
-        """Hit state of the pair legal for a request; its miss state is
-        the hit state + 1."""
-        s = 2 if is_write else 0
-        if self.n_states == 8 and not near:
-            s += 4
-        return s
-
-    def train(self, ctx: AccessContext, hit: bool) -> None:
-        s = self._hit_state(ctx.is_write, ctx.near) + (0 if hit else 1)
+    def train(self, ctx: int, hit: bool) -> None:
+        s = self._hits[ctx] + (0 if hit else 1)
         if self._train_last is not None:
             self.counts[self._train_last][s] += 1
             self._table = None
@@ -129,8 +137,8 @@ class MarkovModel:
         cm = sum(r[m] for r in self.counts)
         return ch / (ch + cm) if ch + cm else -1.0
 
-    def predict(self, ctx: AccessContext, rng) -> bool:
-        h = self._hit_state(ctx.is_write, ctx.near)
+    def predict(self, ctx: int, rng) -> bool:
+        h = self._hits[ctx]
         p_hit = self._p_hit(self.last_state if self.last_state is not None else h, h)
         if p_hit < 0.0:
             # Context never observed at all: predict miss, let the
@@ -142,44 +150,33 @@ class MarkovModel:
         self.last_state = h + 1
         return False
 
-    def _hit_states(self) -> list[int]:
-        """Hit state of the legal pair for each context
-        `(is_write << 1) | far`."""
-        return [self._hit_state(c >> 1, not (c & 1)) for c in range(4)]
-
     def _compiled(self) -> list[float]:
         """`_p_hit` for every row and context, flattened: entry
         `(row << 2) | (is_write << 1) | far`, where row `n_states` stands
         for "no last state" and predicts from the context's hit state."""
         if self._table is None:
-            hit_states = self._hit_states()
             self._table = [self._p_hit(row if row < self.n_states else h, h)
-                           for row in range(self.n_states + 1) for h in hit_states]
+                           for row in range(self.n_states + 1) for h in self._hits]
         return self._table
 
-    def predict_interval(self, ops, addresses, last_line: int, rng) -> list[int]:
+    def predict_interval(self, ops, addresses, prev_address: int, rng) -> list[int]:
         """Predict every reference of an interval as `predict` would, from
         the compiled table; returns the positions predicted to miss.
-        `last_line` is the 64 B line of the reference before the interval
-        (-1 for none)."""
+        `prev_address` is the reference before the interval (-1 for none)."""
         table = self._compiled()
-        hit_states = self._hit_states()
+        hits = self._hits
         none = self.n_states
         s = none if self.last_state is None else self.last_state
         rand = rng.random
         misses = []
-        prev = last_line
-        for i, address in enumerate(addresses):
-            line = address >> NEAR_LINE_SHIFT
-            ctx = ops[i] << 1 | (line != prev)
-            prev = line
+        for i, ctx in enumerate(contexts(ops, addresses, prev_address)):
             p_hit = table[s << 2 | ctx]
             if p_hit < 0.0:
                 misses.append(i)  # unseen context: miss, no draw, state kept
             elif rand() < p_hit:
-                s = hit_states[ctx]
+                s = hits[ctx]
             else:
-                s = hit_states[ctx] + 1
+                s = hits[ctx] + 1
                 misses.append(i)
         self.last_state = None if s == none else s
         return misses

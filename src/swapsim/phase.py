@@ -107,9 +107,7 @@ class PhaseDetector:
 
     def observe_interval(self, addresses) -> PhaseEvent:
         """Close one full interval given its addresses."""
-        return self._close_interval(interval_signature(addresses, self.config))
-
-    def _close_interval(self, sig: int) -> PhaseEvent:
+        sig = interval_signature(addresses, self.config)
         if signature_diff(sig, self._last_sig) < self._threshold:
             self._stable += 1
             if self._stable >= self.config.stable_min and self._phase == -1:

@@ -129,13 +129,6 @@ _REGION_STRIDE = 1 << 28
 # far apart so a small footprint still produces conflict misses.
 _ALIAS_STRIDE = 4096
 
-_DEFAULT_MARKER_SEED = 0x6D61726B
-
-
-def default_marker_spec(length: int = 120_000, seed: int = _DEFAULT_MARKER_SEED) -> SyntheticPhaseSpec:
-    return SyntheticPhaseSpec(PhaseKind.MARKER, length, seed)
-
-
 def _occurrence_rng(spec: SyntheticPhaseSpec, occurrence: int) -> random.Random:
     return random.Random((spec.seed * 1_000_003) ^ occurrence)
 
@@ -213,7 +206,7 @@ def generate_trace(
 ) -> Trace:
     """Emit `iterations` repetitions of the phase list.
 
-    With marker_between, a marker phase stream runs after every
+    With marker_between, the `marker_spec` stream runs after every
     computational phase. Output is a pure function of the specs, flags and
     seeds.
     """
@@ -222,7 +215,7 @@ def generate_trace(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if marker_between and marker_spec is None:
-        marker_spec = default_marker_spec()
+        raise ValueError("marker_between needs a marker_spec")
 
     trace = Trace()
     occurrences: dict[int, int] = {}

@@ -37,8 +37,8 @@ def test_near_far_classification():
     m.counts[0][4] = 1  # RH far
     addrs = [0x100, 0x13F, 0x140, 0x141]  # far, same 64-byte line, far, near
     assert m.predict_interval(bytes(4), addrs, -1, random.Random(0)) == [1, 3]
-    # The line of the reference before the interval carries over.
-    assert m.predict_interval(bytes(4), addrs, 0x100 >> 6, random.Random(0)) == [0, 1, 3]
+    # The reference before the interval carries over.
+    assert m.predict_interval(bytes(4), addrs, 0x100, random.Random(0)) == [0, 1, 3]
 
 
 def test_fixed_rate_training_and_prediction():
@@ -64,14 +64,15 @@ def test_fixed_rate_certain_hit():
 
 
 def test_markov_state_encoding():
+    # Hit state per context column (is_write << 1) | far.
     m = MarkovModel(4)
-    assert m._hit_state(False, True) == 0  # RH
-    assert m._hit_state(True, True) == 2  # WH
-    assert m._hit_state(True, False) == 2  # near/far ignored with 4 states
+    assert m._hits[ctx(is_write=False, near=True)] == 0  # RH
+    assert m._hits[ctx(is_write=True, near=True)] == 2  # WH
+    assert m._hits[ctx(is_write=True, near=False)] == 2  # near/far ignored with 4 states
     m8 = MarkovModel(8)
-    assert m8._hit_state(False, False) == 4  # RH far
-    assert m8._hit_state(True, False) == 6  # WH far
-    assert m8._hit_state(False, True) == 0  # near keeps the low block
+    assert m8._hits[ctx(is_write=False, near=False)] == 4  # RH far
+    assert m8._hits[ctx(is_write=True, near=False)] == 6  # WH far
+    assert m8._hits[ctx(is_write=False, near=True)] == 0  # near keeps the low block
     # Training files each outcome under the hit state, + 1 for a miss.
     m8.train(ctx(is_write=True, near=False), False)  # WM far
     m8.train(ctx(is_write=False, near=True), False)  # RM near
@@ -111,7 +112,7 @@ def test_markov_restricted_pair_legality():
     for n, w, near, h in ((4, False, True, 0), (4, True, True, 2),
                           (8, False, True, 0), (8, True, False, 6)):
         m = MarkovModel(n)
-        assert m._hit_state(w, near) == h
+        assert m._hits[ctx(is_write=w, near=near)] == h
         m.counts[h][h] = m.counts[h][h + 1] = 1
         m.last_state = h
         assert m.predict(ctx(is_write=w, near=near), FixedU(0.4)) is True

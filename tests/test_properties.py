@@ -1,7 +1,7 @@
 """Property tests of the interval-level paths against their per-reference
-definitions: the compiled Markov table, the interval signature, the
-detailed L1 across swapped and base intervals, and the batched reuse
-tracker."""
+definitions: the access contexts, the compiled Markov table, shadow
+training, the interval signature, the detailed L1 across swapped and base
+intervals, and the batched reuse tracker."""
 import random
 from array import array
 
@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapsim.cache import DEFAULT_L1, Hierarchy, SetAssociativeCache
-from swapsim.controller import ControllerConfig, PhaseState, SwapController
+from swapsim.controller import ControllerConfig, PhaseModelState, PhaseState, SwapController
 from swapsim.metrics import REUSE_CAP, ReuseDistanceTracker
-from swapsim.models import SWAP_KINDS, AccessContext, MarkovModel
+from swapsim.models import SWAP_KINDS, AccessContext, MarkovModel, contexts
 from swapsim.phase import (
     PhaseDetector,
     PhaseDetectorConfig,
@@ -33,6 +33,37 @@ class CountingU:
     def random(self):
         self.draws += 1
         return self.u
+
+
+# Small addresses share 64 B lines often; large ones reach the top of the
+# address range.
+ADDRESS = st.one_of(st.integers(0, 255), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(refs=st.lists(st.tuples(st.integers(0, 1), ADDRESS), max_size=100),
+       prev_address=st.one_of(st.just(-1), ADDRESS),
+       packed=st.booleans())
+@example(refs=[], prev_address=-1, packed=True)
+@example(refs=[(0, 0)], prev_address=-1, packed=False)  # -1 makes line 0 far
+@example(refs=[(1, 0x1040), (0, 0x107F)], prev_address=0x1050, packed=True)  # carry: near
+def test_contexts_match_per_reference_definition(refs, prev_address, packed):
+    ops = [w for w, _ in refs]
+    addrs = [a for _, a in refs]
+    prev = [prev_address, *addrs]
+    want = [ops[i] << 1 | (addrs[i] >> 6 != prev[i] >> 6) for i in range(len(refs))]
+    # run_simulation passes each interval as array("B") and array("Q") slices.
+    if packed:
+        ops, addrs = array("B", ops), array("Q", addrs)
+    assert list(contexts(ops, addrs, prev_address)) == want
+
+
+def test_access_context_is_its_table_column():
+    for w in (False, True):
+        for near in (False, True):
+            ctx = AccessContext(w, ADDR, near)
+            assert ctx == w << 1 | (not near)
+            assert ctx == contexts([w], [ADDR], ADDR if near else -1)[0]
 
 
 def markov(n, counts, zero_rows, zero_pairs):
@@ -60,8 +91,8 @@ def test_compiled_markov_matches_predict(n, counts, zero_rows, zero_pairs):
                     ref.last_state = got.last_state = row
                     ref_rng, got_rng = CountingU(u), CountingU(u)
                     hit = ref.predict(AccessContext(is_write, ADDR, near), ref_rng)
-                    last_line = ADDR >> 6 if near else -1
-                    misses = got.predict_interval([is_write], [ADDR], last_line, got_rng)
+                    prev_address = ADDR if near else -1
+                    misses = got.predict_interval([is_write], [ADDR], prev_address, got_rng)
                     assert (misses == []) == hit
                     assert got.last_state == ref.last_state
                     assert got_rng.draws == ref_rng.draws
@@ -90,6 +121,63 @@ def test_compiled_markov_matches_predict_over_a_stream(n, counts, zero_rows, zer
     assert got.predict_interval(ops, addrs, -1, got_rng) == want
     assert got.last_state == ref.last_state
     assert got_rng.random() == ref_rng.random()
+
+
+def shadow_train_per_reference(st_, ops, addresses, misses, prev_address, rng):
+    """Shadow training one reference at a time: build the reference's
+    context, then let every candidate, in st_.models order, predict,
+    train and record."""
+    missed = set(misses)
+    prev = prev_address >> 6
+    for i, address in enumerate(addresses):
+        line = address >> 6
+        near = line == prev
+        prev = line
+        hit = i not in missed
+        ctx = AccessContext(ops[i], address, near)
+        for kind, model in st_.models.items():
+            predicted = model.predict(ctx, rng)
+            model.train(ctx, hit)
+            st_.shadow[kind].record(predicted, hit, near)
+
+
+def model_state(model):
+    if isinstance(model, MarkovModel):
+        return model.counts, model.last_state, model._train_last
+    return model.hit_count, model.total_count, model.hit_rate
+
+
+@settings(max_examples=60, deadline=None)
+@given(refs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans()),
+                     max_size=120),
+       prev_address=st.one_of(st.just(-1), st.integers(0x3F00, 0x4100)),
+       cut=st.integers(0, 120),
+       seed=st.integers(0, 2**32 - 1))
+@example(refs=[], prev_address=-1, cut=0, seed=0)
+def test_shadow_train_matches_per_reference_loop(refs, prev_address, cut, seed):
+    # Addresses walk 32-byte steps, so neighbours are near or far; the
+    # stream is split into two intervals to carry the previous address.
+    addrs = [0x4000 + 32 * sum(step for _, step, _ in refs[:i + 1]) for i in range(len(refs))]
+    ops = bytes(w for w, _, _ in refs)
+    misses = [i for i, (_, _, miss) in enumerate(refs) if miss]
+    cut = min(cut, len(refs))
+    ctrl = SwapController(Hierarchy(), ControllerConfig(), rng=random.Random(seed))
+    ctrl.on_interval_end(PhaseEvent(0, 0))
+    got = ctrl.phases[0]
+    ctrl._prev_address = prev_address
+    ctrl._shadow_train(got, ops[:cut], addrs[:cut], [i for i in misses if i < cut])
+    if cut:
+        ctrl._prev_address = addrs[cut - 1]
+    ctrl._shadow_train(got, ops[cut:], addrs[cut:], [i - cut for i in misses if i >= cut])
+
+    want = PhaseModelState(SWAP_KINDS)
+    want_rng = random.Random(seed)
+    shadow_train_per_reference(want, ops, addrs, misses, prev_address, want_rng)
+    assert list(got.models) == list(want.models)
+    for kind in SWAP_KINDS:
+        assert model_state(got.models[kind]) == model_state(want.models[kind])
+        assert got.shadow[kind] == want.shadow[kind]
+    assert ctrl.rng.random() == want_rng.random()
 
 
 def splitmix64(x):

@@ -126,6 +126,8 @@ def test_generate_requires_phases_and_iterations():
         generate_trace([])
     with pytest.raises(ValueError):
         generate_trace([spec], iterations=0)
+    with pytest.raises(ValueError):
+        generate_trace([spec], marker_between=True)
 
 
 def test_phase_spec_validation():
