@@ -74,13 +74,15 @@ class HierarchyConfig:
 class SetAssociativeCache:
     """Detailed LRU cache. Misses allocate (write-allocate), hits promote
     to MRU. Each set is an insertion-ordered dict keyed by line id, oldest
-    first."""
+    first; `_mru[k]` is the line set `k` touched last (its last key), or
+    -1, which no line equals, before the set's first reference."""
 
-    __slots__ = ("config", "_sets", "_line_shift", "_set_mask")
+    __slots__ = ("config", "_sets", "_mru", "_line_shift", "_set_mask")
 
     def __init__(self, config: CacheConfig):
         self.config = config
         self._sets = [dict() for _ in range(config.set_count)]
+        self._mru = [-1] * config.set_count
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.set_count - 1
 
@@ -92,15 +94,21 @@ class SetAssociativeCache:
     def misses(self, addresses) -> list[int]:
         """Look up each address in turn; returns the positions that missed.
         A hit promotes its line to MRU, a miss allocates it and evicts the
-        LRU way of a full set."""
+        LRU way of a full set. A reference to the line its set touched
+        last is a hit that moves nothing, so it skips the dict."""
         sets = self._sets
+        mru = self._mru
         shift = self._line_shift
         mask = self._set_mask
         ways = self.config.associativity
         out = []
         for i, address in enumerate(addresses):
             line = address >> shift
-            s = sets[line & mask]
+            k = line & mask
+            if mru[k] == line:
+                continue
+            mru[k] = line
+            s = sets[k]
             if line in s:
                 del s[line]
             else:

@@ -69,6 +69,9 @@ class Directive:
 
 _BASE_DIRECTIVE = Directive(phase_id=-1, swapped_kind=None, training=False)
 
+# Maps a context column to 1 if its reference is near (far bit clear).
+_NEAR = bytes.maketrans(bytes(range(4)), bytes((1, 0, 1, 0)))
+
 
 class SwapController:
     """Owns the L1D slot of a hierarchy. Feed it every interval's
@@ -142,14 +145,20 @@ class SwapController:
         """Run every candidate beside the detailed L1's outcomes, reference
         by reference, in the order of st.models. Each predicts before it
         trains, so accuracy measures generalization, not recall of the
-        access being trained on."""
-        candidates = [(model, st.shadow[kind]) for kind, model in st.models.items()]
-        missed = set(misses)
+        access being trained on. The shadow counters are summed once per
+        interval from each candidate's predictions."""
+        ctxs = contexts(ops, addresses, self._prev_address)
+        hit = bytearray(b"\x01") * len(ctxs)
+        for i in misses:
+            hit[i] = 0
+        predicted = {kind: bytearray() for kind in st.models}
+        steps = [(model.predict, model.train, predicted[kind].append)
+                 for kind, model in st.models.items()]
         rng = self.rng
-        for i, ctx in enumerate(contexts(ops, addresses, self._prev_address)):
-            hit = i not in missed
-            near = not ctx & 1
-            for model, shadow in candidates:
-                predicted = model.predict(ctx, rng)
-                model.train(ctx, hit)
-                shadow.record(predicted, hit, near)
+        for ctx, h in zip(ctxs, hit):
+            for predict, train, append in steps:
+                append(predict(ctx, rng))
+                train(ctx, h)
+        near = ctxs.translate(_NEAR)
+        for kind, shadow in st.shadow.items():
+            shadow.add_interval(predicted[kind], hit, near)

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import enum
 from itertools import repeat
-from operator import lshift, ne, or_
+from operator import ne, rshift
 
 from .cache import CacheConfig
 
 # An access is near when it touches the same 64 B line as the previous
 # one; the granularity is fixed, independent of cache geometry.
 NEAR_LINE_SHIFT = 6
+
+# Maps an op byte (0 read, 1 write) to its write bit in a context column.
+_WRITE_BIT = bytes.maketrans(b"\x01", b"\x02")
 
 
 class ModelKind(enum.Enum):
@@ -35,10 +38,13 @@ def contexts(ops, addresses, prev_address: int) -> bytes:
     `(is_write << 1) | far` of the compiled Markov table, where far means
     another 64 B line than the reference before. `prev_address` is the
     address before the interval; -1 (whose line is -1) makes the first
-    reference far."""
-    lines = [a >> NEAR_LINE_SHIFT for a in addresses]
-    far = map(ne, lines, [prev_address >> NEAR_LINE_SHIFT, *lines])
-    return bytes(map(or_, map(lshift, ops, repeat(1)), far))
+    reference far. The far bytes (0 or 1) and the write bytes (0 or 2)
+    are ORed as two little-endian ints, so no bit carries between bytes."""
+    lines = list(map(rshift, addresses, repeat(NEAR_LINE_SHIFT)))
+    far = int.from_bytes(bytes(map(ne, lines, [prev_address >> NEAR_LINE_SHIFT, *lines])),
+                         "little")
+    write = int.from_bytes(bytes(ops).translate(_WRITE_BIT), "little")
+    return (far | write).to_bytes(len(lines), "little")
 
 
 class AccessContext(int):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import and_, eq
 
 from .cache import CacheConfig
 from .models import SWAP_KINDS, ModelKind, model_hit_check_comparisons, model_size_bytes
@@ -22,15 +23,14 @@ class ShadowStats:
     model_near_misses: int = 0
     base_near_misses: int = 0
 
-    def record(self, predicted_hit: bool, actual_hit: bool, near: bool) -> None:
-        self.total_predictions += 1
-        if predicted_hit == actual_hit:
-            self.correct_predictions += 1
-        if near:
-            if not predicted_hit:
-                self.model_near_misses += 1
-            if not actual_hit:
-                self.base_near_misses += 1
+    def add_interval(self, predicted, hit, near) -> None:
+        """Count one interval: per reference, the predicted and the actual
+        outcome (1 hit, 0 miss) and whether it was near (1) or far (0)."""
+        n_near = sum(near)
+        self.total_predictions += len(hit)
+        self.correct_predictions += sum(map(eq, predicted, hit))
+        self.model_near_misses += n_near - sum(map(and_, predicted, near))
+        self.base_near_misses += n_near - sum(map(and_, hit, near))
 
 
 @dataclass(frozen=True)

@@ -94,10 +94,12 @@ def test_base_cache_frozen_while_swapped():
     train_accesses(ctrl)
     ctrl.on_interval_end(PhaseEvent(1, 0))
     fp = ctrl.hierarchy.l1.fingerprint()
+    mru = list(ctrl.hierarchy.l1._mru)
     misses = ctrl.run_interval(bytes(200), [0x1000 + i * 8 for i in range(200)])
     assert all(0 <= i < 200 for i in misses)
     assert served(ctrl.hierarchy.totals()) == 250
     assert ctrl.hierarchy.l1.fingerprint() == fp
+    assert ctrl.hierarchy.l1._mru == mru
 
 
 def test_base_cache_updates_when_not_swapped():

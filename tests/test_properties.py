@@ -8,7 +8,7 @@ from array import array
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swapsim.cache import DEFAULT_L1, Hierarchy, SetAssociativeCache
+from swapsim.cache import DEFAULT_L1, CacheConfig, Hierarchy, SetAssociativeCache
 from swapsim.controller import ControllerConfig, PhaseModelState, PhaseState, SwapController
 from swapsim.metrics import REUSE_CAP, ReuseDistanceTracker
 from swapsim.models import SWAP_KINDS, AccessContext, MarkovModel, contexts
@@ -18,6 +18,7 @@ from swapsim.phase import (
     PhaseEvent,
     interval_signature,
 )
+from test_cache import ReferenceLRU
 
 U_GRID = [k / 8 for k in range(8)] + [0.999]
 ADDR = 0x1040  # 64-byte line 0x41
@@ -126,7 +127,7 @@ def test_compiled_markov_matches_predict_over_a_stream(n, counts, zero_rows, zer
 def shadow_train_per_reference(st_, ops, addresses, misses, prev_address, rng):
     """Shadow training one reference at a time: build the reference's
     context, then let every candidate, in st_.models order, predict,
-    train and record."""
+    train and count the outcome in its shadow counters."""
     missed = set(misses)
     prev = prev_address >> 6
     for i, address in enumerate(addresses):
@@ -138,7 +139,11 @@ def shadow_train_per_reference(st_, ops, addresses, misses, prev_address, rng):
         for kind, model in st_.models.items():
             predicted = model.predict(ctx, rng)
             model.train(ctx, hit)
-            st_.shadow[kind].record(predicted, hit, near)
+            stats = st_.shadow[kind]
+            stats.total_predictions += 1
+            stats.correct_predictions += predicted == hit
+            stats.model_near_misses += near and not predicted
+            stats.base_near_misses += near and not hit
 
 
 def model_state(model):
@@ -221,6 +226,59 @@ def test_interval_signature_is_or_of_hashes(addrs, sig_len, drop_bits, packed):
     det = PhaseDetector(cfg)
     det.observe_interval(interval)
     assert det._last_sig == expected
+
+
+# (sets, ways, line_bytes), 1-set and 1-way caches included.
+GEOMETRIES = [(1, 1, 16), (1, 4, 16), (4, 1, 32), (4, 2, 16), (8, 4, 64)]
+
+
+def shortcut_stream(geometry, steps):
+    """Addresses heavy in repeats: each step touches the previous line
+    again, another line of the previous set (from a pool of ways + 2
+    tags), or a line drawn afresh."""
+    sets, ways, line_bytes = geometry
+    addrs, line = [], 0
+    for kind, v in steps:
+        if kind == "set":
+            line = (v % (ways + 2)) * sets + (line & (sets - 1))
+        elif kind == "new":
+            line = v
+        addrs.append(line * line_bytes + v % line_bytes)
+    return addrs
+
+
+def assert_mru_is_last_key(cache):
+    for mru, s in zip(cache._mru, cache._sets):
+        assert mru == (next(reversed(s)) if s else -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(geometry=st.sampled_from(GEOMETRIES),
+       steps=st.lists(st.tuples(st.sampled_from(["line", "line", "set", "new"]),
+                                st.integers(0, 63)), max_size=200),
+       cuts=st.lists(st.integers(0, 200), max_size=6))
+@example(geometry=(1, 1, 16), steps=[("new", 1), ("new", 2), ("line", 3), ("new", 1)], cuts=[2])
+@example(geometry=(4, 2, 16), steps=[("new", 0), ("set", 1), ("set", 0), ("set", 2), ("set", 1)],
+         cuts=[1, 3])
+def test_mru_shortcut_matches_reference_lru(geometry, steps, cuts):
+    sets, ways, line_bytes = geometry
+    config = CacheConfig(sets * ways * line_bytes, ways, line_bytes, 1)
+    addrs = shortcut_stream(geometry, steps)
+    ref = ReferenceLRU(config)
+    want = [i for i, a in enumerate(addrs) if not ref.hit_check(a)]
+    # Split the stream into misses calls; every other piece runs through
+    # hit_check one reference at a time.
+    cache = SetAssociativeCache(config)
+    bounds = [0, *sorted(min(c, len(addrs)) for c in cuts), len(addrs)]
+    got = []
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if j % 2:
+            got += [i for i in range(lo, hi) if not cache.hit_check(addrs[i])]
+        else:
+            got += [lo + i for i in cache.misses(addrs[lo:hi])]
+        assert_mru_is_last_key(cache)
+    assert got == want
+    assert [list(s) for s in cache._sets] == ref.sets
 
 
 ADDRS = st.lists(st.integers(0, 1 << 22), min_size=1, max_size=300)

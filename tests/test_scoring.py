@@ -18,10 +18,9 @@ from swapsim.scoring import (
 
 def test_record_shadow_counting():
     s = ShadowStats()
-    s.record(True, True, near=True)  # correct, no misses
-    s.record(False, True, near=True)  # wrong, model near miss
-    s.record(True, False, near=True)  # wrong, base near miss
-    s.record(False, False, near=False)  # correct, far: near counters untouched
+    # correct, no misses; wrong, model near miss; wrong, base near miss;
+    # correct, far: near counters untouched
+    s.add_interval(predicted=[1, 0, 1, 0], hit=[1, 1, 0, 0], near=[1, 1, 1, 0])
     assert s.total_predictions == 4
     assert s.correct_predictions == 2
     assert s.model_near_misses == 1
@@ -32,8 +31,11 @@ def test_record_shadow_bulk_recount():
     rng = random.Random(11)
     s = ShadowStats()
     events = [(rng.random() < 0.6, rng.random() < 0.7, rng.random() < 0.5) for _ in range(10_000)]
-    for p, a, n in events:
-        s.record(p, a, n)
+    # Two intervals in the byte form the controller passes: the counters add up.
+    for part in (events[:3_000], events[3_000:]):
+        p, a, n = (bytes(column) for column in zip(*part))
+        s.add_interval(bytearray(p), a, n)
+    assert s.total_predictions == len(events)
     assert s.correct_predictions == sum(p == a for p, a, _ in events)
     assert s.model_near_misses == sum((not p) and n for p, _, n in events)
     assert s.base_near_misses == sum((not a) and n for _, a, n in events)
