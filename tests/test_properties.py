@@ -1,14 +1,17 @@
 """Property tests of the interval-level paths against their per-reference
 definitions: the access contexts, the compiled Markov table, shadow
 training, the interval signature, the detailed L1 across swapped and base
-intervals, and the batched reuse tracker."""
+intervals, and the batched reuse tracker; and the whole-run invariants of
+the simulation's totals."""
+import dataclasses
 import random
 from array import array
+from operator import mul
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swapsim.cache import DEFAULT_L1, CacheConfig, Hierarchy, SetAssociativeCache
+from swapsim.cache import DEFAULT_L1, CacheConfig, Hierarchy, HierarchyConfig, SetAssociativeCache
 from swapsim.controller import ControllerConfig, PhaseModelState, PhaseState, SwapController
 from swapsim.metrics import REUSE_CAP, ReuseDistanceTracker
 from swapsim.models import SWAP_KINDS, AccessContext, MarkovModel, contexts
@@ -18,6 +21,8 @@ from swapsim.phase import (
     PhaseEvent,
     interval_signature,
 )
+from swapsim.sim import run_simulation
+from swapsim.trace import Trace
 from test_cache import ReferenceLRU
 
 U_GRID = [k / 8 for k in range(8)] + [0.999]
@@ -359,3 +364,57 @@ def test_reuse_tracker_caps_distances(seed, universe, n, max_chunk):
     want = [d if d is None else min(d, REUSE_CAP) for d in quadratic_reuse_distances(stream)]
     assert got == want
     assert REUSE_CAP in got
+
+
+# Small enough that a trace of a few hundred references hits every level.
+SMALL_HIERARCHY = HierarchyConfig(CacheConfig(256, 2, 32, 4), CacheConfig(1024, 2, 64, 12),
+                                  CacheConfig(4096, 4, 64, 40), 200)
+
+
+@st.composite
+def phased_runs(draw):
+    """A trace of intervals that repeat a few short patterns, so phases
+    recur and get swapped, ending in a partial interval; and its
+    detector config."""
+    interval_len = draw(st.sampled_from([8, 16, 40]))
+    ref = st.tuples(st.integers(0, 1), st.integers(0, 1 << 14))
+    patterns = draw(st.lists(st.lists(ref, min_size=1, max_size=12), min_size=1, max_size=3))
+    order = draw(st.lists(st.integers(0, len(patterns) - 1), max_size=12))
+    refs = [patterns[k][i % len(patterns[k])] for k in order for i in range(interval_len)]
+    refs += draw(st.lists(ref, min_size=1, max_size=interval_len - 1))
+    trace = Trace(array("B", [w for w, _ in refs]), array("Q", [a for _, a in refs]))
+    return trace, PhaseDetectorConfig(interval_len=interval_len,
+                                      stable_min=draw(st.integers(1, 2)))
+
+
+def simulate(run, hierarchy, seed):
+    trace, detector = run
+    return run_simulation(trace, hierarchy, detector, ControllerConfig(train_intervals=1),
+                          seed=seed, validate=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=phased_runs(), hierarchy=st.sampled_from([HierarchyConfig(), SMALL_HIERARCHY]),
+       seed=st.integers(0, 2**32))
+def test_totals_count_every_reference_once(run, hierarchy, seed):
+    result = simulate(run, hierarchy, seed)
+    latencies = [hierarchy.l1.hit_latency, hierarchy.l2.hit_latency,
+                 hierarchy.l3.hit_latency, hierarchy.memory_latency]
+    for totals in (result.totals, result.base_totals):
+        counts = [totals[k] for k in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses")]
+        assert sum(counts) == len(run[0])
+        assert totals["cycles"] == sum(map(mul, counts, latencies))
+
+
+def comparable(result):
+    def hists(h):
+        return None if h is None else {pid: vars(x) for pid, x in h.items()}
+    return dataclasses.replace(result, reuse=hists(result.reuse),
+                               base_reuse=hists(result.base_reuse))
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=phased_runs(), hierarchy=st.sampled_from([HierarchyConfig(), SMALL_HIERARCHY]),
+       seed=st.integers(0, 2**32))
+def test_same_seed_same_result(run, hierarchy, seed):
+    assert comparable(simulate(run, hierarchy, seed)) == comparable(simulate(run, hierarchy, seed))

@@ -1,10 +1,15 @@
 """Trace parsing, serialization and synthetic generation."""
 import hashlib
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import swapsim.trace
 from swapsim.cache import Hierarchy
+from swapsim.cli import EXIT_RUNTIME, main
 from swapsim.trace import (
     DEFAULT_WORKING_SET,
     PhaseKind,
@@ -85,6 +90,138 @@ def test_empty_file_yields_nothing(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("")
     assert len(load_trace(p)) == 0
+
+
+def per_line_load(path):
+    """The line-at-a-time parser whose syntax, values and messages
+    load_trace keeps."""
+    ops, addresses = [], []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            parts = line.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if len(parts) != 2:
+                raise TraceFormatError(
+                    f"line {lineno}: expected '<op> <address>', got {line.strip()!r}")
+            op_s, addr_s = parts
+            op = {"R": 0, "W": 1}.get(op_s)
+            if op is None:
+                raise TraceFormatError(f"line {lineno}: invalid op code {op_s!r}")
+            try:
+                addr = int(addr_s, 16)
+            except ValueError:
+                raise TraceFormatError(f"line {lineno}: invalid address {addr_s!r}") from None
+            if addr < 0 or addr >= 1 << 64:
+                raise TraceFormatError(f"line {lineno}: address out of 64-bit range")
+            ops.append(op)
+            addresses.append(addr)
+    return ops, addresses
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except Exception as e:  # compared, type and message, with the other parser's
+        return type(e), str(e)
+
+
+# Characters str.split() treats as whitespace but a text file does not
+# end a line at.
+SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+PAD = st.text(SPACES, max_size=2)
+U64 = st.integers(0, 2**64 - 1)
+ADDRESS = st.one_of(
+    U64.map("0x{:x}".format), U64.map("0X{:X}".format), U64.map("{:x}".format),
+    st.sampled_from(["1_0", "0x_1f", "+0x10", "+10", "-0x1", "-1", "0x", "zz", "1__0",
+                     "0x10000000000000000", "١٠"]),
+    st.text("0123456789abcdefxX_+-", max_size=5))
+OP = st.sampled_from(["R", "W", "R", "W", "r", "X", "RW", "#"])
+CANONICAL = st.builds("{} 0x{:x}".format, st.sampled_from("RW"), U64)
+LINE = st.one_of(
+    CANONICAL, CANONICAL, CANONICAL,
+    st.builds("{}{}{}{}{}".format, PAD, OP, st.text(SPACES, min_size=1, max_size=2), ADDRESS, PAD),
+    st.builds("{}#{}".format, PAD, st.text(max_size=6)),
+    PAD,
+    st.lists(st.one_of(OP, ADDRESS), max_size=4).map(" ".join))
+ENDING = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def trace_files(draw):
+    lines = draw(st.lists(st.tuples(LINE, ENDING), max_size=12))
+    text = "".join(line + end for line, end in lines) + draw(LINE | st.just(""))
+    data = text.encode("utf-8")
+    for pos, junk in draw(st.lists(st.tuples(st.integers(0, 500),
+                                             st.sampled_from([b"\xff", b"\xc3", b"\x80"])),
+                                   max_size=2)):
+        pos %= len(data) + 1
+        data = data[:pos] + junk + data[pos:]
+    return data
+
+
+# The fixtures are shared by all examples: every example rewrites the
+# file and sets the chunk size again.
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=trace_files(), chunk=st.integers(1, 24))
+@example(data=b"R 0x1 W\n0x2\n", chunk=24)  # right token count, wrong lines
+@example(data=b"R 0x1\nW \n", chunk=24)  # one op per line, one address short
+@example(data=b"R 0x1\r\nW 0x2\r\n", chunk=6)  # "\r\n" split by a chunk edge
+@example(data=b"R 0x1\nW 0x2", chunk=4)  # no final newline
+def test_load_matches_per_line_parser(tmp_path, monkeypatch, data, chunk):
+    monkeypatch.setattr(swapsim.trace, "_CHUNK_CHARS", chunk)
+    p = tmp_path / "t.txt"
+    p.write_bytes(data)
+    assert outcome(parsed, p) == outcome(per_line_load, p)
+
+
+def canonical_text(n, bad=None):
+    lines = [f"{'RW'[i % 3 == 0]} 0x{i * 0x9e3779b9 % (1 << 48):x}\n" for i in range(n)]
+    if bad is not None:
+        lines[bad - 1] = "R 0x10 extra\n"
+    return "".join(lines)
+
+
+def test_bad_line_after_third_chunk_names_its_line(tmp_path, capsys):
+    text = canonical_text(100_000, bad=90_000)
+    assert text.index("extra") > 3 * swapsim.trace._CHUNK_CHARS
+    p = tmp_path / "t.txt"
+    p.write_text(text)
+    with pytest.raises(TraceFormatError) as e:
+        load_trace(p)
+    assert str(e.value) == "line 90000: expected '<op> <address>', got 'R 0x10 extra'"
+    assert main(["run", "--trace", str(p), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+    assert "line 90000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chunk", [4, 7, swapsim.trace._CHUNK_CHARS])
+def test_canonical_lines_parse_in_bulk(tmp_path, monkeypatch, chunk):
+    # No final newline: the last reference is kept. No line of a
+    # canonical file reaches the per-line parser.
+    monkeypatch.setattr(swapsim.trace, "_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(swapsim.trace, "_parse_lines",
+                        lambda *a: pytest.fail("a canonical line reached the per-line parser"))
+    p = tmp_path / "t.txt"
+    p.write_text("R 0x40\nW 0xdeadbeef\nR 0X7f")
+    assert parsed(p) == ([0, 1, 0], [0x40, 0xDEADBEEF, 0x7F])
+
+
+def test_load_memory_flat_in_trace_length(tmp_path):
+    # Beyond the arrays it returns, load_trace holds about one chunk.
+    extra = []
+    for n in (100_000, 400_000):
+        p = tmp_path / f"{n}.txt"
+        p.write_text(canonical_text(n))
+        tracemalloc.start()
+        try:
+            t = load_trace(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(t) == n
+        extra.append(peak - sum(a.buffer_info()[1] * a.itemsize for a in (t.ops, t.addresses)))
+    assert abs(extra[1] - extra[0]) < 1 << 20
 
 
 def test_write_read_round_trip(tmp_path):
