@@ -17,7 +17,6 @@ from .metrics import (
     percent_change,
 )
 from .models import (
-    AccessContext,
     FixedHitRateModel,
     MarkovModel,
     ModelKind,

@@ -10,6 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# Sets are allocated up front, one dict each: 2**20 sets (a 1 GiB 16-way
+# cache of 64 B lines) take about 80 MiB, and 2**30 would take 80 GiB.
+MAX_SETS = 1 << 20
+
+
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -28,6 +33,8 @@ class CacheConfig:
             raise ValueError("total_bytes must be divisible by associativity * line_bytes")
         if not _is_pow2(self.set_count):
             raise ValueError("set count must be a power of two")
+        if self.set_count > MAX_SETS:
+            raise ValueError(f"set count {self.set_count} exceeds the limit of 2**20 sets")
         if not _is_pow2(self.line_bytes):
             raise ValueError("line_bytes must be a power of two")
         if self.hit_latency <= 0:
@@ -36,17 +43,6 @@ class CacheConfig:
     @property
     def set_count(self) -> int:
         return self.total_bytes // (self.associativity * self.line_bytes)
-
-    @property
-    def tag_array_bytes(self) -> int:
-        # Tags stored as 8-byte values.
-        return self.set_count * self.associativity * 8
-
-    @property
-    def hit_check_comparisons(self) -> int:
-        # Linear scan over the ways to search, plus another to pick an
-        # eviction victim.
-        return 2 * self.associativity
 
 
 # Default geometry. L1D keeps the 128-set layout (32 KiB, 8-way, 32 B

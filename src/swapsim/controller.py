@@ -19,20 +19,17 @@ class PhaseState(enum.Enum):
     GIVEN_UP = "given-up"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
     train_intervals: int = 2
     candidate_kinds: tuple[ModelKind, ...] = SWAP_KINDS
     give_up_after: int | None = None  # training-interval budget; disabled by default
-    single_model_override: ModelKind | None = None
 
     def __post_init__(self):
         if self.train_intervals < 1:
             raise ValueError("train_intervals must be >= 1")
         if self.give_up_after is not None and self.give_up_after < 1:
             raise ValueError("give_up_after must be >= 1")
-        if self.single_model_override is not None:
-            self.candidate_kinds = (self.single_model_override,)
         if not self.candidate_kinds:
             raise ValueError("need at least one candidate model kind")
 

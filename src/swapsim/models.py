@@ -47,23 +47,9 @@ def contexts(ops, addresses, prev_address: int) -> bytes:
     return (far | write).to_bytes(len(lines), "little")
 
 
-class AccessContext(int):
-    """One L1D request as seen by a statistical model: the table column
-    `contexts` gives, built from read or write and whether the request
-    touches the same 64 B line as the previous access. The address is
-    not kept."""
-
-    __slots__ = ()
-
-    def __new__(cls, is_write: bool, address: int, near: bool):
-        return super().__new__(cls, is_write << 1 | (not near))
-
-
 class FixedHitRateModel:
     """Counts hits and misses during training; predicts hit with the
     observed rate. Untrained, it predicts miss."""
-
-    kind = ModelKind.FIXED_RATE
 
     __slots__ = ("hit_count", "total_count", "hit_rate")
 
@@ -113,10 +99,6 @@ class MarkovModel:
         self._train_last = None
         self._table: list[float] | None = None
         self._hits = (0, 4, 2, 6) if n_states == 8 else (0, 0, 2, 2)
-
-    @property
-    def kind(self) -> ModelKind:
-        return ModelKind.MARKOV4 if self.n_states == 4 else ModelKind.MARKOV8
 
     def train(self, ctx: int, hit: bool) -> None:
         s = self._hits[ctx] + (0 if hit else 1)
@@ -199,14 +181,14 @@ def make_model(kind: ModelKind):
 
 
 def model_size_bytes(kind: ModelKind, base_config: CacheConfig | None = None) -> int:
-    """Storage cost of a model. The base cache's cost is its tag array.
-    A Markov chain counts as three NxN matrices of 8-byte values: this is
-    the paper's storage accounting, which criterion 1 of the acceptance suite pins, not
-    the memory this code uses."""
+    """Storage cost of a model. The base cache's cost is its tag array of
+    8-byte tags. A Markov chain counts as three NxN matrices of 8-byte
+    values: the paper's storage accounting, which criterion 1 of the
+    acceptance suite pins, not the memory this code uses."""
     if kind is ModelKind.BASE:
         if base_config is None:
             raise ValueError("base model size requires a CacheConfig")
-        return base_config.tag_array_bytes
+        return base_config.set_count * base_config.associativity * 8
     if kind is ModelKind.FIXED_RATE:
         return 16  # 8 B hit count + 8 B hit rate
     n = 4 if kind is ModelKind.MARKOV4 else 8
@@ -220,7 +202,7 @@ def model_hit_check_comparisons(kind: ModelKind, base_config: CacheConfig | None
     if kind is ModelKind.BASE:
         if base_config is None:
             raise ValueError("base model complexity requires a CacheConfig")
-        return base_config.hit_check_comparisons
+        return 2 * base_config.associativity
     if kind is ModelKind.MARKOV8:
         return 2
     return 1

@@ -49,8 +49,6 @@ class SyntheticPhaseSpec:
             raise ValueError("phase length must be positive")
         if self.working_set_bytes < 0:
             raise ValueError("working_set_bytes must be nonnegative")
-        if self.kind is PhaseKind.RANDOM_ACCESS and self.resolved_working_set <= 0:
-            raise ValueError("RandomAccess requires working_set_bytes > 0")
 
     @property
     def resolved_working_set(self) -> int:
@@ -262,21 +260,17 @@ _EMITTERS = {
 def generate_trace(
     phases: list[SyntheticPhaseSpec],
     iterations: int = 1,
-    marker_between: bool = False,
     marker_spec: SyntheticPhaseSpec | None = None,
 ) -> Trace:
     """Emit `iterations` repetitions of the phase list.
 
-    With marker_between, the `marker_spec` stream runs after every
-    computational phase. Output is a pure function of the specs, flags and
-    seeds.
+    Given a `marker_spec`, its stream runs after every computational
+    phase. Output is a pure function of the specs and seeds.
     """
     if not phases:
         raise ValueError("at least one phase spec is required")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if marker_between and marker_spec is None:
-        raise ValueError("marker_between needs a marker_spec")
 
     trace = Trace()
     occurrences: dict[int, int] = {}
@@ -292,7 +286,7 @@ def generate_trace(
     for _ in range(iterations):
         for i, spec in enumerate(phases):
             emit(spec, i)
-            if marker_between:
+            if marker_spec is not None:
                 emit(marker_spec, marker_region)
     return trace
 
@@ -338,4 +332,4 @@ PRESET_NAMES = ("meabo3", "meabo3-small", "locality")
 
 def build_preset(name: str, seed: int = 1) -> Trace:
     phases, iterations, marker = preset_specs(name, seed)
-    return generate_trace(phases, iterations=iterations, marker_between=True, marker_spec=marker)
+    return generate_trace(phases, iterations=iterations, marker_spec=marker)

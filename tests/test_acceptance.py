@@ -31,7 +31,7 @@ CONFIGS = {
 def controller_config(override):
     if override is None:
         return ControllerConfig()
-    return ControllerConfig(single_model_override=override)
+    return ControllerConfig(candidate_kinds=(override,))
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +266,6 @@ class FixedU:
 
 def test_criterion_08_oracle_equivalences():
     from swapsim.metrics import ReuseDistanceTracker
-    from swapsim.models import AccessContext
 
     # (a) reuse distances against the quadratic oracle
     rng = random.Random(77)
@@ -312,7 +311,7 @@ def test_criterion_08_oracle_equivalences():
                     for k in range(1000):
                         u = k / 1000
                         model.last_state = row_state
-                        got = model.predict(AccessContext(is_write, 0x40, near), FixedU(u))
+                        got = model.predict(is_write << 1 | (not near), FixedU(u))
                         want = oracle_markov_predict(model.counts, n_states, row_state, is_write, near, u)
                         assert got == want, (n_states, row_state, is_write, near, u)
                         checked += 1
@@ -327,7 +326,7 @@ def test_criterion_09_byte_identical_reports(tmp_path):
 
     specs = [SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 40_000, seed=51),
              SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 40_000, seed=52)]
-    trace = generate_trace(specs, iterations=2, marker_between=True,
+    trace = generate_trace(specs, iterations=2,
                            marker_spec=SyntheticPhaseSpec(PhaseKind.MARKER, 20_000, seed=53))
     tpath = tmp_path / "t.txt"
     write_trace(trace, tpath)

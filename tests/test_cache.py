@@ -7,6 +7,7 @@ from swapsim.cache import (
     DEFAULT_L1,
     DEFAULT_L2,
     DEFAULT_L3,
+    MAX_SETS,
     CacheConfig,
     Hierarchy,
     HierarchyConfig,
@@ -50,12 +51,14 @@ def test_config_validation():
         CacheConfig(32 * 1024, 0, 32, 4)  # no ways
     with pytest.raises(ValueError):
         CacheConfig(32 * 1024, 8, 0, 4)  # no line
+    assert CacheConfig(1 << 30, 16, 64, 40).set_count == MAX_SETS  # 1 GiB, 16-way
+    for total in (1 << 31, 1 << 40):  # sets are allocated up front
+        with pytest.raises(ValueError, match=r"2\*\*20"):
+            CacheConfig(total, 16, 64, 40)
 
 
 def test_default_geometry():
     assert DEFAULT_L1.set_count == 128
-    assert DEFAULT_L1.tag_array_bytes == 8192
-    assert DEFAULT_L1.hit_check_comparisons == 16
     assert DEFAULT_L2.set_count == 512
     assert DEFAULT_L3.set_count == 2048
 

@@ -23,7 +23,7 @@ def trace_file(tmp_path_factory):
         SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 30_000, seed=41),
         SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 30_000, seed=42),
     ]
-    tr = generate_trace(specs, iterations=2, marker_between=True,
+    tr = generate_trace(specs, iterations=2,
                         marker_spec=SyntheticPhaseSpec(PhaseKind.MARKER, 16_000, seed=43))
     path = tmp_path_factory.mktemp("trace") / "small.txt"
     write_trace(tr, path)
@@ -142,6 +142,20 @@ def test_usage_error_on_oversized_sig_len(capsys):
         code = run_cli("run", "--synthetic", "locality", "--sig-len", str(sig_len))
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_usage_error_on_cache_with_too_many_sets(tmp_path, capsys):
+    # A 1 TiB L3 has 2**30 sets; the config check rejects it before the
+    # hierarchy allocates a single set.
+    trace = tmp_path / "t.txt"
+    trace.write_text("R 0x40\nW 0x80\n")
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"hierarchy": {"l3": {
+        "total_bytes": 1 << 40, "associativity": 16, "line_bytes": 64, "hit_latency": 40}}}))
+    code = run_cli("run", "--trace", str(trace), "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "2**20" in err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,4 +1,5 @@
 """Swap controller state machine and directive handling."""
+import dataclasses
 import random
 
 import pytest
@@ -29,8 +30,9 @@ def test_config_validation():
     for budget in (0, -5):
         with pytest.raises(ValueError):
             ControllerConfig(give_up_after=budget)
-    cfg = ControllerConfig(single_model_override=ModelKind.MARKOV4)
-    assert cfg.candidate_kinds == (ModelKind.MARKOV4,)
+    cfg = ControllerConfig(candidate_kinds=(ModelKind.MARKOV4,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.candidate_kinds = (ModelKind.MARKOV8,)
 
 
 def test_initial_directive_is_base():
@@ -110,7 +112,7 @@ def test_base_cache_updates_when_not_swapped():
 
 
 def test_counters_advance_under_swap():
-    ctrl = make_controller(train_intervals=1, single_model_override=ModelKind.FIXED_RATE)
+    ctrl = make_controller(train_intervals=1, candidate_kinds=(ModelKind.FIXED_RATE,))
     ctrl.on_interval_end(PhaseEvent(0, 0))
     train_accesses(ctrl)  # high-hit training stream
     ctrl.on_interval_end(PhaseEvent(1, 0))
@@ -146,8 +148,8 @@ def test_give_up_disabled_by_default():
     assert ctrl.phases[0].state is not PhaseState.GIVEN_UP
 
 
-def test_single_model_override_restricts_candidates():
-    ctrl = make_controller(train_intervals=1, single_model_override=ModelKind.MARKOV4)
+def test_single_candidate_is_the_only_model_trained_and_swapped():
+    ctrl = make_controller(train_intervals=1, candidate_kinds=(ModelKind.MARKOV4,))
     ctrl.on_interval_end(PhaseEvent(0, 0))
     train_accesses(ctrl)
     d = ctrl.on_interval_end(PhaseEvent(1, 0))

@@ -21,7 +21,7 @@ def _trace(marker_len):
     specs = [SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 12_000, seed=61),
              SyntheticPhaseSpec(PhaseKind.VECTOR_ADD, 12_000, seed=62),
              SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 12_000, seed=63)]
-    return generate_trace(specs, iterations=2, marker_between=True,
+    return generate_trace(specs, iterations=2,
                           marker_spec=SyntheticPhaseSpec(PhaseKind.MARKER, marker_len, seed=64))
 
 

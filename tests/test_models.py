@@ -5,7 +5,6 @@ import pytest
 
 from swapsim.cache import DEFAULT_L1, CacheConfig
 from swapsim.models import (
-    AccessContext,
     FixedHitRateModel,
     MarkovModel,
     ModelKind,
@@ -15,8 +14,8 @@ from swapsim.models import (
 )
 
 
-def ctx(is_write=False, address=0x40, near=False):
-    return AccessContext(is_write, address, near)
+def ctx(is_write=False, near=False):
+    return is_write << 1 | (not near)
 
 
 class FixedU:
@@ -210,6 +209,6 @@ def test_prediction_deterministic_under_seed():
         m = MarkovModel(8)
         r = random.Random(99)
         for w, hit in stream:
-            m.train(AccessContext(w, 0x40, True), hit)
-        out.append([m.predict(AccessContext(w, 0x40, True), r) for w, _ in stream])
+            m.train(ctx(w, near=True), hit)
+        out.append([m.predict(ctx(w, near=True), r) for w, _ in stream])
     assert out[0] == out[1]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from swapsim.cache import DEFAULT_L1, CacheConfig, Hierarchy, HierarchyConfig, SetAssociativeCache
 from swapsim.controller import ControllerConfig, PhaseModelState, PhaseState, SwapController
 from swapsim.metrics import REUSE_CAP, ReuseDistanceTracker
-from swapsim.models import SWAP_KINDS, AccessContext, MarkovModel, contexts
+from swapsim.models import SWAP_KINDS, MarkovModel, contexts
 from swapsim.phase import (
     PhaseDetector,
     PhaseDetectorConfig,
@@ -64,12 +64,10 @@ def test_contexts_match_per_reference_definition(refs, prev_address, packed):
     assert list(contexts(ops, addrs, prev_address)) == want
 
 
-def test_access_context_is_its_table_column():
+def test_context_is_its_table_column():
     for w in (False, True):
         for near in (False, True):
-            ctx = AccessContext(w, ADDR, near)
-            assert ctx == w << 1 | (not near)
-            assert ctx == contexts([w], [ADDR], ADDR if near else -1)[0]
+            assert contexts([w], [ADDR], ADDR if near else -1)[0] == w << 1 | (not near)
 
 
 def markov(n, counts, zero_rows, zero_pairs):
@@ -96,7 +94,7 @@ def test_compiled_markov_matches_predict(n, counts, zero_rows, zero_pairs):
                     got = markov(n, counts, zero_rows, zero_pairs)
                     ref.last_state = got.last_state = row
                     ref_rng, got_rng = CountingU(u), CountingU(u)
-                    hit = ref.predict(AccessContext(is_write, ADDR, near), ref_rng)
+                    hit = ref.predict(is_write << 1 | (not near), ref_rng)
                     prev_address = ADDR if near else -1
                     misses = got.predict_interval([is_write], [ADDR], prev_address, got_rng)
                     assert (misses == []) == hit
@@ -121,7 +119,7 @@ def test_compiled_markov_matches_predict_over_a_stream(n, counts, zero_rows, zer
     ref_rng, got_rng = random.Random(seed), random.Random(seed)
     want, prev = [], -1
     for i, (w, a) in enumerate(zip(ops, addrs)):
-        if not ref.predict(AccessContext(w, a, a >> 6 == prev), ref_rng):
+        if not ref.predict(w << 1 | (a >> 6 != prev), ref_rng):
             want.append(i)
         prev = a >> 6
     assert got.predict_interval(ops, addrs, -1, got_rng) == want
@@ -140,7 +138,7 @@ def shadow_train_per_reference(st_, ops, addresses, misses, prev_address, rng):
         near = line == prev
         prev = line
         hit = i not in missed
-        ctx = AccessContext(ops[i], address, near)
+        ctx = ops[i] << 1 | (not near)
         for kind, model in st_.models.items():
             predicted = model.predict(ctx, rng)
             model.train(ctx, hit)
@@ -293,7 +291,7 @@ ADDRS = st.lists(st.integers(0, 1 << 22), min_size=1, max_size=300)
 @given(addrs=ADDRS, kind=st.sampled_from(SWAP_KINDS), seed=st.integers(0, 1000))
 def test_detailed_l1_frozen_across_swapped_interval(addrs, kind, seed):
     ctrl = SwapController(Hierarchy(), ControllerConfig(train_intervals=1,
-                                                        single_model_override=kind),
+                                                        candidate_kinds=(kind,)),
                           rng=random.Random(seed))
     ctrl.on_interval_end(PhaseEvent(0, 0))
     ctrl.run_interval(bytes(64), [0x1000 + (i % 24) * 8 for i in range(64)])

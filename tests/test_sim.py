@@ -13,7 +13,7 @@ def small_trace():
         SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 30_000, seed=31),
         SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 30_000, seed=32),
     ]
-    return generate_trace(specs, iterations=2, marker_between=True,
+    return generate_trace(specs, iterations=2,
                           marker_spec=SyntheticPhaseSpec(PhaseKind.MARKER, 16_000, seed=33))
 
 
@@ -72,9 +72,9 @@ def test_reuse_histograms_track_l1_miss_stream():
     assert sum(h.total for h in r.reuse.values()) == model_misses
 
 
-def test_single_model_override_flows_through():
+def test_single_candidate_flows_through():
     tr = small_trace()
-    cc = ControllerConfig(single_model_override=ModelKind.FIXED_RATE)
+    cc = ControllerConfig(candidate_kinds=(ModelKind.FIXED_RATE,))
     r = run_simulation(tr, detector_config=FAST, controller_config=cc, seed=5)
     assert r.chosen and all(v == "fixed-rate" for v in r.chosen.values())
 

@@ -239,8 +239,7 @@ def test_write_trace_bytes_pinned(tmp_path):
     t = generate_trace(
         [SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 500, seed=3),
          SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 300, seed=4, working_set_bytes=2048)],
-        iterations=2, marker_between=True,
-        marker_spec=SyntheticPhaseSpec(PhaseKind.MARKER, 50, seed=5))
+        iterations=2, marker_spec=SyntheticPhaseSpec(PhaseKind.MARKER, 50, seed=5))
     p = tmp_path / "t.txt"
     write_trace(t, p)
     assert len(t) == 1800
@@ -263,8 +262,19 @@ def test_generate_requires_phases_and_iterations():
         generate_trace([])
     with pytest.raises(ValueError):
         generate_trace([spec], iterations=0)
-    with pytest.raises(ValueError):
-        generate_trace([spec], marker_between=True)
+
+
+def test_marker_runs_after_every_phase_exactly_when_given():
+    specs = [SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 300, seed=1),
+             SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 200, seed=2)]
+    marker = SyntheticPhaseSpec(PhaseKind.MARKER, 50, seed=3)
+
+    def regions(trace):  # phase i lives in region i + 1, the marker in region 3
+        return [a // swapsim.trace._REGION_STRIDE for a in trace.addresses]
+
+    assert regions(generate_trace(specs, iterations=2)) == ([1] * 300 + [2] * 200) * 2
+    assert regions(generate_trace(specs, iterations=2, marker_spec=marker)) == (
+        [1] * 300 + [3] * 50 + [2] * 200 + [3] * 50) * 2
 
 
 def test_phase_spec_validation():
