@@ -1,16 +1,21 @@
 """Statistical L1D approximations: fixed hit rate, 4-state and 8-state
 Markov chains with restricted prediction.
 
-All three share the train-on-observation / predict-hit interface, and
+All three share the train-on-observation / predict-hit interface. They
 predict a whole interval at once with `predict_interval` while swapped
-in. The Markov chains keep transition counts as the source of truth; the
-compiled prediction table is derived from them and rebuilt after training.
+in, and shadow-train on a run of references at once with
+`shadow_interval`; both match `predict` and `train` applied one reference
+at a time. The Markov chains keep transition counts as the source of
+truth; the compiled prediction table is derived from them and rebuilt
+after training.
 """
 from __future__ import annotations
 
 import enum
-from itertools import repeat
-from operator import ne, rshift
+import sys
+from array import array
+from itertools import accumulate, chain, islice
+from operator import lt, truediv
 
 from .cache import CacheConfig
 
@@ -20,6 +25,13 @@ NEAR_LINE_SHIFT = 6
 
 # Maps an op byte (0 read, 1 write) to its write bit in a context column.
 _WRITE_BIT = bytes.maketrans(b"\x01", b"\x02")
+# Maps byte 0 of an address to its bits 6-7, the part of it in the line.
+_LINE_BITS = bytes(b >> NEAR_LINE_SHIFT for b in range(256))
+# Maps every nonzero byte to 1.
+_ONE = bytes((0,)) + bytes((1,)) * 255
+# Maps an outcome byte (1 hit, 0 miss) to its miss bit.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_SWAP = sys.byteorder == "big"  # planes are read from little-endian bytes
 
 
 class ModelKind(enum.Enum):
@@ -38,13 +50,40 @@ def contexts(ops, addresses, prev_address: int) -> bytes:
     `(is_write << 1) | far` of the compiled Markov table, where far means
     another 64 B line than the reference before. `prev_address` is the
     address before the interval; -1 (whose line is -1) makes the first
-    reference far. The far bytes (0 or 1) and the write bytes (0 or 2)
-    are ORed as two little-endian ints, so no bit carries between bytes."""
-    lines = list(map(rshift, addresses, repeat(NEAR_LINE_SHIFT)))
-    far = int.from_bytes(bytes(map(ne, lines, [prev_address >> NEAR_LINE_SHIFT, *lines])),
-                         "little")
+    reference far.
+
+    A reference is far when `(a[i] ^ a[i-1]) >> 6 != 0`. That is computed
+    one byte plane at a time: plane j holds byte j of every address (plane
+    0 only its bits 6-7), read as one little-endian int and XORed with
+    itself shifted up one byte, the predecessor's byte shifted in. A plane
+    constant over the interval and its predecessor adds nothing and is
+    skipped. The ORed planes have a nonzero byte exactly at the far
+    references; the far bytes (0 or 1) and the write bytes (0 or 2) are
+    ORed as two little-endian ints, so no bit carries between bytes."""
+    n = len(addresses)
+    # -1 differs from every line: the first reference is far whatever its
+    # own bytes, which then stand in as its predecessor's.
+    far = int(prev_address < 0)
+    if far and n:
+        prev_address = addresses[0]
+    # An array("Q") slice, as the simulation passes, is read without a copy.
+    a = addresses if isinstance(addresses, array) else array("Q", addresses)
+    if _SWAP:
+        a = array("Q", a)
+        a.byteswap()
+    raw = a.tobytes()
+    for j in range(8):
+        plane = raw[j::8]
+        b = prev_address >> 8 * j & 0xFF
+        if not j:
+            plane = plane.translate(_LINE_BITS)
+            b >>= NEAR_LINE_SHIFT
+        if plane.count(b) != n:
+            x = int.from_bytes(plane, "little")
+            far |= x ^ (x << 8 | b)
+    far = int.from_bytes(far.to_bytes(n + 1, "little")[:n].translate(_ONE), "little")
     write = int.from_bytes(bytes(ops).translate(_WRITE_BIT), "little")
-    return (far | write).to_bytes(len(lines), "little")
+    return (far | write).to_bytes(n, "little")
 
 
 class FixedHitRateModel:
@@ -74,10 +113,41 @@ class FixedHitRateModel:
         p = self.hit_rate
         return [i for i in range(len(addresses)) if not rand() < p]
 
+    def no_draw_positions(self, ctxs: bytes) -> list[int]:
+        """The references of `ctxs` where `predict` makes no draw: none,
+        it draws at every reference."""
+        return []
+
+    def shadow_interval(self, ctxs: bytes, hit, draws: list[float]) -> bytes:
+        """`predict`, then `train` on the detailed L1's outcome in `hit`
+        (1 hit, 0 miss), every reference of `ctxs`, with `draws[i]` as
+        reference i's draw; returns the predicted outcomes. The rate
+        before reference i is the same int division `train` makes, over
+        the running hit count and total."""
+        n = len(hit)
+        if not n:
+            return b""
+        h0, t0 = self.hit_count, self.total_count
+        rates = chain((self.hit_rate,),
+                      map(truediv, islice(accumulate(hit, initial=h0), 1, n), range(t0 + 1, t0 + n)))
+        predicted = bytes(map(lt, draws, rates))
+        self.hit_count = h0 + sum(hit)
+        self.total_count = t0 + n
+        self.hit_rate = self.hit_count / self.total_count
+        return predicted
+
 
 # State encoding: bit 1 = write, bit 0 = miss, giving RH=0, RM=1, WH=2,
-# WM=3. The 8-state model adds +4 for far accesses. `_hits[ctx]` is the
-# hit state legal for context column `ctx`; its miss state is one above.
+# WM=3. The 8-state model adds +4 for far accesses. `_HIT_STATES[n][ctx]`
+# is the hit state legal for context column `ctx` in an n-state chain; its
+# miss state is one above.
+_HIT_STATES = {4: (0, 0, 2, 2), 8: (0, 4, 2, 6)}
+
+# Per chain size, two translate tables for `shadow_interval`: a context
+# column to its hit state, and a state to the first cell of its row in the
+# flattened counts.
+_SHADOW_TABLES = {n: (bytes(hits).ljust(256, b"\0"), bytes(range(0, n * n, n)).ljust(256, b"\0"))
+                  for n, hits in _HIT_STATES.items()}
 
 
 class MarkovModel:
@@ -98,7 +168,7 @@ class MarkovModel:
         self.last_state = None
         self._train_last = None
         self._table: list[float] | None = None
-        self._hits = (0, 4, 2, 6) if n_states == 8 else (0, 0, 2, 2)
+        self._hits = _HIT_STATES[n_states]
 
     def train(self, ctx: int, hit: bool) -> None:
         s = self._hits[ctx] + (0 if hit else 1)
@@ -168,6 +238,69 @@ class MarkovModel:
                 misses.append(i)
         self.last_state = None if s == none else s
         return misses
+
+    def no_draw_positions(self, ctxs: bytes) -> list[int]:
+        """The references of `ctxs` where `predict`, run before `train` on
+        every reference, makes no draw: those whose column pair has no
+        count yet. A pair gets its first count at its first reference,
+        except at the first reference a fresh chain trains on, which has
+        no transition to count: so a fresh chain draws nothing there, nor
+        at the next reference of that pair."""
+        hits = self._hits
+        start = int(self._train_last is None)
+        column = list(map(sum, zip(*self.counts)))
+        out = [0] if start and ctxs else []
+        for h in set(hits):
+            if start or not column[h] + column[h + 1]:
+                found = [i for i in (ctxs.find(c, start) for c in range(4) if hits[c] == h) if i >= 0]
+                if found:
+                    out.append(min(found))
+        return sorted(out)
+
+    def shadow_interval(self, ctxs: bytes, hit, draws: list[float]) -> bytes:
+        """`predict`, then `train` on the detailed L1's outcome in `hit`
+        (1 hit, 0 miss), every reference of `ctxs`, with `draws[i]` as
+        reference i's draw (unread at the `no_draw_positions`); returns the
+        predicted outcomes.
+
+        After every `train`, `last_state` is the true state, so the true
+        states alone fix which row each reference predicts from: the
+        previous reference's. Its `train` then counts a transition from
+        that same row into the same column pair, so one reference reads
+        and bumps one cell of the flattened counts, `row * n + h`."""
+        n = self.n_states
+        k = len(ctxs)
+        if not k:
+            return b""
+        hit_states, row_cells = _SHADOW_TABLES[n]
+        h = int.from_bytes(ctxs.translate(hit_states), "little")
+        miss = int.from_bytes(hit.translate(_FLIP), "little")
+        states = (h | miss).to_bytes(k, "little")
+        rows = bytes((self._train_last or 0,)) + states[:-1]
+        cells = int.from_bytes(rows.translate(row_cells), "little") | h
+        counts = [x for row in self.counts for x in row]
+        # A fresh chain has no count at all, so its first reference is a
+        # miss with no draw, and no transition is counted there.
+        start = int(self._train_last is None)
+        predicted = bytearray(start)
+        append = predicted.append
+        for cell, to, u in zip(cells.to_bytes(k, "little")[start:],
+                               (cells | miss).to_bytes(k, "little")[start:], draws[start:]):
+            a = counts[cell]
+            try:
+                append(u < a / (a + counts[cell + 1]))
+            except ZeroDivisionError:
+                # Degenerate pair, as in `_p_hit`: the column marginals,
+                # or miss and no draw where the pair has no count at all.
+                col = cell % n
+                ch = sum(counts[col::n])
+                cm = sum(counts[col + 1::n])
+                append(ch + cm > 0 and u < ch / (ch + cm))
+            counts[to] += 1
+        self.counts = [counts[r:r + n] for r in range(0, n * n, n)]
+        self.last_state = self._train_last = states[-1]
+        self._table = None
+        return predicted
 
 
 def make_model(kind: ModelKind):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import and_, eq
 
 from .cache import CacheConfig
 from .models import SWAP_KINDS, ModelKind, model_hit_check_comparisons, model_size_bytes
@@ -25,12 +24,15 @@ class ShadowStats:
 
     def add_interval(self, predicted, hit, near) -> None:
         """Count one interval: per reference, the predicted and the actual
-        outcome (1 hit, 0 miss) and whether it was near (1) or far (0)."""
-        n_near = sum(near)
+        outcome (1 hit, 0 miss) and whether it was near (1) or far (0).
+        Each column is read as one int of 0/1 bytes, so a count of
+        references is a count of set bits."""
+        p, h, nr = (int.from_bytes(column, "little") for column in (predicted, hit, near))
+        n_near = nr.bit_count()
         self.total_predictions += len(hit)
-        self.correct_predictions += sum(map(eq, predicted, hit))
-        self.model_near_misses += n_near - sum(map(and_, predicted, near))
-        self.base_near_misses += n_near - sum(map(and_, hit, near))
+        self.correct_predictions += len(hit) - (p ^ h).bit_count()
+        self.model_near_misses += n_near - (p & nr).bit_count()
+        self.base_near_misses += n_near - (h & nr).bit_count()
 
 
 @dataclass(frozen=True)

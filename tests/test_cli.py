@@ -43,6 +43,11 @@ def test_usage_error_on_bad_model(trace_file, capsys):
     assert run_cli("run", "--trace", trace_file, "--models", "bogus") == EXIT_USAGE
 
 
+def test_usage_error_on_duplicate_model(trace_file, capsys):
+    assert run_cli("run", "--trace", trace_file, "--models", "markov8,markov8") == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_usage_error_on_unknown_preset(capsys):
     assert run_cli("run", "--synthetic", "nope") == EXIT_USAGE
 

@@ -1,6 +1,7 @@
 """Swap controller state machine and directive handling."""
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -33,6 +34,13 @@ def test_config_validation():
     cfg = ControllerConfig(candidate_kinds=(ModelKind.MARKOV4,))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.candidate_kinds = (ModelKind.MARKOV8,)
+
+
+def test_duplicate_candidate_kinds_rejected():
+    for kinds in ((ModelKind.MARKOV8, ModelKind.MARKOV8),
+                  (ModelKind.FIXED_RATE, ModelKind.MARKOV4, ModelKind.FIXED_RATE)):
+        with pytest.raises(ValueError, match="distinct"):
+            ControllerConfig(candidate_kinds=kinds)
 
 
 def test_initial_directive_is_base():
@@ -167,3 +175,39 @@ def test_independent_phases_get_independent_models():
     assert ctrl.phases[0].state is PhaseState.TRAINING
     assert ctrl.phases[1].state is PhaseState.SWAPPED
     assert ctrl.phases[0].models is not ctrl.phases[1].models
+
+
+# The transient memory of one shadow interval, per reference: the
+# contexts, outcomes, predictions and their ints (about 20 B), plus one
+# block of draws, `_DRAW_BLOCK` references with a float and a list slot
+# per candidate. With three candidates that is about 45 B per reference
+# of a 10 000-reference interval. Draws held for the whole interval would
+# alone take 96 B per reference.
+SHADOW_BYTES_PER_REF = 64
+
+
+def test_shadow_interval_transient_memory_is_bounded():
+    n = 10_000
+    rng = random.Random(5)
+    ctrl = make_controller()
+    ctrl.on_interval_end(PhaseEvent(0, 0))
+    st = ctrl.phases[0]
+    assert len(st.models) == 3
+    intervals = []
+    for _ in range(2):
+        addrs = [0x1000 + rng.randrange(1 << 12) * 16 for _ in range(n)]
+        ops = bytes(rng.randrange(2) for _ in range(n))
+        intervals.append((ops, addrs, [i for i in range(n) if rng.random() < 0.3]))
+    # The first interval of a phase also places its no-draw slots.
+    ctrl._shadow_train(st, *intervals[0])
+    ctrl._prev_address = intervals[0][1][-1]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ctrl._shadow_train(st, *intervals[1])
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= SHADOW_BYTES_PER_REF * n
+    # What stays is the models' new counts, not a byte per reference.
+    assert current - before < n

@@ -1,20 +1,27 @@
 """Property tests of the interval-level paths against their per-reference
 definitions: the access contexts, the compiled Markov table, shadow
-training, the interval signature, the detailed L1 across swapped and base
+training in any candidate order, the interval signature, the detailed L1 across swapped and base
 intervals, and the batched reuse tracker; and the whole-run invariants of
 the simulation's totals."""
 import dataclasses
 import random
 from array import array
 from operator import mul
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapsim.cache import DEFAULT_L1, CacheConfig, Hierarchy, HierarchyConfig, SetAssociativeCache
-from swapsim.controller import ControllerConfig, PhaseModelState, PhaseState, SwapController
+from swapsim.controller import (
+    _DRAW_BLOCK,
+    ControllerConfig,
+    PhaseModelState,
+    PhaseState,
+    SwapController,
+)
 from swapsim.metrics import REUSE_CAP, ReuseDistanceTracker
-from swapsim.models import SWAP_KINDS, MarkovModel, contexts
+from swapsim.models import SWAP_KINDS, MarkovModel, ModelKind, contexts
 from swapsim.phase import (
     PhaseDetector,
     PhaseDetectorConfig,
@@ -62,6 +69,45 @@ def test_contexts_match_per_reference_definition(refs, prev_address, packed):
     if packed:
         ops, addrs = array("B", ops), array("Q", addrs)
     assert list(contexts(ops, addrs, prev_address)) == want
+
+
+def contexts_per_reference(ops, addrs, prev_address):
+    prev = [prev_address, *addrs]
+    return bytes(ops[i] << 1 | (addrs[i] >> 6 != prev[i] >> 6) for i in range(len(addrs)))
+
+
+# Distinct bytes in every plane, so a flipped plane is the only change.
+BYTES = 0x0123456789ABCDEF
+
+
+def test_contexts_byte_plane_edge_cases():
+    top = 2**64 - 1
+    cases = [
+        # An address that differs from its predecessor only in plane j.
+        *(([BYTES, BYTES ^ 0x5A << 8 * j], -1) for j in range(1, 8)),
+        *(([BYTES ^ 1 << 8 * j + 7], BYTES) for j in range(1, 8)),
+        # Only bits 6-7 of byte 0 differ (far), only bits 0-5 (near).
+        ([BYTES, BYTES ^ 0x40, BYTES ^ 0xC0, BYTES ^ 0x80], BYTES),
+        ([BYTES, BYTES ^ 0x3F, BYTES ^ 0x01, BYTES ^ 0x20], BYTES),
+        # The top of the address range as the predecessor.
+        ([top, top - 63, top - 64, 0], top),
+        ([0], top),
+        # Upper planes constant over the interval and its predecessor,
+        # so they are skipped, and the same with a different predecessor.
+        ([0x7F00_1000 + 8 * i for i in range(40)], 0x7F00_0FC0),
+        ([0x7F00_1000 + 8 * i for i in range(40)], 0x7E00_1000),
+        ([0x7F00_1000 + 8 * i for i in range(40)], -1),
+        # Intervals of length 0 and 1.
+        *(([], p) for p in (-1, 0, top)),
+        *(([a], p) for a in (0, 0x40, top) for p in (-1, 0, 0x3F, top)),
+    ]
+    for addrs, prev_address in cases:
+        for ops in ([0] * len(addrs), [1] * len(addrs), [i & 1 for i in range(len(addrs))]):
+            want = contexts_per_reference(ops, addrs, prev_address)
+            assert contexts(ops, addrs, prev_address) == want
+            assert contexts(array("B", ops), array("Q", addrs), prev_address) == want
+    assert contexts([0, 0], [BYTES, BYTES ^ 0x5A << 8], -1) == b"\x01\x01"
+    assert contexts([0], [BYTES ^ 0x3F], BYTES) == b"\x00"
 
 
 def test_context_is_its_table_column():
@@ -185,6 +231,63 @@ def test_shadow_train_matches_per_reference_loop(refs, prev_address, cut, seed):
     for kind in SWAP_KINDS:
         assert model_state(got.models[kind]) == model_state(want.models[kind])
         assert got.shadow[kind] == want.shadow[kind]
+    assert ctrl.rng.random() == want_rng.random()
+
+
+@st.composite
+def shadow_runs(draw):
+    """Candidates in any order, and a stream cut into at least three
+    intervals. The first interval only reads, so the write column pairs
+    are still unseen after it and later intervals reach their no-draw
+    references."""
+    subset = draw(st.permutations(SWAP_KINDS))[:draw(st.integers(1, len(SWAP_KINDS)))]
+    ref = st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans())
+    first = draw(st.lists(ref.map(lambda r: (0, *r[1:])), max_size=30))
+    rest = draw(st.lists(ref, max_size=90))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rest)), min_size=1, max_size=4)))
+    return tuple(subset), first, rest, cuts
+
+
+# Blocks of a few references split an interval's draws; the default
+# block holds a whole test interval.
+@settings(max_examples=80, deadline=None)
+@given(run=shadow_runs(), prev_address=st.one_of(st.just(-1), st.integers(0x3F00, 0x4100)),
+       seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 2, 3, 7, _DRAW_BLOCK]))
+@example(run=((ModelKind.MARKOV8, ModelKind.FIXED_RATE), [(0, 0, False)] * 3,
+              [(1, 1, True), (1, 2, False), (0, 0, True)], [1]),
+         prev_address=-1, seed=3, block=2)
+def test_shadow_train_any_candidate_order(run, prev_address, seed, block):
+    with mock.patch("swapsim.controller._DRAW_BLOCK", block):
+        shadow_train_in_intervals(run, prev_address, seed)
+
+
+def shadow_train_in_intervals(run, prev_address, seed):
+    kinds, first, rest, cuts = run
+    refs = first + rest
+    # Addresses walk 32-byte steps, so neighbours are near or far.
+    addrs = [0x4000 + 32 * sum(step for _, step, _ in refs[:i + 1]) for i in range(len(refs))]
+    ops = bytes(w for w, _, _ in refs)
+    bounds = [0, len(first), *(len(first) + c for c in cuts), len(refs)]
+    ctrl = SwapController(Hierarchy(), ControllerConfig(candidate_kinds=kinds),
+                          rng=random.Random(seed))
+    ctrl.on_interval_end(PhaseEvent(0, 0))
+    got = ctrl.phases[0]
+    want = PhaseModelState(kinds)
+    want_rng = random.Random(seed)
+    ctrl._prev_address = prev = prev_address
+    for lo, hi in zip(bounds, bounds[1:]):
+        misses = [i - lo for i in range(lo, hi) if refs[i][2]]
+        ctrl._shadow_train(got, ops[lo:hi], addrs[lo:hi], misses)
+        shadow_train_per_reference(want, ops[lo:hi], addrs[lo:hi], misses, prev, want_rng)
+        if hi > lo:
+            ctrl._prev_address = prev = addrs[hi - 1]
+        assert list(got.models) == list(kinds)
+        for kind in kinds:
+            model = got.models[kind]
+            assert model_state(model) == model_state(want.models[kind])
+            assert got.shadow[kind] == want.shadow[kind]
+            if isinstance(model, MarkovModel):
+                assert model.last_state == model._train_last
     assert ctrl.rng.random() == want_rng.random()
 
 
