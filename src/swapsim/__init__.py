@@ -31,13 +31,14 @@ from .phase import (
     signature_diff,
 )
 from .scoring import ScoreVector, ShadowStats, score, select_best
-from .sim import RunResult, run_simulation
+from .sim import Runner, RunResult, run_simulation
 from .trace import (
     PhaseKind,
     SyntheticPhaseSpec,
     Trace,
     generate_trace,
     load_trace,
+    read_intervals,
     write_trace,
 )
 

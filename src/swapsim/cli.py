@@ -16,8 +16,8 @@ from .controller import ControllerConfig
 from .metrics import IntervalRecord, per_phase_accuracy
 from .models import SWAP_KINDS
 from .phase import PhaseDetectorConfig
-from .sim import RunResult, run_simulation
-from .trace import PRESET_NAMES, build_preset, load_trace, write_trace
+from .sim import Runner, RunResult, run_simulation
+from .trace import PRESET_NAMES, build_preset, read_intervals, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -230,19 +230,16 @@ def _cmd_run(args) -> int:
         # A config value or flag the configuration rejects is a usage error.
         raise UsageError(str(e)) from None
 
+    settings = dict(hierarchy_config=cfg.hierarchy, detector_config=cfg.detector,
+                    controller_config=ctrl_cfg, seed=args.seed, validate=args.validate)
     if args.trace:
-        trace = load_trace(args.trace)
+        # Streamed: a malformed line stops the run before anything is written.
+        runner = Runner(**settings)
+        for ops, addresses in read_intervals(args.trace, runner.interval_len):
+            runner.step(ops, addresses)
+        result = runner.finish()
     else:
-        trace = build_preset(args.synthetic, args.seed)
-
-    result = run_simulation(
-        trace,
-        hierarchy_config=cfg.hierarchy,
-        detector_config=cfg.detector,
-        controller_config=ctrl_cfg,
-        seed=args.seed,
-        validate=args.validate,
-    )
+        result = run_simulation(build_preset(args.synthetic, args.seed), **settings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = _result_to_report(result)

@@ -3,10 +3,12 @@ metrics out. Validation mode runs a second fully detailed hierarchy in
 lockstep as ground truth; it observes only and never feeds back into the
 swapped run's decisions.
 
-The trace is walked one interval at a time. The directive can change only
-at an interval boundary, so each interval runs as one loop chosen by its
-directive, and its L1 misses then go through L2/L3 and the reuse tracker
-in order.
+A Runner takes the trace one interval at a time: run_simulation slices
+an in-memory Trace, and `swapsim run --trace` feeds it from
+trace.read_intervals, so a trace file is never held whole. The directive
+can change only at an interval boundary, so each interval runs as one
+loop chosen by its directive, and its L1 misses then go through L2/L3
+and the reuse tracker in order.
 """
 from __future__ import annotations
 
@@ -48,95 +50,120 @@ def _add_distances(hists: dict[int, ReuseHistogram], phase_id: int,
         tracker.observe_all([addrs[i] >> 6 for i in misses]))
 
 
-def run_simulation(
-    trace: Trace,
-    hierarchy_config: HierarchyConfig | None = None,
-    detector_config: PhaseDetectorConfig | None = None,
-    controller_config: ControllerConfig | None = None,
-    seed: int = 0,
-    validate: bool = False,
-    collect_reuse: bool = True,
-) -> RunResult:
-    """Run the model-swapping simulation over a trace. Pure function of
-    (trace, configs, seed)."""
-    hcfg = hierarchy_config or HierarchyConfig()
-    dcfg = detector_config or PhaseDetectorConfig()
-    ccfg = controller_config or ControllerConfig()
+class Runner:
+    """One simulation, fed one interval at a time: `step` each interval's
+    references in trace order, then `finish`. Pure function of (the
+    references, configs, seed)."""
 
-    hierarchy = Hierarchy(hcfg)
-    detector = PhaseDetector(dcfg)
-    controller = SwapController(hierarchy, ccfg, rng=random.Random(seed))
-    val_hier = Hierarchy(hcfg) if validate else None
+    def __init__(
+        self,
+        hierarchy_config: HierarchyConfig | None = None,
+        detector_config: PhaseDetectorConfig | None = None,
+        controller_config: ControllerConfig | None = None,
+        seed: int = 0,
+        validate: bool = False,
+        collect_reuse: bool = True,
+    ):
+        hcfg = hierarchy_config or HierarchyConfig()
+        dcfg = detector_config or PhaseDetectorConfig()
+        self.seed = seed
+        self.interval_len = dcfg.interval_len
+        self.hierarchy = Hierarchy(hcfg)
+        self.detector = PhaseDetector(dcfg)
+        self.controller = SwapController(self.hierarchy, controller_config,
+                                         rng=random.Random(seed))
+        self.val_hier = Hierarchy(hcfg) if validate else None
+        self.intervals: list[IntervalRecord] = []
+        self.reuse: dict[int, ReuseHistogram] = {}
+        self.base_reuse = {} if validate and collect_reuse else None
+        self.tracker = ReuseDistanceTracker() if collect_reuse else None
+        self.base_tracker = ReuseDistanceTracker() if self.base_reuse is not None else None
+        self._snapshot = self.hierarchy.totals()
+        self._ended = False  # a partial interval was stepped
 
-    intervals: list[IntervalRecord] = []
-    reuse: dict[int, ReuseHistogram] = {}
-    base_reuse: dict[int, ReuseHistogram] = {}
-    tracker = ReuseDistanceTracker() if collect_reuse else None
-    base_tracker = ReuseDistanceTracker() if (collect_reuse and validate) else None
-
-    snapshot = hierarchy.totals()
-    interval_len = dcfg.interval_len
-    ops = trace.ops
-    addrs = trace.addresses
-
-    for start in range(0, len(addrs), interval_len):
-        iv_ops = ops[start:start + interval_len]
-        iv_addrs = addrs[start:start + interval_len]
+    def step(self, ops, addresses) -> IntervalRecord | None:
+        """Run the next interval and return its record. An interval shorter
+        than `interval_len` must be the trace's last: it is counted in the
+        totals only and returns None."""
+        interval_len = self.interval_len
+        if self._ended:
+            # The partial interval reached the caches but not the detector,
+            # so the detector's intervals would no longer line up with them.
+            raise ValueError("a partial interval must be the last one stepped")
+        if len(addresses) > interval_len:
+            raise ValueError(f"an interval holds at most {interval_len} references")
+        controller = self.controller
         directive = controller.directive
-        misses = controller.run_interval(iv_ops, iv_addrs)
-        if val_hier is not None:
-            val_misses = val_hier.run_detailed(iv_addrs)
-        if len(iv_addrs) < interval_len:
-            break  # a trailing partial interval is counted in the totals only
+        misses = controller.run_interval(ops, addresses)
+        if self.val_hier is not None:
+            val_misses = self.val_hier.run_detailed(addresses)
+        if len(addresses) < interval_len:
+            self._ended = True
+            return None
 
-        event = detector.observe_interval(iv_addrs)
-        now = hierarchy.totals()
+        event = self.detector.observe_interval(addresses)
+        now = self.hierarchy.totals()
+        snapshot = self._snapshot
         accuracy = None
-        if val_hier is not None:
+        if self.val_hier is not None:
             # The L1 outcomes differ exactly where one run missed and the other hit.
             wrong = len(set(misses).symmetric_difference(val_misses))
             accuracy = (interval_len - wrong) / interval_len
-        intervals.append(
-            IntervalRecord(
-                interval_index=event.interval_index,
-                phase_id=event.phase_id,
-                directive="base" if directive.uses_base else directive.swapped_kind.value,
-                accuracy=accuracy,
-                l1_hits=now["l1_hits"] - snapshot["l1_hits"],
-                l2_hits=now["l2_hits"] - snapshot["l2_hits"],
-                l3_hits=now["l3_hits"] - snapshot["l3_hits"],
-                mem_accesses=now["mem_accesses"] - snapshot["mem_accesses"],
-                cycles=now["cycles"] - snapshot["cycles"],
-            )
+        record = IntervalRecord(
+            interval_index=event.interval_index,
+            phase_id=event.phase_id,
+            directive="base" if directive.uses_base else directive.swapped_kind.value,
+            accuracy=accuracy,
+            l1_hits=now["l1_hits"] - snapshot["l1_hits"],
+            l2_hits=now["l2_hits"] - snapshot["l2_hits"],
+            l3_hits=now["l3_hits"] - snapshot["l3_hits"],
+            mem_accesses=now["mem_accesses"] - snapshot["mem_accesses"],
+            cycles=now["cycles"] - snapshot["cycles"],
         )
-        snapshot = now
+        self.intervals.append(record)
+        self._snapshot = now
         # Reuse distances of the L2-bound stream, filed under the phase
         # the detector gave the interval.
-        if tracker is not None:
-            _add_distances(reuse, event.phase_id, tracker, iv_addrs, misses)
-        if base_tracker is not None:
-            _add_distances(base_reuse, event.phase_id, base_tracker, iv_addrs, val_misses)
+        if self.tracker is not None:
+            _add_distances(self.reuse, event.phase_id, self.tracker, addresses, misses)
+        if self.base_tracker is not None:
+            _add_distances(self.base_reuse, event.phase_id, self.base_tracker, addresses,
+                           val_misses)
         controller.on_interval_end(event)
+        return record
 
-    chosen = {}
-    scores = {}
-    score_vectors = {}
-    for pid, st in sorted(controller.phases.items()):
-        if st.state is PhaseState.SWAPPED:
-            chosen[pid] = st.chosen.value
-        scores[pid] = {k.value: v for k, v in st.scores.items()}
-        score_vectors[pid] = {k.value: vec.as_tuple() for k, vec in st.score_vectors.items()}
+    def finish(self) -> RunResult:
+        """The result of the intervals stepped so far."""
+        chosen = {}
+        scores = {}
+        score_vectors = {}
+        for pid, st in sorted(self.controller.phases.items()):
+            if st.state is PhaseState.SWAPPED:
+                chosen[pid] = st.chosen.value
+            scores[pid] = {k.value: v for k, v in st.scores.items()}
+            score_vectors[pid] = {k.value: vec.as_tuple() for k, vec in st.score_vectors.items()}
 
-    return RunResult(
-        seed=seed,
-        interval_len=interval_len,
-        intervals=intervals,
-        totals=hierarchy.totals(),
-        base_totals=val_hier.totals() if val_hier is not None else None,
-        phase_count=len(detector.table),
-        chosen=chosen,
-        scores=scores,
-        score_vectors=score_vectors,
-        reuse=reuse,
-        base_reuse=base_reuse if validate and collect_reuse else None,
-    )
+        return RunResult(
+            seed=self.seed,
+            interval_len=self.interval_len,
+            intervals=self.intervals,
+            totals=self.hierarchy.totals(),
+            base_totals=self.val_hier.totals() if self.val_hier is not None else None,
+            phase_count=len(self.detector.table),
+            chosen=chosen,
+            scores=scores,
+            score_vectors=score_vectors,
+            reuse=self.reuse,
+            base_reuse=self.base_reuse,
+        )
+
+
+def run_simulation(trace: Trace, *args, **kwargs) -> RunResult:
+    """Run the model-swapping simulation over a trace; takes the
+    arguments of Runner after the trace. Pure function of (trace,
+    configs, seed)."""
+    runner = Runner(*args, **kwargs)
+    n = runner.interval_len
+    for start in range(0, len(trace), n):
+        runner.step(trace.ops[start:start + n], trace.addresses[start:start + n])
+    return runner.finish()

@@ -92,29 +92,50 @@ def load_trace(path) -> Trace:
     file gives an empty trace.
     """
     trace = Trace()
-    # A byte that is not UTF-8 decodes to a lone surrogate, which then fails
-    # the op or address check of its line.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, text in _line_chunks(f):
-            _parse_chunk(text, lineno, trace)
+    for lineno, text in _line_chunks(path):
+        _parse_chunk(text, lineno, trace)
     return trace
 
 
-def _line_chunks(f):
+def read_intervals(path, interval_len: int):
+    """Yield the references of a trace file as `(ops, addresses)` arrays of
+    `interval_len` references each, then any shorter rest, parsing one
+    chunk of whole lines at a time. It holds one chunk's references plus
+    less than one interval; the yielded arrays are the caller's.
+
+    A malformed line raises TraceFormatError, naming its line number, once
+    the intervals before it have been yielded.
+    """
+    buf = Trace()
+    for lineno, text in _line_chunks(path):
+        _parse_chunk(text, lineno, buf)
+        full = len(buf) - len(buf) % interval_len
+        for start in range(0, full, interval_len):
+            yield (buf.ops[start:start + interval_len],
+                   buf.addresses[start:start + interval_len])
+        del buf.ops[:full], buf.addresses[:full]
+    if len(buf):
+        yield buf.ops, buf.addresses
+
+
+def _line_chunks(path):
     """Yield (number of its first line, text) for consecutive pieces of the
-    open text file `f`. Each piece is whole lines and ends with "\\n"; a
+    text file at `path`. Each piece is whole lines and ends with "\\n"; a
     last line without one gets it added."""
     lineno = 1
     carry = ""
-    while block := f.read(_CHUNK_CHARS):
-        cut = block.rfind("\n") + 1
-        if not cut:
-            carry += block
-            continue
-        text = carry + block[:cut]
-        carry = block[cut:]
-        yield lineno, text
-        lineno += text.count("\n")
+    # A byte that is not UTF-8 decodes to a lone surrogate, which then fails
+    # the op or address check of its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        while block := f.read(_CHUNK_CHARS):
+            cut = block.rfind("\n") + 1
+            if not cut:
+                carry += block
+                continue
+            text = carry + block[:cut]
+            carry = block[cut:]
+            yield lineno, text
+            lineno += text.count("\n")
     if carry:
         yield lineno, carry + "\n"
 

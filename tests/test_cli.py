@@ -64,6 +64,29 @@ def test_runtime_error_on_malformed_trace(tmp_path):
     assert run_cli("run", "--trace", str(bad), "--out", str(tmp_path / "o")) == EXIT_RUNTIME
 
 
+def test_late_malformed_line_writes_nothing(tmp_path, monkeypatch, capsys):
+    # The run streams the file, so the intervals before the bad line have
+    # been simulated when it is read.
+    steps = []
+    step = swapsim.sim.Runner.step
+
+    def counted(self, *args):
+        steps.append(args)
+        return step(self, *args)
+
+    monkeypatch.setattr(swapsim.sim.Runner, "step", counted)
+    lines = [f"{'RW'[i % 4 == 0]} 0x{(i % 3000) * 64:x}\n" for i in range(40_000)]
+    lines[30_000] = "R 0x40 0x80\n"
+    bad = tmp_path / "late.txt"
+    bad.write_text("".join(lines))
+    out = tmp_path / "o"
+    assert run_cli("run", "--trace", str(bad), "--validate", *FAST, "--out", str(out)) == EXIT_RUNTIME
+    assert capsys.readouterr().err == \
+        "error: line 30001: expected '<op> <address>', got 'R 0x40 0x80'\n"
+    assert len(steps) >= 10
+    assert not out.exists()
+
+
 def test_trace_gen_reproducible(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert run_cli("trace-gen", "--synthetic", "locality", "--seed", "3", "--out", str(a)) == EXIT_OK

@@ -1,9 +1,23 @@
 """End-to-end simulation runs on small synthetic traces."""
+import json
+
+import pytest
+
+import swapsim.trace
+from swapsim.cli import EXIT_OK, _result_to_report, main
 from swapsim.controller import ControllerConfig
+from swapsim.metrics import IntervalRecord
 from swapsim.models import ModelKind
 from swapsim.phase import PhaseDetectorConfig
-from swapsim.sim import run_simulation
-from swapsim.trace import PhaseKind, SyntheticPhaseSpec, generate_trace
+from swapsim.sim import Runner, run_simulation
+from swapsim.trace import (
+    PhaseKind,
+    SyntheticPhaseSpec,
+    generate_trace,
+    load_trace,
+    read_intervals,
+    write_trace,
+)
 
 FAST = PhaseDetectorConfig(interval_len=2000, stable_min=2)
 
@@ -86,3 +100,74 @@ def test_seed_changes_model_draws_not_structure():
     # phase labels come from the deterministic detector
     assert [r.phase_id for r in a.intervals] == [r.phase_id for r in b.intervals]
     assert a.phase_count == b.phase_count
+
+
+def test_step_after_partial_interval_raises():
+    tr = small_trace()
+    ops, addrs = tr.ops, tr.addresses
+    runner = Runner(detector_config=FAST, validate=True)
+    assert isinstance(runner.step(ops[:2000], addrs[:2000]), IntervalRecord)
+    with pytest.raises(ValueError, match="at most 2000"):
+        runner.step(ops[2000:4001], addrs[2000:4001])
+    assert runner.step(ops[2000:2500], addrs[2000:2500]) is None
+    with pytest.raises(ValueError, match="partial interval"):
+        runner.step(ops[2500:4500], addrs[2500:4500])
+    r = runner.finish()
+    assert len(r.intervals) == 1
+    for totals in (r.totals, r.base_totals):
+        assert totals["l1_hits"] + totals["l2_hits"] + totals["l3_hits"] \
+            + totals["mem_accesses"] == 2500
+
+
+def _streamed(path, **settings):
+    runner = Runner(**settings)
+    for ops, addresses in read_intervals(path, runner.interval_len):
+        runner.step(ops, addresses)
+    return runner.finish()
+
+
+def _with_comments(text):
+    lines = text.split("\n")
+    for i in range(len(lines) - 7, 0, -7):
+        lines[i:i] = ["# a comment line longer than one forty-character chunk", "", "   "]
+    return "\n".join(lines)
+
+
+STREAM_CASES = {
+    "tail": (100, lambda text: text),
+    "interval-of-one": (1, lambda text: text),
+    "interval-longer-than-trace": (5000, lambda text: text),
+    "no-final-newline": (100, lambda text: text.rstrip("\n")),
+    "comments-and-blank-lines": (100, _with_comments),
+    "empty": (100, lambda text: ""),
+}
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_streamed_run_matches_loaded_run(tmp_path, monkeypatch, case):
+    # 40-character chunks split the intervals, and a long comment line
+    # leaves some chunks without a whole line.
+    monkeypatch.setattr(swapsim.trace, "_CHUNK_CHARS", 40)
+    interval_len, edit = STREAM_CASES[case]
+    # Small working sets: with 100-reference intervals, phases are found
+    # and swapped.
+    specs = [SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 400, seed=71, working_set_bytes=256),
+             SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 400, seed=72, working_set_bytes=256)]
+    write_trace(generate_trace(specs, iterations=3,
+                               marker_spec=SyntheticPhaseSpec(PhaseKind.MARKER, 79, seed=73)),
+                tmp_path / "gen.txt")
+    p = tmp_path / "t.txt"
+    p.write_text(edit((tmp_path / "gen.txt").read_text()))
+    settings = dict(detector_config=PhaseDetectorConfig(interval_len=interval_len, stable_min=2),
+                    controller_config=ControllerConfig(train_intervals=1), seed=3, validate=True)
+    loaded = run_simulation(load_trace(p), **settings)
+    assert sum(loaded.totals[k] for k in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses")) \
+        == (0 if case == "empty" else 2874)
+    assert _result_to_report(_streamed(p, **settings)) == _result_to_report(loaded)
+
+    out = tmp_path / "out"
+    assert main(["run", "--trace", str(p), "--validate", "--seed", "3", "--train-intervals", "1",
+                 "--interval-len", str(interval_len), "--stable-min", "2",
+                 "--out", str(out)]) == EXIT_OK
+    expected = json.dumps(_result_to_report(loaded), indent=2, sort_keys=True) + "\n"
+    assert (out / "report.json").read_text() == expected

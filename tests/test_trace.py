@@ -224,6 +224,28 @@ def test_load_memory_flat_in_trace_length(tmp_path):
     assert abs(extra[1] - extra[0]) < 1 << 20
 
 
+def test_run_memory_flat_in_trace_length(tmp_path):
+    # `swapsim run --trace` streams the file: with a working set of 4 096
+    # lines, which the caches, the reuse tracker and the phase table hold
+    # after the first intervals, four times the references take no more
+    # memory.
+    # A run that loads the whole trace first peaks 1.5 MiB higher on the
+    # longer trace.
+    peaks = []
+    for n in (60_000, 240_000):
+        p = tmp_path / f"{n}.txt"
+        p.write_text("".join(f"{'RW'[i % 3 == 0]} 0x{(i * 0x9e3779b9 % 4096) << 6:x}\n"
+                             for i in range(n)))
+        tracemalloc.start()
+        try:
+            code = main(["run", "--trace", str(p), "--validate", "--out", str(tmp_path / "o")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert abs(peaks[1] - peaks[0]) < 1 << 20
+
+
 def test_write_read_round_trip(tmp_path):
     t = Trace()
     t.append(0, 0x40)
