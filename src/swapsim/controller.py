@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import repeat, starmap
 
 from .cache import Hierarchy
 from .models import SWAP_KINDS, ModelKind, contexts, make_model
@@ -72,9 +71,11 @@ _BASE_DIRECTIVE = Directive(phase_id=-1, swapped_kind=None, training=False)
 # Maps a context column to 1 if its reference is near (far bit clear).
 _NEAR = bytes.maketrans(bytes(range(4)), bytes((1, 0, 1, 0)))
 
-# References per block of shadow training. A block's draws are all made
-# before its candidates run, so this bounds how many are held at once.
-_DRAW_BLOCK = 1024
+# References per block of shadow training: the candidates take turns
+# over one block at a time, so a candidate's per-reference temporaries
+# (about 8 B per reference for a Markov chain) are held for one block,
+# not for a whole interval.
+_SHADOW_BLOCK = 1024
 
 
 class SwapController:
@@ -82,7 +83,7 @@ class SwapController:
     references through run_interval and every detector event through
     on_interval_end."""
 
-    def __init__(self, hierarchy: Hierarchy, config: ControllerConfig | None = None, rng=None):
+    def __init__(self, hierarchy: Hierarchy, config: ControllerConfig | None = None, *, rng):
         self.hierarchy = hierarchy
         self.config = config or ControllerConfig()
         self.rng = rng
@@ -146,31 +147,21 @@ class SwapController:
         return misses
 
     def _shadow_train(self, st: PhaseModelState, ops, addresses, misses: list[int]) -> None:
-        """Run every candidate beside the detailed L1's outcomes, as if
-        each reference were predicted, then trained on, by every candidate
-        in the order of st.models. Each predicts before it trains, so
-        accuracy measures generalization, not recall of the access being
-        trained on. A block's draws are made first, in that interleaved
-        order: with K candidates, slot i * K + k is candidate k's draw at
-        reference i, and a slot where it makes no draw holds a placeholder.
-        Each candidate then runs over its own share, and its shadow
-        counters are summed once from its predictions of the interval."""
+        """Run every candidate beside the detailed L1's outcomes: each
+        predicts, then trains on, every reference, so accuracy measures
+        generalization, not recall of the access being trained on. Block
+        by block, the candidates run in the order of st.models, each
+        drawing where its `predict` would; its shadow counters are summed
+        once from its predictions of the interval."""
         ctxs = contexts(ops, addresses, self._prev_address)
         hit = bytearray(b"\x01") * len(ctxs)
         for i in misses:
             hit[i] = 0
-        models = list(st.models.values())
-        k_all = len(models)
-        predicted = [bytearray() for _ in models]
-        for lo in range(0, len(ctxs), _DRAW_BLOCK):
-            block, block_hit = ctxs[lo:lo + _DRAW_BLOCK], hit[lo:lo + _DRAW_BLOCK]
-            no_draw = sorted(i * k_all + k for k, model in enumerate(models)
-                             for i in model.no_draw_positions(block))
-            draws = list(starmap(self.rng.random, repeat((), len(block) * k_all - len(no_draw))))
-            for slot in no_draw:
-                draws.insert(slot, 1.0)
-            for k, model in enumerate(models):
-                predicted[k] += model.shadow_interval(block, block_hit, draws[k::k_all])
+        predicted = [bytearray() for _ in st.models]
+        for lo in range(0, len(ctxs), _SHADOW_BLOCK):
+            block, block_hit = ctxs[lo:lo + _SHADOW_BLOCK], hit[lo:lo + _SHADOW_BLOCK]
+            for outcomes, model in zip(predicted, st.models.values()):
+                outcomes += model.shadow_interval(block, block_hit, self.rng)
         near = ctxs.translate(_NEAR)
         for kind, outcomes in zip(st.models, predicted):
             st.shadow[kind].add_interval(outcomes, hit, near)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat, starmap
 from operator import lt, truediv
 
 from .cache import CacheConfig
@@ -113,24 +113,18 @@ class FixedHitRateModel:
         p = self.hit_rate
         return [i for i in range(len(addresses)) if not rand() < p]
 
-    def no_draw_positions(self, ctxs: bytes) -> list[int]:
-        """The references of `ctxs` where `predict` makes no draw: none,
-        it draws at every reference."""
-        return []
-
-    def shadow_interval(self, ctxs: bytes, hit, draws: list[float]) -> bytes:
+    def shadow_interval(self, ctxs: bytes, hit, rng) -> bytes:
         """`predict`, then `train` on the detailed L1's outcome in `hit`
-        (1 hit, 0 miss), every reference of `ctxs`, with `draws[i]` as
-        reference i's draw; returns the predicted outcomes. The rate
-        before reference i is the same int division `train` makes, over
-        the running hit count and total."""
+        (1 hit, 0 miss), every reference of `ctxs`, one draw each; returns
+        the predicted outcomes. The rate before reference i is the same
+        int division `train` makes, over the running hit count and total."""
         n = len(hit)
         if not n:
             return b""
         h0, t0 = self.hit_count, self.total_count
         rates = chain((self.hit_rate,),
                       map(truediv, islice(accumulate(hit, initial=h0), 1, n), range(t0 + 1, t0 + n)))
-        predicted = bytes(map(lt, draws, rates))
+        predicted = bytes(map(lt, starmap(rng.random, repeat((), n)), rates))
         self.hit_count = h0 + sum(hit)
         self.total_count = t0 + n
         self.hit_rate = self.hit_count / self.total_count
@@ -239,29 +233,10 @@ class MarkovModel:
         self.last_state = None if s == none else s
         return misses
 
-    def no_draw_positions(self, ctxs: bytes) -> list[int]:
-        """The references of `ctxs` where `predict`, run before `train` on
-        every reference, makes no draw: those whose column pair has no
-        count yet. A pair gets its first count at its first reference,
-        except at the first reference a fresh chain trains on, which has
-        no transition to count: so a fresh chain draws nothing there, nor
-        at the next reference of that pair."""
-        hits = self._hits
-        start = int(self._train_last is None)
-        column = list(map(sum, zip(*self.counts)))
-        out = [0] if start and ctxs else []
-        for h in set(hits):
-            if start or not column[h] + column[h + 1]:
-                found = [i for i in (ctxs.find(c, start) for c in range(4) if hits[c] == h) if i >= 0]
-                if found:
-                    out.append(min(found))
-        return sorted(out)
-
-    def shadow_interval(self, ctxs: bytes, hit, draws: list[float]) -> bytes:
+    def shadow_interval(self, ctxs: bytes, hit, rng) -> bytes:
         """`predict`, then `train` on the detailed L1's outcome in `hit`
-        (1 hit, 0 miss), every reference of `ctxs`, with `draws[i]` as
-        reference i's draw (unread at the `no_draw_positions`); returns the
-        predicted outcomes.
+        (1 hit, 0 miss), every reference of `ctxs`, drawing where `predict`
+        draws; returns the predicted outcomes.
 
         After every `train`, `last_state` is the true state, so the true
         states alone fix which row each reference predicts from: the
@@ -284,18 +259,21 @@ class MarkovModel:
         start = int(self._train_last is None)
         predicted = bytearray(start)
         append = predicted.append
-        for cell, to, u in zip(cells.to_bytes(k, "little")[start:],
-                               (cells | miss).to_bytes(k, "little")[start:], draws[start:]):
+        rand = rng.random
+        for cell, to in zip(cells.to_bytes(k, "little")[start:],
+                            (cells | miss).to_bytes(k, "little")[start:]):
             a = counts[cell]
             try:
-                append(u < a / (a + counts[cell + 1]))
+                p = a / (a + counts[cell + 1])
             except ZeroDivisionError:
                 # Degenerate pair, as in `_p_hit`: the column marginals,
                 # or miss and no draw where the pair has no count at all.
                 col = cell % n
                 ch = sum(counts[col::n])
                 cm = sum(counts[col + 1::n])
-                append(ch + cm > 0 and u < ch / (ch + cm))
+                append(ch + cm > 0 and rand() < ch / (ch + cm))
+            else:
+                append(rand() < p)
             counts[to] += 1
         self.counts = [counts[r:r + n] for r in range(0, n * n, n)]
         self.last_state = self._train_last = states[-1]

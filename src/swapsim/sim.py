@@ -45,9 +45,9 @@ class RunResult:
 
 
 def _add_distances(hists: dict[int, ReuseHistogram], phase_id: int,
-                   tracker: ReuseDistanceTracker, addrs, misses: list[int]) -> None:
+                   tracker: ReuseDistanceTracker, addrs, misses: list[int], shift: int) -> None:
     hists.setdefault(phase_id, ReuseHistogram()).add_all(
-        tracker.observe_all([addrs[i] >> 6 for i in misses]))
+        tracker.observe_all([addrs[i] >> shift for i in misses]))
 
 
 class Runner:
@@ -78,6 +78,7 @@ class Runner:
         self.base_reuse = {} if validate and collect_reuse else None
         self.tracker = ReuseDistanceTracker() if collect_reuse else None
         self.base_tracker = ReuseDistanceTracker() if self.base_reuse is not None else None
+        self._l2_line_shift = hcfg.l2.line_bytes.bit_length() - 1
         self._snapshot = self.hierarchy.totals()
         self._ended = False  # a partial interval was stepped
 
@@ -122,13 +123,14 @@ class Runner:
         )
         self.intervals.append(record)
         self._snapshot = now
-        # Reuse distances of the L2-bound stream, filed under the phase
-        # the detector gave the interval.
+        # Reuse distances of the L2-bound stream in L2 lines, filed under
+        # the phase the detector gave the interval.
+        shift = self._l2_line_shift
         if self.tracker is not None:
-            _add_distances(self.reuse, event.phase_id, self.tracker, addresses, misses)
+            _add_distances(self.reuse, event.phase_id, self.tracker, addresses, misses, shift)
         if self.base_tracker is not None:
             _add_distances(self.base_reuse, event.phase_id, self.base_tracker, addresses,
-                           val_misses)
+                           val_misses, shift)
         controller.on_interval_end(event)
         return record
 

@@ -48,7 +48,7 @@ CASES = {
 
 GOLDEN = {
     "validate": (
-        "d28ee965f6e795de1279ff589756f27ae61dd357963b2b5062640cd62711a73b",
+        "5c18ee06c0558779e07862803b86a3206c0b1b2841e91e64fb15dd34872009b3",
         "49d173c2f7fdd4c8be0b2900254d3cb2d581260b59c9bf4559d9fc658e38baad",
         "81bc9338001d8b9f196ed90092bd51d65b5b8b3b458e605d84034046afb02291",
     ),
@@ -68,7 +68,7 @@ GOLDEN = {
         "940a818d8ec0b5c4e9d58ffaeded537ffeeec4f58870de70e69bae7e0636c7a6",
     ),
     "tail": (
-        "c661b7a152b60303aef4aee924a78ce99bf644f1f1f7327db18d059ecb3b944a",
+        "34a80bcd44163b0395c98cea575b86ce648ee5e796388476519ab930cdb49290",
         "0f1d5931a64305f2ddb8b5b5165a034cde76b0091288ff8a1e8fff85b47df175",
         "b792107dd42a9ea582e221fb85f85f5cd033a1c70a57a5fa66b62a406e17704a",
     ),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from swapsim.cache import DEFAULT_L1, CacheConfig, Hierarchy, HierarchyConfig, SetAssociativeCache
 from swapsim.controller import (
-    _DRAW_BLOCK,
+    _SHADOW_BLOCK,
     ControllerConfig,
     PhaseModelState,
     PhaseState,
@@ -173,26 +173,35 @@ def test_compiled_markov_matches_predict_over_a_stream(n, counts, zero_rows, zer
     assert got_rng.random() == ref_rng.random()
 
 
-def shadow_train_per_reference(st_, ops, addresses, misses, prev_address, rng):
-    """Shadow training one reference at a time: build the reference's
-    context, then let every candidate, in st_.models order, predict,
-    train and count the outcome in its shadow counters."""
+def per_reference_inputs(ops, addresses, misses, prev_address):
+    """Each reference's context, detailed L1 outcome and near flag, one
+    reference at a time."""
     missed = set(misses)
     prev = prev_address >> 6
+    out = []
     for i, address in enumerate(addresses):
         line = address >> 6
         near = line == prev
         prev = line
-        hit = i not in missed
-        ctx = ops[i] << 1 | (not near)
+        out.append((ops[i] << 1 | (not near), i not in missed, near))
+    return out
+
+
+def shadow_train_per_reference(st_, refs, rng, block):
+    """Shadow training one reference at a time, block by block: in each
+    block of `block` references, every candidate in turn, in st_.models
+    order, predicts, trains on and counts each reference. Block 1 is the
+    reference-major order, every candidate in turn at each reference."""
+    for lo in range(0, len(refs), block):
         for kind, model in st_.models.items():
-            predicted = model.predict(ctx, rng)
-            model.train(ctx, hit)
             stats = st_.shadow[kind]
-            stats.total_predictions += 1
-            stats.correct_predictions += predicted == hit
-            stats.model_near_misses += near and not predicted
-            stats.base_near_misses += near and not hit
+            for ctx, hit, near in refs[lo:lo + block]:
+                predicted = model.predict(ctx, rng)
+                model.train(ctx, hit)
+                stats.total_predictions += 1
+                stats.correct_predictions += predicted == hit
+                stats.model_near_misses += near and not predicted
+                stats.base_near_misses += near and not hit
 
 
 def model_state(model):
@@ -201,45 +210,12 @@ def model_state(model):
     return model.hit_count, model.total_count, model.hit_rate
 
 
-@settings(max_examples=60, deadline=None)
-@given(refs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans()),
-                     max_size=120),
-       prev_address=st.one_of(st.just(-1), st.integers(0x3F00, 0x4100)),
-       cut=st.integers(0, 120),
-       seed=st.integers(0, 2**32 - 1))
-@example(refs=[], prev_address=-1, cut=0, seed=0)
-def test_shadow_train_matches_per_reference_loop(refs, prev_address, cut, seed):
-    # Addresses walk 32-byte steps, so neighbours are near or far; the
-    # stream is split into two intervals to carry the previous address.
-    addrs = [0x4000 + 32 * sum(step for _, step, _ in refs[:i + 1]) for i in range(len(refs))]
-    ops = bytes(w for w, _, _ in refs)
-    misses = [i for i, (_, _, miss) in enumerate(refs) if miss]
-    cut = min(cut, len(refs))
-    ctrl = SwapController(Hierarchy(), ControllerConfig(), rng=random.Random(seed))
-    ctrl.on_interval_end(PhaseEvent(0, 0))
-    got = ctrl.phases[0]
-    ctrl._prev_address = prev_address
-    ctrl._shadow_train(got, ops[:cut], addrs[:cut], [i for i in misses if i < cut])
-    if cut:
-        ctrl._prev_address = addrs[cut - 1]
-    ctrl._shadow_train(got, ops[cut:], addrs[cut:], [i - cut for i in misses if i >= cut])
-
-    want = PhaseModelState(SWAP_KINDS)
-    want_rng = random.Random(seed)
-    shadow_train_per_reference(want, ops, addrs, misses, prev_address, want_rng)
-    assert list(got.models) == list(want.models)
-    for kind in SWAP_KINDS:
-        assert model_state(got.models[kind]) == model_state(want.models[kind])
-        assert got.shadow[kind] == want.shadow[kind]
-    assert ctrl.rng.random() == want_rng.random()
-
-
 @st.composite
 def shadow_runs(draw):
     """Candidates in any order, and a stream cut into at least three
     intervals. The first interval only reads, so the write column pairs
-    are still unseen after it and later intervals reach their no-draw
-    references."""
+    are still unseen after it and later intervals reach the references
+    where a Markov chain makes no draw."""
     subset = draw(st.permutations(SWAP_KINDS))[:draw(st.integers(1, len(SWAP_KINDS)))]
     ref = st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans())
     first = draw(st.lists(ref.map(lambda r: (0, *r[1:])), max_size=30))
@@ -248,20 +224,42 @@ def shadow_runs(draw):
     return tuple(subset), first, rest, cuts
 
 
-# Blocks of a few references split an interval's draws; the default
-# block holds a whole test interval.
+SHADOW_BLOCKS = st.sampled_from([1, 2, 3, 7, _SHADOW_BLOCK])
+PREV_ADDRESS = st.one_of(st.just(-1), st.integers(0x3F00, 0x4100))
+
+
+# Blocks of a few references split an interval; the default block holds
+# a whole test interval.
 @settings(max_examples=80, deadline=None)
-@given(run=shadow_runs(), prev_address=st.one_of(st.just(-1), st.integers(0x3F00, 0x4100)),
-       seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 2, 3, 7, _DRAW_BLOCK]))
+@given(run=shadow_runs(), prev_address=PREV_ADDRESS, seed=st.integers(0, 2**32 - 1),
+       block=SHADOW_BLOCKS)
 @example(run=((ModelKind.MARKOV8, ModelKind.FIXED_RATE), [(0, 0, False)] * 3,
               [(1, 1, True), (1, 2, False), (0, 0, True)], [1]),
          prev_address=-1, seed=3, block=2)
+@example(run=(SWAP_KINDS, [], [], [0]), prev_address=-1, seed=0, block=_SHADOW_BLOCK)
 def test_shadow_train_any_candidate_order(run, prev_address, seed, block):
-    with mock.patch("swapsim.controller._DRAW_BLOCK", block):
-        shadow_train_in_intervals(run, prev_address, seed)
+    got, want = shadow_train_in_intervals(run, prev_address, seed, block, block)
+    for kind in run[0]:
+        assert got.shadow[kind] == want.shadow[kind]
 
 
-def shadow_train_in_intervals(run, prev_address, seed):
+# Reordering the draws moves only the shadow predictions: the models
+# train on the detailed outcomes alone, and the rng ends every interval
+# where the reference-major loop leaves it, so swapped intervals draw
+# the same numbers.
+@settings(max_examples=60, deadline=None)
+@given(run=shadow_runs(), prev_address=PREV_ADDRESS, seed=st.integers(0, 2**32 - 1),
+       block=SHADOW_BLOCKS)
+def test_shadow_train_models_and_rng_match_reference_major_loop(run, prev_address, seed, block):
+    shadow_train_in_intervals(run, prev_address, seed, block, 1)
+
+
+def shadow_train_in_intervals(run, prev_address, seed, block, oracle_block):
+    """Shadow-train a run interval by interval with `_shadow_train` in
+    blocks of `block` references, and with the per-reference oracle in
+    blocks of `oracle_block`. After every interval both leave the models
+    in the same state and their rngs at the same draw. Returns both
+    phase states."""
     kinds, first, rest, cuts = run
     refs = first + rest
     # Addresses walk 32-byte steps, so neighbours are near or far.
@@ -277,18 +275,20 @@ def shadow_train_in_intervals(run, prev_address, seed):
     ctrl._prev_address = prev = prev_address
     for lo, hi in zip(bounds, bounds[1:]):
         misses = [i - lo for i in range(lo, hi) if refs[i][2]]
-        ctrl._shadow_train(got, ops[lo:hi], addrs[lo:hi], misses)
-        shadow_train_per_reference(want, ops[lo:hi], addrs[lo:hi], misses, prev, want_rng)
+        with mock.patch("swapsim.controller._SHADOW_BLOCK", block):
+            ctrl._shadow_train(got, ops[lo:hi], addrs[lo:hi], misses)
+        inputs = per_reference_inputs(ops[lo:hi], addrs[lo:hi], misses, prev)
+        shadow_train_per_reference(want, inputs, want_rng, oracle_block)
         if hi > lo:
             ctrl._prev_address = prev = addrs[hi - 1]
         assert list(got.models) == list(kinds)
         for kind in kinds:
             model = got.models[kind]
             assert model_state(model) == model_state(want.models[kind])
-            assert got.shadow[kind] == want.shadow[kind]
             if isinstance(model, MarkovModel):
                 assert model.last_state == model._train_last
-    assert ctrl.rng.random() == want_rng.random()
+        assert ctrl.rng.getstate() == want_rng.getstate()
+    return got, want
 
 
 def splitmix64(x):

@@ -1,18 +1,23 @@
 """End-to-end simulation runs on small synthetic traces."""
 import json
+import random
+from collections import Counter
+from array import array
 
 import pytest
 
 import swapsim.trace
+from swapsim.cache import DEFAULT_L1, CacheConfig, HierarchyConfig, SetAssociativeCache
 from swapsim.cli import EXIT_OK, _result_to_report, main
 from swapsim.controller import ControllerConfig
-from swapsim.metrics import IntervalRecord
+from swapsim.metrics import IntervalRecord, ReuseDistanceTracker, ReuseHistogram
 from swapsim.models import ModelKind
 from swapsim.phase import PhaseDetectorConfig
 from swapsim.sim import Runner, run_simulation
 from swapsim.trace import (
     PhaseKind,
     SyntheticPhaseSpec,
+    Trace,
     generate_trace,
     load_trace,
     read_intervals,
@@ -84,6 +89,26 @@ def test_reuse_histograms_track_l1_miss_stream():
     assert r.reuse and r.base_reuse is not None
     model_misses = sum(rec.l2_hits + rec.l3_hits + rec.mem_accesses for rec in r.intervals)
     assert sum(h.total for h in r.reuse.values()) == model_misses
+
+
+@pytest.mark.parametrize("l2_line_bytes", [32, 128])
+def test_reuse_distances_count_l2_lines(l2_line_bytes):
+    # References 32 B apart: which of them share a line depends on its size.
+    rng = random.Random(7)
+    addrs = [rng.randrange(1 << 12) * 32 for _ in range(6000)]
+    trace = Trace(array("B", bytes(len(addrs))), array("Q", addrs))
+    hierarchy = HierarchyConfig(l2=CacheConfig(256 * 1024, 8, l2_line_bytes, 12))
+    r = run_simulation(trace, hierarchy, PhaseDetectorConfig(interval_len=2000), seed=1,
+                       validate=True)
+    shift = l2_line_bytes.bit_length() - 1
+    to_l2 = [addrs[i] >> shift for i in SetAssociativeCache(DEFAULT_L1).misses(addrs)]
+    want = ReuseHistogram()
+    want.add_all(ReuseDistanceTracker().observe_all(to_l2))
+    got = Counter()
+    for h in r.base_reuse.values():
+        got.update(h.buckets)
+        got["cold"] += h.cold_count
+    assert got == Counter(want.buckets, cold=want.cold_count)
 
 
 def test_single_candidate_flows_through():
