@@ -1,6 +1,8 @@
 """Trace parsing, serialization and synthetic generation."""
 import hashlib
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -246,6 +248,19 @@ def test_run_memory_flat_in_trace_length(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 1 << 20
 
 
+def test_generation_holds_no_more_than_a_few_blocks():
+    # Each emitter appends one bounded block at a time: beyond the trace
+    # it returns, generation holds no per-phase temporaries.
+    tracemalloc.start()
+    try:
+        t = build_preset("meabo3-small", 1)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 2 * (3 * 240_000 + 3 * 100_000)
+    assert peak - current < 2 << 20
+
+
 def test_write_read_round_trip(tmp_path):
     t = Trace()
     t.append(0, 0x40)
@@ -268,6 +283,74 @@ def test_write_trace_bytes_pinned(tmp_path):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == (
         "8346af0cb0a4f6d24cb250affb61bcd3d2bcc68b54b16cf99148f859ab560525")
     assert parsed(p) == (list(t.ops), list(t.addresses))
+
+
+def test_write_trace_extreme_and_empty(tmp_path):
+    p = tmp_path / "t.txt"
+    write_trace(Trace(array("B", [0, 1]), array("Q", [0, 2**64 - 1])), p)
+    assert p.read_text() == "R 0x0\nW 0xffffffffffffffff\n"
+    assert parsed(p) == ([0, 1], [0, 2**64 - 1])
+    write_trace(Trace(), p)
+    assert p.read_bytes() == b""
+
+
+def test_trace_gen_file_pinned(tmp_path):
+    # The locality preset's vector-add phase wraps its sweep.
+    p = tmp_path / "locality.txt"
+    assert main(["trace-gen", "--synthetic", "locality", "--seed", "1", "--out", str(p)]) == 0
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "2596b56d65aa45b1cf0a8d283a874dac6d83bd836a174920a562e54ab6aacebc")
+
+
+def trace_digest(t):
+    """sha256 of the ops bytes, then the addresses as little-endian u64."""
+    addresses = array("Q", t.addresses)
+    if sys.byteorder == "big":
+        addresses.byteswap()
+    return hashlib.sha256(t.ops.tobytes() + addresses.tobytes()).hexdigest()
+
+
+# Two occurrences of each phase, so each occurrence's rng is covered.
+# 20 003 is a multiple of neither 4 nor 24, and spans several blocks.
+GENERATED = {
+    # 64 words, so the loop ends mid-pass.
+    "marker": (SyntheticPhaseSpec(PhaseKind.MARKER, 20_003, seed=7),
+               "4a350a55a67fbd4e70d52c05cdd1acf10d56a412ae58272ff2895be7561207ea"),
+    # 25 words, which 8-aligned blocks do not divide.
+    "marker-ragged": (SyntheticPhaseSpec(PhaseKind.MARKER, 20_003, seed=7, working_set_bytes=200),
+                      "8ec0987d94cd4e4c6dc3a3088c88c0cb6f3188e1db8fa6ef880667777db1c01b"),
+    "high-locality": (SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 20_003, seed=8),
+                      "4a8db78cfdc3ceb26aecbec37d06ba87ce1863e516cc64535568f61fd56c61da"),
+    # Two lines, fewer than the four-line spread.
+    "high-locality-tiny": (
+        SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 1_001, seed=8, working_set_bytes=64),
+        "41ccfd31c79e9d3107f6eb6dd2204aa5bd78e7e9dd687864cbf85836fee9b4a8"),
+    "vector-add": (SyntheticPhaseSpec(PhaseKind.VECTOR_ADD, 20_003, seed=9),
+                   "a05550d10c0b478dfecd648bce2e20e3185eb7271c97eb1b5a328d42ccec35fc"),
+    # 24 elements per array: the sweeps wrap every group of three, and
+    # the phase ends inside the first stream's group.
+    "vector-add-wrap": (
+        SyntheticPhaseSpec(PhaseKind.VECTOR_ADD, 20_003, seed=9, working_set_bytes=600),
+        "304ea58b17409dc803b1b8ea4c6bc95a7c9e5bd29f3347f975ea83790fd70895"),
+    # 120 elements per array; the phase ends inside the write stream's group.
+    "vector-add-wrap-late": (
+        SyntheticPhaseSpec(PhaseKind.VECTOR_ADD, 20_015, seed=9, working_set_bytes=3000),
+        "6acb2e7f6304763ae832f8c2ec8f62775a61115113655447084e5f8f8744d56d"),
+    "random-access": (SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 20_003, seed=10),
+                      "0f08492a54951ab8ae2edf889a233bd77390f5fb26eaf88d159905f43589f485"),
+    # One line: every draw is randrange(1).
+    "random-access-tiny": (
+        SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 1_001, seed=10, working_set_bytes=32),
+        "982a0dbaa334cabe6517fea52ca29be79f5e119b5d685edff5660890ddab718d"),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated_bytes_pinned(name):
+    spec, digest = GENERATED[name]
+    t = generate_trace([spec], iterations=2)
+    assert len(t) == 2 * spec.length
+    assert trace_digest(t) == digest
 
 
 def test_trace_container_round_trip():
