@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--train-intervals", type=int, default=2)
     run.add_argument("--give-up-after", type=int, default=None)
     run.add_argument("--validate", action="store_true",
-                     help="run a detailed hierarchy in parallel as ground truth")
+                     help="run a detailed hierarchy in lockstep, in the same thread, as ground truth")
     run.add_argument("--out", default="swapsim-out", help="output directory")
     run.add_argument("--config", help="JSON config file (flags win)")
     for f in dataclasses.fields(PhaseDetectorConfig):

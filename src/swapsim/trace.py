@@ -11,6 +11,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
+from operator import add
 
 
 class TraceFormatError(ValueError):
@@ -68,17 +69,17 @@ class Trace:
         self.ops = ops if ops is not None else array("B")
         self.addresses = addresses if addresses is not None else array("Q")
 
-    def append(self, is_write: int, address: int) -> None:
-        self.ops.append(1 if is_write else 0)
-        self.addresses.append(address)
-
     def __len__(self) -> int:
         return len(self.ops)
 
 
 _OP_CODES = {"R": 0, "W": 1}
-_OP_NAMES = "RW"
+_OP_PREFIXES = ("R ", "W ")
 _OP_BYTES = bytes.maketrans(b"RW", b"\x00\x01")
+
+# References generated or written at a time. This bounds the temporaries
+# of generation and of write_trace, whatever the trace length.
+_BLOCK = 8192
 
 # Characters read from a trace file at a time. This bounds the parser's
 # working memory, whatever the trace length; 256 Ki parsed no faster.
@@ -195,8 +196,13 @@ def _parse_lines(text: str, lineno: int, trace: Trace) -> None:
 
 
 def write_trace(trace: Trace, path) -> None:
+    """Write `trace` as a trace file, one `_BLOCK` of lines at a time."""
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(f"{_OP_NAMES[w]} 0x{a:x}\n" for w, a in zip(trace.ops, trace.addresses))
+        for start in range(0, len(trace), _BLOCK):
+            stop = start + _BLOCK
+            f.write("\n".join(map(add, map(_OP_PREFIXES.__getitem__, trace.ops[start:stop]),
+                                  map(hex, trace.addresses[start:stop]))))
+            f.write("\n")
 
 
 # --- synthetic workload generation -------------------------------------
@@ -213,49 +219,94 @@ def _occurrence_rng(spec: SyntheticPhaseSpec, occurrence: int) -> random.Random:
     return random.Random((spec.seed * 1_000_003) ^ occurrence)
 
 
+def _sweep(base: int, first: int, n: int, words: int) -> array:
+    """Addresses `base + 8 * ((first + u) % words)` for `u` in `range(n)`:
+    `n` steps of a loop over `words` consecutive 8-byte words, from word
+    `first`. It builds at most `n` of them one by one; whole passes of the
+    loop are copied."""
+    first %= words
+    out = array("Q", range(base + 8 * first, base + 8 * min(words, first + n), 8))
+    n -= len(out)
+    if n:
+        loop = array("Q", range(base, base + 8 * min(words, n), 8))
+        out += loop * (n // words)
+        out += loop[:n % words]
+    return out
+
+
+def _draw(rng: random.Random, n_lines: int, count: int, p_write: float) -> tuple[list, bytearray]:
+    """`count` draws of a line index and a write flag, each one
+    `rng.randrange(n_lines)` and then `rng.random() < p_write`."""
+    lines = []
+    writes = bytearray()
+    line = lines.append
+    write = writes.append
+    randrange = rng.randrange
+    rand = rng.random
+    for _ in range(count):
+        line(randrange(n_lines))
+        write(rand() < p_write)
+    return lines, writes
+
+
 def _emit_marker(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random) -> None:
     # Tiny sequential read loop; essentially all L1 hits after warmup.
     words = max(1, spec.resolved_working_set // 8)
-    for i in range(spec.length):
-        trace.append(0, base + (i % words) * 8)
+    for start in range(0, spec.length, _BLOCK):
+        n = min(_BLOCK, spec.length - start)
+        trace.addresses += _sweep(base, start, n, words)
+        trace.ops.frombytes(bytes(n))
 
 
 def _emit_high_locality(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random) -> None:
     # Bursts of 4 sequential words within a random 32-byte chunk of a small
     # working set. Chunks alias into a handful of L1 sets so the far
-    # accesses see conflict misses while near accesses always hit.
+    # accesses see conflict misses while near accesses always hit. A last
+    # burst cut short still draws its chunk and op.
     n_lines = max(1, spec.resolved_working_set // 32)
     spread = min(4, n_lines)
-    offsets = [(j // spread) * _ALIAS_STRIDE + (j % spread) * 32 for j in range(n_lines)]
-    i = 0
-    length = spec.length
-    while i < length:
-        off = base + offsets[rng.randrange(n_lines)]
-        is_write = 1 if rng.random() < 0.25 else 0
-        for k in range(min(4, length - i)):
-            trace.append(is_write, off + 8 * k)
-            i += 1
+    # words[k][j]: address of the k-th word of a burst in chunk j.
+    words = [[base + (j // spread) * _ALIAS_STRIDE + (j % spread) * 32 + 8 * k
+              for j in range(n_lines)] for k in range(4)]
+    for start in range(0, spec.length, _BLOCK):  # _BLOCK is a multiple of 4
+        n = min(_BLOCK, spec.length - start)
+        bursts = -(-n // 4)
+        lines, writes = _draw(rng, n_lines, bursts, 0.25)
+        addresses = array("Q", bytes(32 * bursts))
+        ops = bytearray(4 * bursts)
+        for k in range(4):
+            addresses[k::4] = array("Q", map(words[k].__getitem__, lines))
+            ops[k::4] = writes
+        del addresses[n:], ops[n:]
+        trace.addresses += addresses
+        trace.ops.frombytes(ops)
+
+
+# Ops of one unrolled vector-add group: 8 reads of a, 8 of b, 8 writes of c.
+_VECTOR_GROUP_OPS = b"\0" * 16 + b"\1" * 8
 
 
 def _emit_vector_add(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random) -> None:
     # c[i] = a[i] + b[i] over three disjoint arrays, unrolled by 8 so each
     # 64-byte group is one read/write run: two read streams, one write
-    # stream. Restarts from element 0 on every occurrence.
+    # stream. Restarts from element 0 on every occurrence. `elems` is a
+    # multiple of 8, so no group wraps: each stream is one cyclic sweep of
+    # its array, and the three sweeps interleave 8 by 8.
     arr_bytes = max(64, (spec.resolved_working_set // 3) & ~63)
     elems = arr_bytes // 8
     stride = (arr_bytes + _ALIAS_STRIDE) & ~(_ALIAS_STRIDE - 1)
-    streams = ((base, 0), (base + stride, 0), (base + 2 * stride, 1))
-    i = 0
-    idx = 0
-    length = spec.length
-    while i < length:
-        for start, is_write in streams:
+    block = _BLOCK - _BLOCK % 24
+    for start in range(0, spec.length, block):
+        n = min(block, spec.length - start)
+        groups = -(-n // 24)
+        addresses = array("Q", bytes(8 * 24 * groups))
+        for s in range(3):
+            sweep = _sweep(base + s * stride, start // 3, 8 * groups, elems)
             for k in range(8):
-                if i >= length:
-                    return
-                trace.append(is_write, start + ((idx + k) % elems) * 8)
-                i += 1
-        idx = (idx + 8) % elems
+                addresses[8 * s + k::24] = sweep[k::8]
+        del addresses[n:]
+        trace.addresses += addresses
+        trace.ops.frombytes((_VECTOR_GROUP_OPS * groups)[:n])
 
 
 def _emit_random_access(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random) -> None:
@@ -264,10 +315,12 @@ def _emit_random_access(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: 
     # miss despite the small footprint.
     n_lines = max(1, spec.resolved_working_set // 32)
     per_group = min(32, n_lines)
-    for _ in range(spec.length):
-        j = rng.randrange(n_lines)
-        is_write = 1 if rng.random() < 0.1 else 0
-        trace.append(is_write, base + (j // per_group) * _ALIAS_STRIDE + (j % per_group) * 32)
+    addresses = [base + (j // per_group) * _ALIAS_STRIDE + (j % per_group) * 32
+                 for j in range(n_lines)]
+    for start in range(0, spec.length, _BLOCK):
+        lines, writes = _draw(rng, n_lines, min(_BLOCK, spec.length - start), 0.1)
+        trace.addresses.extend(map(addresses.__getitem__, lines))
+        trace.ops.frombytes(writes)
 
 
 _EMITTERS = {

@@ -227,6 +227,15 @@ def test_detector_flags_match_fields():
         assert type(getattr(args, f.name)).__name__ == f.type
 
 
+def test_validate_help_says_lockstep(capsys):
+    # The validation hierarchy runs beside the swapped one in the same
+    # thread (sim.py), not in parallel.
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "in lockstep" in help_text and "parallel" not in help_text
+
+
 @pytest.mark.parametrize("text", [b'{"detector": ', b"\xff{}"])
 def test_usage_error_on_invalid_json_config(trace_file, tmp_path, capsys, text):
     path = tmp_path / "cfg.json"

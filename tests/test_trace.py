@@ -262,9 +262,7 @@ def test_generation_holds_no_more_than_a_few_blocks():
 
 
 def test_write_read_round_trip(tmp_path):
-    t = Trace()
-    t.append(0, 0x40)
-    t.append(1, 0xDEADBEEF)
+    t = Trace(array("B", [0, 1]), array("Q", [0x40, 0xDEADBEEF]))
     p = tmp_path / "t.txt"
     write_trace(t, p)
     assert p.read_text() == "R 0x40\nW 0xdeadbeef\n"
@@ -354,9 +352,9 @@ def test_generated_bytes_pinned(name):
 
 
 def test_trace_container_round_trip():
-    t = Trace()
-    t.append(0, 0x40)
-    t.append(1, 0x80)
+    assert len(Trace()) == 0
+    t = Trace(array("B", [0, 1]), array("Q", [0x40, 0x80]))
+    assert len(t) == 2
     assert list(t.ops) == [0, 1]
     assert list(t.addresses) == [0x40, 0x80]
 
