@@ -340,6 +340,17 @@ GENERATED = {
     "random-access-tiny": (
         SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 1_001, seed=10, working_set_bytes=32),
         "982a0dbaa334cabe6517fea52ca29be79f5e119b5d685edff5660890ddab718d"),
+    # Line counts that are not powers of two, so some line draws are
+    # rejected and drawn again: 93, 31 and 65 lines.
+    "random-access-93": (
+        SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 20_003, seed=11, working_set_bytes=3000),
+        "7ca296611af4db28ee126f3341b3589215cef6f4afc055d0e4d38f8056585c44"),
+    "high-locality-31": (
+        SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 20_003, seed=11, working_set_bytes=1000),
+        "ca1aa29ad2d8c278159ed8122933c4603d771b242c166e1f8349796bbddde83e"),
+    "random-access-65": (
+        SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 20_003, seed=11, working_set_bytes=2080),
+        "5c3b13a7682c770c0cd55813de26f08271e56b17c4a99e5f499c3080574ff847"),
 }
 
 
