@@ -36,6 +36,7 @@ from .trace import (
     PhaseKind,
     SyntheticPhaseSpec,
     Trace,
+    generate_intervals,
     generate_trace,
     load_trace,
     read_intervals,

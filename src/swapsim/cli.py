@@ -16,8 +16,9 @@ from .controller import ControllerConfig
 from .metrics import IntervalRecord, per_phase_accuracy
 from .models import SWAP_KINDS
 from .phase import PhaseDetectorConfig
-from .sim import Runner, RunResult, run_simulation
-from .trace import PRESET_NAMES, build_preset, read_intervals, write_trace
+from .sim import Runner, RunResult
+from .trace import (PRESET_NAMES, generate_intervals, preset_specs, read_intervals,
+                    write_preset)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -230,16 +231,17 @@ def _cmd_run(args) -> int:
         # A config value or flag the configuration rejects is a usage error.
         raise UsageError(str(e)) from None
 
-    settings = dict(hierarchy_config=cfg.hierarchy, detector_config=cfg.detector,
+    runner = Runner(hierarchy_config=cfg.hierarchy, detector_config=cfg.detector,
                     controller_config=ctrl_cfg, seed=args.seed, validate=args.validate)
     if args.trace:
-        # Streamed: a malformed line stops the run before anything is written.
-        runner = Runner(**settings)
-        for ops, addresses in read_intervals(args.trace, runner.interval_len):
-            runner.step(ops, addresses)
-        result = runner.finish()
+        intervals = read_intervals(args.trace, runner.interval_len)
     else:
-        result = run_simulation(build_preset(args.synthetic, args.seed), **settings)
+        phases, iterations, marker = preset_specs(args.synthetic, args.seed)
+        intervals = generate_intervals(phases, runner.interval_len, iterations, marker)
+    # Streamed: a malformed line stops the run before anything is written.
+    for ops, addresses in intervals:
+        runner.step(ops, addresses)
+    result = runner.finish()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = _result_to_report(result)
@@ -253,9 +255,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace_gen(args) -> int:
-    trace = build_preset(args.synthetic, args.seed)
-    write_trace(trace, args.out)
-    print(f"wrote {args.out} ({len(trace)} references)")
+    refs = write_preset(args.synthetic, args.seed, args.out)
+    print(f"wrote {args.out} ({refs} references)")
     return EXIT_OK
 
 

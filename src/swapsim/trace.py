@@ -2,7 +2,8 @@
 
 Trace files are plain text, one reference per line: `R 0x7fff0040` or
 `W 0x10`. Lines starting with `#` are comments, blank lines are skipped.
-A file is parsed one bounded chunk of whole lines at a time.
+A file is parsed, and a synthetic trace generated, one bounded block at a
+time, so either can be streamed an interval at a time.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add
 
 
 class TraceFormatError(ValueError):
@@ -74,7 +74,6 @@ class Trace:
 
 
 _OP_CODES = {"R": 0, "W": 1}
-_OP_PREFIXES = ("R ", "W ")
 _OP_BYTES = bytes.maketrans(b"RW", b"\x00\x01")
 
 # References generated or written at a time. This bounds the temporaries
@@ -93,8 +92,8 @@ def load_trace(path) -> Trace:
     file gives an empty trace.
     """
     trace = Trace()
-    for lineno, text in _line_chunks(path):
-        _parse_chunk(text, lineno, trace)
+    for _ in _parse_into(trace, path):
+        pass
     return trace
 
 
@@ -107,9 +106,17 @@ def read_intervals(path, interval_len: int):
     A malformed line raises TraceFormatError, naming its line number, once
     the intervals before it have been yielded.
     """
+    return _intervals(interval_len, _parse_into, path)
+
+
+def _intervals(interval_len: int, fill, *args):
+    """Yield the references that the generator `fill(buf, *args)` appends
+    to a buffer `buf`, one bounded block per step, as `(ops, addresses)`
+    arrays of `interval_len` references each, then any shorter rest. It
+    holds one block plus less than one interval; the yielded arrays are
+    the caller's."""
     buf = Trace()
-    for lineno, text in _line_chunks(path):
-        _parse_chunk(text, lineno, buf)
+    for _ in fill(buf, *args):
         full = len(buf) - len(buf) % interval_len
         for start in range(0, full, interval_len):
             yield (buf.ops[start:start + interval_len],
@@ -117,6 +124,14 @@ def read_intervals(path, interval_len: int):
         del buf.ops[:full], buf.addresses[:full]
     if len(buf):
         yield buf.ops, buf.addresses
+
+
+def _parse_into(trace: Trace, path):
+    """Append the references of the trace file at `path` to `trace`, one
+    chunk of whole lines at a time, yielding after each chunk."""
+    for lineno, text in _line_chunks(path):
+        _parse_chunk(text, lineno, trace)
+        yield
 
 
 def _line_chunks(path):
@@ -195,14 +210,27 @@ def _parse_lines(text: str, lineno: int, trace: Trace) -> None:
         addresses.append(addr)
 
 
+# The line of a read and of a write; `%#x` writes an address as `hex` does.
+_LINE_FORMATS = ("R %#x\n", "W %#x\n")
+
+
 def write_trace(trace: Trace, path) -> None:
     """Write `trace` as a trace file, one `_BLOCK` of lines at a time."""
+    _write_blocks(((trace.ops[start:start + _BLOCK], trace.addresses[start:start + _BLOCK])
+                   for start in range(0, len(trace), _BLOCK)), path)
+
+
+def _write_blocks(blocks, path) -> int:
+    """Write the `(ops, addresses)` blocks, in order, as a trace file, each
+    with one C-level `%` format; return the number of references written.
+    The file is opened before the first block is taken, so a bad path
+    fails before any is made."""
+    n = 0
     with open(path, "w", encoding="utf-8") as f:
-        for start in range(0, len(trace), _BLOCK):
-            stop = start + _BLOCK
-            f.write("\n".join(map(add, map(_OP_PREFIXES.__getitem__, trace.ops[start:stop]),
-                                  map(hex, trace.addresses[start:stop]))))
-            f.write("\n")
+        for ops, addresses in blocks:
+            f.write("".join(map(_LINE_FORMATS.__getitem__, ops)) % tuple(addresses))
+            n += len(ops)
+    return n
 
 
 # --- synthetic workload generation -------------------------------------
@@ -236,29 +264,43 @@ def _sweep(base: int, first: int, n: int, words: int) -> array:
 
 def _draw(rng: random.Random, n_lines: int, count: int, p_write: float) -> tuple[list, bytearray]:
     """`count` draws of a line index and a write flag, each one
-    `rng.randrange(n_lines)` and then `rng.random() < p_write`."""
+    `rng.randrange(n_lines)` and then `rng.random() < p_write`.
+
+    The line index is drawn as `randrange` draws it, without its Python
+    call layers: `getrandbits` of `n_lines.bit_length()` bits, drawn again
+    while it is `n_lines` or more. So it takes the same Mersenne Twister
+    words and gives the same numbers."""
     lines = []
     writes = bytearray()
     line = lines.append
     write = writes.append
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     rand = rng.random
-    for _ in range(count):
-        line(randrange(n_lines))
+    k = n_lines.bit_length()
+    for _ in repeat(None, count):
+        r = getrandbits(k)
+        while r >= n_lines:
+            r = getrandbits(k)
+        line(r)
         write(rand() < p_write)
     return lines, writes
 
 
-def _emit_marker(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random) -> None:
+# Each emitter appends its phase occurrence to `trace` one block of at
+# most `_BLOCK` references at a time, and yields after each block.
+
+
+def _emit_marker(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random):
     # Tiny sequential read loop; essentially all L1 hits after warmup.
     words = max(1, spec.resolved_working_set // 8)
     for start in range(0, spec.length, _BLOCK):
         n = min(_BLOCK, spec.length - start)
         trace.addresses += _sweep(base, start, n, words)
         trace.ops.frombytes(bytes(n))
+        yield
 
 
-def _emit_high_locality(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random) -> None:
+def _emit_high_locality(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random):
     # Bursts of 4 sequential words within a random 32-byte chunk of a small
     # working set. Chunks alias into a handful of L1 sets so the far
     # accesses see conflict misses while near accesses always hit. A last
@@ -280,13 +322,14 @@ def _emit_high_locality(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: 
         del addresses[n:], ops[n:]
         trace.addresses += addresses
         trace.ops.frombytes(ops)
+        yield
 
 
 # Ops of one unrolled vector-add group: 8 reads of a, 8 of b, 8 writes of c.
 _VECTOR_GROUP_OPS = b"\0" * 16 + b"\1" * 8
 
 
-def _emit_vector_add(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random) -> None:
+def _emit_vector_add(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random):
     # c[i] = a[i] + b[i] over three disjoint arrays, unrolled by 8 so each
     # 64-byte group is one read/write run: two read streams, one write
     # stream. Restarts from element 0 on every occurrence. `elems` is a
@@ -307,9 +350,10 @@ def _emit_vector_add(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: ran
         del addresses[n:]
         trace.addresses += addresses
         trace.ops.frombytes((_VECTOR_GROUP_OPS * groups)[:n])
+        yield
 
 
-def _emit_random_access(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random) -> None:
+def _emit_random_access(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random):
     # Uniform line-granularity draws over a fixed set of lines. The lines
     # alias into a fraction of the L1 sets so roughly half the accesses
     # miss despite the small footprint.
@@ -321,6 +365,7 @@ def _emit_random_access(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: 
         lines, writes = _draw(rng, n_lines, min(_BLOCK, spec.length - start), 0.1)
         trace.addresses.extend(map(addresses.__getitem__, lines))
         trace.ops.frombytes(writes)
+        yield
 
 
 _EMITTERS = {
@@ -341,28 +386,47 @@ def generate_trace(
     Given a `marker_spec`, its stream runs after every computational
     phase. Output is a pure function of the specs and seeds.
     """
+    trace = Trace()
+    for _ in _generate_into(trace, phases, iterations, marker_spec):
+        pass
+    return trace
+
+
+def generate_intervals(
+    phases: list[SyntheticPhaseSpec],
+    interval_len: int,
+    iterations: int = 1,
+    marker_spec: SyntheticPhaseSpec | None = None,
+):
+    """Yield the references generate_trace returns as read_intervals
+    yields a file's: `(ops, addresses)` arrays of `interval_len`
+    references, then any shorter rest. It holds one generated block plus
+    less than one interval."""
+    return _intervals(interval_len, _generate_into, phases, iterations, marker_spec)
+
+
+def _generate_into(trace: Trace, phases, iterations: int, marker_spec):
+    """Append the references of `iterations` repetitions of the phase list
+    to `trace`, one bounded block at a time, yielding after each block."""
     if not phases:
         raise ValueError("at least one phase spec is required")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-
-    trace = Trace()
     occurrences: dict[int, int] = {}
 
-    def emit(spec: SyntheticPhaseSpec, region_index: int) -> None:
+    def emit(spec: SyntheticPhaseSpec, region_index: int):
         occ = occurrences.get(region_index, 0)
         occurrences[region_index] = occ + 1
         rng = _occurrence_rng(spec, occ)
         base = (region_index + 1) * _REGION_STRIDE
-        _EMITTERS[spec.kind](trace, spec, base, rng)
+        return _EMITTERS[spec.kind](trace, spec, base, rng)
 
     marker_region = len(phases)
     for _ in range(iterations):
         for i, spec in enumerate(phases):
-            emit(spec, i)
+            yield from emit(spec, i)
             if marker_spec is not None:
-                emit(marker_spec, marker_region)
-    return trace
+                yield from emit(marker_spec, marker_region)
 
 
 # --- presets ------------------------------------------------------------
@@ -407,3 +471,11 @@ PRESET_NAMES = ("meabo3", "meabo3-small", "locality")
 def build_preset(name: str, seed: int = 1) -> Trace:
     phases, iterations, marker = preset_specs(name, seed)
     return generate_trace(phases, iterations=iterations, marker_spec=marker)
+
+
+def write_preset(name: str, seed: int, path) -> int:
+    """Write preset `name` as a trace file, each block as it is generated,
+    and return the number of references; it holds one block, not the
+    trace. A bad path fails before anything is generated."""
+    phases, iterations, marker = preset_specs(name, seed)
+    return _write_blocks(generate_intervals(phases, _BLOCK, iterations, marker), path)

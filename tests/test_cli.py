@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import swapsim
+import swapsim.cli
+import swapsim.trace
 from swapsim.cache import DEFAULT_L1, DEFAULT_L2
 from swapsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _build_parser, _ConfigFile, _section, main
 from swapsim.phase import PhaseDetectorConfig
@@ -87,12 +89,47 @@ def test_late_malformed_line_writes_nothing(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_trace_gen_reproducible(tmp_path):
+def test_trace_gen_reproducible(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert run_cli("trace-gen", "--synthetic", "locality", "--seed", "3", "--out", str(a)) == EXIT_OK
     assert run_cli("trace-gen", "--synthetic", "locality", "--seed", "3", "--out", str(b)) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
     assert a.stat().st_size > 0
+    assert capsys.readouterr().out == (f"wrote {a} (1100000 references)\n"
+                                       f"wrote {b} (1100000 references)\n")
+
+
+@pytest.mark.parametrize("out", ["a-directory", "missing/t.txt"])
+def test_trace_gen_bad_out_fails_before_generating(tmp_path, monkeypatch, capsys, out):
+    (tmp_path / "a-directory").mkdir()
+    monkeypatch.setattr(swapsim.trace, "_occurrence_rng",
+                        lambda *a: pytest.fail("generated before the output file was opened"))
+    assert run_cli("trace-gen", "--synthetic", "meabo3", "--out", str(tmp_path / out)) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_synthetic_run_matches_run_of_its_trace_file(tmp_path, monkeypatch):
+    # `run --synthetic` streams generated intervals; `run --trace` parses
+    # the file `trace-gen` writes of the same preset. 2 * 20 004
+    # references: the last interval holds 8 of 2 000.
+    specs = ([SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 8_000, seed=51),
+              SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 8_000, seed=52)],
+             2, SyntheticPhaseSpec(PhaseKind.MARKER, 2_002, seed=53))
+    for module in (swapsim.cli, swapsim.trace):
+        monkeypatch.setattr(module, "preset_specs", lambda name, seed: specs)
+    path = tmp_path / "t.txt"
+    assert run_cli("trace-gen", "--synthetic", "locality", "--out", str(path)) == EXIT_OK
+    common = ["--seed", "1", "--validate", *FAST]
+    assert run_cli("run", "--synthetic", "locality", *common, "--out", str(tmp_path / "s")) == EXIT_OK
+    assert run_cli("run", "--trace", str(path), *common, "--out", str(tmp_path / "t")) == EXIT_OK
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert sum(report["totals"][k] for k in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses")) == (
+        2 * 20_004)
+    assert {r["directive"] for r in report["intervals"]} > {"base"}
+    for name in ("report.json", "intervals.csv", "reuse.csv"):
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "t" / name).read_bytes()
 
 
 def test_run_writes_report_files(trace_file, tmp_path):

@@ -1,8 +1,8 @@
 """Property tests of the interval-level paths against their per-reference
 definitions: the access contexts, the compiled Markov table, shadow
 training in any candidate order, the interval signature, the detailed L1 across swapped and base
-intervals, and the batched reuse tracker; and the whole-run invariants of
-the simulation's totals."""
+intervals, the batched reuse tracker, and the synthetic generator's
+draws; and the whole-run invariants of the simulation's totals."""
 import dataclasses
 import random
 from array import array
@@ -29,7 +29,14 @@ from swapsim.phase import (
     interval_signature,
 )
 from swapsim.sim import run_simulation
-from swapsim.trace import Trace
+from swapsim.trace import (
+    PhaseKind,
+    SyntheticPhaseSpec,
+    Trace,
+    _draw,
+    generate_intervals,
+    generate_trace,
+)
 from test_cache import ReferenceLRU
 
 U_GRID = [k / 8 for k in range(8)] + [0.999]
@@ -519,3 +526,51 @@ def comparable(result):
        seed=st.integers(0, 2**32))
 def test_same_seed_same_result(run, hierarchy, seed):
     assert comparable(simulate(run, hierarchy, seed)) == comparable(simulate(run, hierarchy, seed))
+
+
+# Line counts from 1 to past 2**64: powers of two and their neighbours
+# (a draw of `bit_length()` bits is accepted about half the time at 2**m
+# and 2**m + 1, and nearly always at 2**m - 1), and counts past 2**32,
+# which `getrandbits` draws from more than one Mersenne Twister word.
+# Only a direct call reaches those: a phase's working set has far fewer
+# lines.
+LINE_COUNTS = st.one_of(
+    st.integers(1, 2**70),
+    st.builds(lambda m, d: max(1, 2**m + d), st.integers(0, 70), st.integers(-1, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=LINE_COUNTS, count=st.integers(0, 40), p_write=st.floats(0, 1),
+       seed=st.integers(0, 2**64 - 1))
+@example(n=1, count=20, p_write=0.5, seed=0)
+@example(n=2**32 - 1, count=20, p_write=0.5, seed=0)
+@example(n=2**32, count=20, p_write=0.5, seed=0)
+@example(n=2**32 + 1, count=20, p_write=0.5, seed=0)
+def test_draw_matches_randrange(n, count, p_write, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    lines, writes = _draw(rng, n, count, p_write)
+    assert list(zip(lines, map(bool, writes))) == [
+        (ref.randrange(n), ref.random() < p_write) for _ in range(count)]
+    assert rng.getstate() == ref.getstate()
+
+
+@settings(max_examples=30, deadline=None)
+@given(kinds=st.lists(st.sampled_from(PhaseKind), min_size=1, max_size=3),
+       lengths=st.lists(st.integers(1, 20_000), min_size=3, max_size=3),
+       iterations=st.integers(1, 2), marker=st.booleans(), interval_len=st.integers(1, 30_000))
+@example(kinds=[PhaseKind.MARKER], lengths=[8192, 1, 1], iterations=2, marker=False,
+         interval_len=8192)  # every block fills an interval exactly
+def test_generated_intervals_are_the_generated_trace(kinds, lengths, iterations, marker,
+                                                     interval_len):
+    specs = [SyntheticPhaseSpec(k, n, seed=i) for i, (k, n) in enumerate(zip(kinds, lengths))]
+    marker_spec = SyntheticPhaseSpec(PhaseKind.MARKER, 300, seed=9) if marker else None
+    whole = generate_trace(specs, iterations, marker_spec)
+    pieces = list(generate_intervals(specs, interval_len, iterations, marker_spec))
+    assert [len(a) for _, a in pieces] == [
+        min(interval_len, len(whole) - start) for start in range(0, len(whole), interval_len)]
+    assert [len(o) for o, _ in pieces] == [len(a) for _, a in pieces]
+    ops, addresses = array("B"), array("Q")
+    for o, a in pieces:
+        ops += o
+        addresses += a
+    assert ops == whole.ops and addresses == whole.addresses

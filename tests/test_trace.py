@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import swapsim.cli
 import swapsim.trace
 from swapsim.cache import Hierarchy
 from swapsim.cli import EXIT_RUNTIME, main
@@ -259,6 +260,42 @@ def test_generation_holds_no_more_than_a_few_blocks():
         tracemalloc.stop()
     assert len(t) == 2 * (3 * 240_000 + 3 * 100_000)
     assert peak - current < 2 << 20
+
+
+def test_trace_gen_holds_one_block(tmp_path):
+    # `trace-gen` writes each block as it is generated: it never holds the
+    # 2.04 M references of meabo3-small (18 MiB as arrays), only a block,
+    # less than one more, and their formatted text.
+    p = tmp_path / "t.txt"
+    tracemalloc.start()
+    try:
+        code = main(["trace-gen", "--synthetic", "meabo3-small", "--out", str(p)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 << 20
+
+
+def test_synthetic_run_memory_flat_in_iterations(tmp_path, monkeypatch):
+    # `swapsim run --synthetic` streams the generated intervals: four
+    # iterations of the phase list take no more memory than one, once the
+    # working set is in the caches, the reuse tracker and the phase table.
+    marker = SyntheticPhaseSpec(PhaseKind.MARKER, 10_000, seed=3)
+    phases = [SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 40_000, seed=1),
+              SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, 40_000, seed=2)]
+    peaks = []
+    for iterations in (1, 4):
+        monkeypatch.setattr(swapsim.cli, "preset_specs",
+                            lambda name, seed: (phases, iterations, marker))
+        tracemalloc.start()
+        try:
+            code = main(["run", "--synthetic", "locality", "--out", str(tmp_path / "o")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert abs(peaks[1] - peaks[0]) < 1 << 20
 
 
 def test_write_read_round_trip(tmp_path):
