@@ -117,8 +117,8 @@ def per_phase_accuracy(records: list[IntervalRecord]) -> dict[int, tuple[float, 
         grouped.setdefault(r.phase_id, []).append(r.accuracy)
     out = {}
     for pid, vals in grouped.items():
-        mean = sum(vals) / len(vals)
-        var = sum((v - mean) ** 2 for v in vals) / len(vals)
+        mean = math.fsum(vals) / len(vals)
+        var = math.fsum((v - mean) ** 2 for v in vals) / len(vals)
         out[pid] = (mean, math.sqrt(var))
     return out
 

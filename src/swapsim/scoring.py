@@ -46,7 +46,7 @@ class ScoreVector:
         return (self.accuracy, self.near_miss_ratio, self.size_fraction, self.complexity_fraction)
 
     def distance_from_ideal(self) -> float:
-        return math.sqrt(sum((v - i) ** 2 for v, i in zip(self.as_tuple(), IDEAL_VECTOR)))
+        return math.sqrt(math.fsum((v - i) ** 2 for v, i in zip(self.as_tuple(), IDEAL_VECTOR)))
 
 
 def near_miss_ratio(stats: ShadowStats) -> float:

@@ -48,27 +48,27 @@ CASES = {
 
 GOLDEN = {
     "validate": (
-        "5c18ee06c0558779e07862803b86a3206c0b1b2841e91e64fb15dd34872009b3",
+        "f1ac3d25428e5c9250e4eb32c5889db605a735eabdd2d74e9625cc9d98546f65",
         "49d173c2f7fdd4c8be0b2900254d3cb2d581260b59c9bf4559d9fc658e38baad",
         "81bc9338001d8b9f196ed90092bd51d65b5b8b3b458e605d84034046afb02291",
     ),
     "fixed-rate": (
-        "c811d2e484558d7fe152f934bf4789249264714b190d73f3fb9f3e78fbb97765",
+        "b0e30c7b65f3f4fe57409a59f32ddbcce07290483d8897ec3024e690920e4066",
         "d3a1c05ee8ef9ad1e4271de31842a974851ffa1408f716fdb212fe4c1300a50a",
         "d51f2ccf4cb08531d6fb0c2ec480b95e278c2058c9fadd17b8aaf02aea539dab",
     ),
     "markov4": (
-        "2cfc82fa68457ee3c4ded4470c54eedd6fdfa3024443eca142b8a95f044e7f95",
+        "0d635bf436327a8fc5e7bbfa52af525aebb701f5b0246552c699ff45c549e0ee",
         "886009e6b4fc02d9e88e81a7caab0bc0c6ea2f8d85ae0bc330bb2d4bfa239897",
         "d5e18ebf92d58353eec713767eb407f62da731a07ec954b283aae4a9d4380f60",
     ),
     "markov8": (
-        "f9809d409a0ec1ac572758cb2f6948de8418209bf438aee1bd251d2c9da23106",
+        "c6f952a29c6c0a8a647c2e55b1286001a78bf1fe843435a2b1d49188649ebbfd",
         "5ae69085e3b24d98d31c0f92b9e65fc3576cc18d214ab57d095308661276b382",
         "940a818d8ec0b5c4e9d58ffaeded537ffeeec4f58870de70e69bae7e0636c7a6",
     ),
     "tail": (
-        "34a80bcd44163b0395c98cea575b86ce648ee5e796388476519ab930cdb49290",
+        "065973ba8d03b2f12211b526bf25fbbae0ddfd12e89ef2e613d0d644a2704b2f",
         "0f1d5931a64305f2ddb8b5b5165a034cde76b0091288ff8a1e8fff85b47df175",
         "b792107dd42a9ea582e221fb85f85f5cd033a1c70a57a5fa66b62a406e17704a",
     ),

@@ -129,6 +129,13 @@ def test_per_phase_accuracy_grouping():
     assert out[1] == (0.9, 0.0)
 
 
+def test_per_phase_accuracy_sums_exactly():
+    # Summed left to right, ten 0.1s make 0.9999999999999999; the mean and
+    # variance must not depend on how a Python version rounds a float sum.
+    out = per_phase_accuracy([rec(i, 0, "markov8", 0.1) for i in range(10)])
+    assert out == {0: (0.1, 0.0)}
+
+
 def test_percent_change():
     base = {"l1_hits": 200, "l2_hits": 50, "l3_hits": 0, "mem_accesses": 10, "cycles": 1000}
     model = {"l1_hits": 210, "l2_hits": 45, "l3_hits": 5, "mem_accesses": 10, "cycles": 900}
