@@ -8,7 +8,7 @@ import enum
 from dataclasses import dataclass
 
 from .cache import Hierarchy
-from .models import SWAP_KINDS, ModelKind, contexts, make_model
+from .models import NEAR, SWAP_KINDS, ModelKind, contexts, make_model
 from .phase import PhaseEvent
 from .scoring import ShadowStats, score, select_best
 
@@ -67,15 +67,6 @@ class Directive:
 
 
 _BASE_DIRECTIVE = Directive(phase_id=-1, swapped_kind=None, training=False)
-
-# Maps a context column to 1 if its reference is near (far bit clear).
-_NEAR = bytes.maketrans(bytes(range(4)), bytes((1, 0, 1, 0)))
-
-# References per block of shadow training: the candidates take turns
-# over one block at a time, so a candidate's per-reference temporaries
-# (about 8 B per reference for a Markov chain) are held for one block,
-# not for a whole interval.
-_SHADOW_BLOCK = 1024
 
 
 class SwapController:
@@ -149,19 +140,13 @@ class SwapController:
     def _shadow_train(self, st: PhaseModelState, ops, addresses, misses: list[int]) -> None:
         """Run every candidate beside the detailed L1's outcomes: each
         predicts, then trains on, every reference, so accuracy measures
-        generalization, not recall of the access being trained on. Block
-        by block, the candidates run in the order of st.models, each
-        drawing where its `predict` would; its shadow counters are summed
-        once from its predictions of the interval."""
+        generalization, not recall of the access being trained on. A
+        prediction counts its expected value, so shadow training makes no
+        draw and the scores depend on the trace alone."""
         ctxs = contexts(ops, addresses, self._prev_address)
         hit = bytearray(b"\x01") * len(ctxs)
         for i in misses:
             hit[i] = 0
-        predicted = [bytearray() for _ in st.models]
-        for lo in range(0, len(ctxs), _SHADOW_BLOCK):
-            block, block_hit = ctxs[lo:lo + _SHADOW_BLOCK], hit[lo:lo + _SHADOW_BLOCK]
-            for outcomes, model in zip(predicted, st.models.values()):
-                outcomes += model.shadow_interval(block, block_hit, self.rng)
-        near = ctxs.translate(_NEAR)
-        for kind, outcomes in zip(st.models, predicted):
-            st.shadow[kind].add_interval(outcomes, hit, near)
+        near = ctxs.translate(NEAR)
+        for kind, model in st.models.items():
+            st.shadow[kind].add_interval(*model.shadow_interval(ctxs, hit), hit, near)

@@ -3,19 +3,22 @@ Markov chains with restricted prediction.
 
 All three share the train-on-observation / predict-hit interface. They
 predict a whole interval at once with `predict_interval` while swapped
-in, and shadow-train on a run of references at once with
-`shadow_interval`; both match `predict` and `train` applied one reference
-at a time. The Markov chains keep transition counts as the source of
-truth; the compiled prediction table is derived from them and rebuilt
-after training.
+in, which matches `predict` applied one reference at a time. They
+shadow-train on a run of references at once with `shadow_interval`,
+which matches `train` one reference at a time and scores each reference
+by the expected value of `predict` before its `train`, with no draw. The
+Markov chains keep transition counts as the source of truth; the
+compiled prediction table is derived from them and rebuilt after
+training.
 """
 from __future__ import annotations
 
 import enum
 import sys
 from array import array
-from itertools import accumulate, chain, islice, repeat, starmap
-from operator import lt, truediv
+from functools import reduce
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, sub, truediv
 
 from .cache import CacheConfig
 
@@ -31,6 +34,8 @@ _LINE_BITS = bytes(b >> NEAR_LINE_SHIFT for b in range(256))
 _ONE = bytes((0,)) + bytes((1,)) * 255
 # Maps an outcome byte (1 hit, 0 miss) to its miss bit.
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# Maps a context column to 1 if its reference is near (far bit clear).
+NEAR = bytes.maketrans(bytes(range(4)), bytes((1, 0, 1, 0)))
 _SWAP = sys.byteorder == "big"  # planes are read from little-endian bytes
 
 
@@ -113,22 +118,29 @@ class FixedHitRateModel:
         p = self.hit_rate
         return [i for i in range(len(addresses)) if not rand() < p]
 
-    def shadow_interval(self, ctxs: bytes, hit, rng) -> bytes:
-        """`predict`, then `train` on the detailed L1's outcome in `hit`
-        (1 hit, 0 miss), every reference of `ctxs`, one draw each; returns
-        the predicted outcomes. The rate before reference i is the same
-        int division `train` makes, over the running hit count and total."""
+    def shadow_interval(self, ctxs: bytes, hit) -> tuple[float, float]:
+        """`train` on the detailed L1's outcome in `hit` (1 hit, 0 miss),
+        every reference of `ctxs`. Returns the expected correct predictions
+        and near misses of `predict` before each `train`, each summed in
+        reference order: p at a hit and 1 - p at a miss, and 1 - p at a
+        near reference. p is the rate before the reference, the same int
+        division `train` makes, over the running hit count and total."""
         n = len(hit)
         if not n:
-            return b""
+            return 0.0, 0.0
         h0, t0 = self.hit_count, self.total_count
-        rates = chain((self.hit_rate,),
-                      map(truediv, islice(accumulate(hit, initial=h0), 1, n), range(t0 + 1, t0 + n)))
-        predicted = bytes(map(lt, starmap(rng.random, repeat((), n)), rates))
-        self.hit_count = h0 + sum(hit)
+
+        def rates():
+            return chain((self.hit_rate,),
+                         map(truediv, islice(accumulate(hit, initial=h0), 1, n), range(t0 + 1, t0 + n)))
+
+        # |miss - p| is p at a hit and 1 - p at a miss.
+        correct = reduce(add, map(abs, map(sub, hit.translate(_FLIP), rates())), 0.0)
+        near_misses = reduce(add, compress(map(sub, repeat(1.0), rates()), ctxs.translate(NEAR)), 0.0)
+        self.hit_count = h0 + hit.count(1)
         self.total_count = t0 + n
         self.hit_rate = self.hit_count / self.total_count
-        return predicted
+        return correct, near_misses
 
 
 # State encoding: bit 1 = write, bit 0 = miss, giving RH=0, RM=1, WH=2,
@@ -233,10 +245,12 @@ class MarkovModel:
         self.last_state = None if s == none else s
         return misses
 
-    def shadow_interval(self, ctxs: bytes, hit, rng) -> bytes:
-        """`predict`, then `train` on the detailed L1's outcome in `hit`
-        (1 hit, 0 miss), every reference of `ctxs`, drawing where `predict`
-        draws; returns the predicted outcomes.
+    def shadow_interval(self, ctxs: bytes, hit) -> tuple[float, float]:
+        """`train` on the detailed L1's outcome in `hit` (1 hit, 0 miss),
+        every reference of `ctxs`. Returns the expected correct predictions
+        and near misses of `predict` before each `train`, each summed in
+        reference order: p at a hit and 1 - p at a miss, and 1 - p at a
+        near reference. p is `_p_hit`'s, or 0 where it is -1.0.
 
         After every `train`, `last_state` is the true state, so the true
         states alone fix which row each reference predicts from: the
@@ -246,7 +260,7 @@ class MarkovModel:
         n = self.n_states
         k = len(ctxs)
         if not k:
-            return b""
+            return 0.0, 0.0
         hit_states, row_cells = _SHADOW_TABLES[n]
         h = int.from_bytes(ctxs.translate(hit_states), "little")
         miss = int.from_bytes(hit.translate(_FLIP), "little")
@@ -254,31 +268,37 @@ class MarkovModel:
         rows = bytes((self._train_last or 0,)) + states[:-1]
         cells = int.from_bytes(rows.translate(row_cells), "little") | h
         counts = [x for row in self.counts for x in row]
-        # A fresh chain has no count at all, so its first reference is a
-        # miss with no draw, and no transition is counted there.
+        near = ctxs.translate(NEAR)
+        correct = near_misses = 0.0
+        # A fresh chain has no count at all, so its first reference has
+        # p = 0, and no transition is counted there.
         start = int(self._train_last is None)
-        predicted = bytearray(start)
-        append = predicted.append
-        rand = rng.random
-        for cell, to in zip(cells.to_bytes(k, "little")[start:],
-                            (cells | miss).to_bytes(k, "little")[start:]):
+        if start:
+            correct += 1.0 - hit[0]
+            near_misses += near[0]
+        for cell, to, is_near in zip(cells.to_bytes(k, "little")[start:],
+                                     (cells | miss).to_bytes(k, "little")[start:], near[start:]):
             a = counts[cell]
             try:
                 p = a / (a + counts[cell + 1])
             except ZeroDivisionError:
                 # Degenerate pair, as in `_p_hit`: the column marginals,
-                # or miss and no draw where the pair has no count at all.
+                # or p = 0 where the pair has no count at all.
                 col = cell % n
                 ch = sum(counts[col::n])
                 cm = sum(counts[col + 1::n])
-                append(ch + cm > 0 and rand() < ch / (ch + cm))
+                p = ch / (ch + cm) if ch + cm else 0.0
+            if to == cell:
+                correct += p
             else:
-                append(rand() < p)
+                correct += 1.0 - p
+            if is_near:
+                near_misses += 1.0 - p
             counts[to] += 1
         self.counts = [counts[r:r + n] for r in range(0, n * n, n)]
         self.last_state = self._train_last = states[-1]
         self._table = None
-        return predicted
+        return correct, near_misses
 
 
 def make_model(kind: ModelKind):

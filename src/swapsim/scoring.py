@@ -15,24 +15,25 @@ IDEAL_VECTOR = (1.0, 1.0, 0.0, 0.0)
 @dataclass
 class ShadowStats:
     """Counters accumulated while a candidate model runs alongside the
-    detailed model during training intervals."""
+    detailed model during training intervals. The model's correct
+    predictions and near misses are expected values, float sums."""
 
-    correct_predictions: int = 0
+    correct_predictions: float = 0.0
     total_predictions: int = 0
-    model_near_misses: int = 0
+    model_near_misses: float = 0.0
     base_near_misses: int = 0
 
-    def add_interval(self, predicted, hit, near) -> None:
-        """Count one interval: per reference, the predicted and the actual
-        outcome (1 hit, 0 miss) and whether it was near (1) or far (0).
-        Each column is read as one int of 0/1 bytes, so a count of
-        references is a count of set bits."""
-        p, h, nr = (int.from_bytes(column, "little") for column in (predicted, hit, near))
-        n_near = nr.bit_count()
+    def add_interval(self, correct: float, model_near_misses: float, hit, near) -> None:
+        """Count one interval: the model's expected correct predictions and
+        near misses over it, and per reference the actual outcome (1 hit,
+        0 miss) and whether it was near (1) or far (0). Each column is read
+        as one int of 0/1 bytes, so a count of references is a count of
+        set bits."""
+        h, nr = (int.from_bytes(column, "little") for column in (hit, near))
         self.total_predictions += len(hit)
-        self.correct_predictions += len(hit) - (p ^ h).bit_count()
-        self.model_near_misses += n_near - (p & nr).bit_count()
-        self.base_near_misses += n_near - (h & nr).bit_count()
+        self.correct_predictions += correct
+        self.model_near_misses += model_near_misses
+        self.base_near_misses += nr.bit_count() - (h & nr).bit_count()
 
 
 @dataclass(frozen=True)

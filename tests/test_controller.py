@@ -186,11 +186,12 @@ def test_independent_phases_get_independent_models():
 # The transient memory of one shadow interval, per reference: `contexts`
 # copies the addresses, a list here, into an array and that into bytes
 # (16 B), then works on byte planes and their ints (about 6 B). The
-# contexts, outcomes, near flags and each candidate's predictions take a
-# byte each, and a candidate's temporaries are held for one block only.
-# Measured: 22.3 B per reference of a 10 000-reference interval with
-# three candidates. Draws held for the whole interval, a float and a list
-# slot each, would alone take 96 B per reference.
+# contexts, outcomes and near flags take a byte each, and a candidate's
+# expected counts are summed as its loop streams, with no float held per
+# reference. Measured: 22.3 B per reference of a 10 000-reference
+# interval with three candidates. A list of one candidate's hit
+# probabilities, a float and a list slot each, would alone take 32 B per
+# reference.
 SHADOW_BYTES_PER_REF = 32
 
 

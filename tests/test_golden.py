@@ -48,29 +48,29 @@ CASES = {
 
 GOLDEN = {
     "validate": (
-        "f1ac3d25428e5c9250e4eb32c5889db605a735eabdd2d74e9625cc9d98546f65",
-        "49d173c2f7fdd4c8be0b2900254d3cb2d581260b59c9bf4559d9fc658e38baad",
-        "81bc9338001d8b9f196ed90092bd51d65b5b8b3b458e605d84034046afb02291",
+        "ffec5a61a4d3cb31a6b122b8a1537fb7ab52a65697da797473cef3aede192e5a",
+        "285132ae08e69cbef1e7017c0b41489d6b902c574d4bdf9cc2b301fc3e22894c",
+        "a1d55ff5b3306064abe6604593dbba021f4504d380a201d8fdd2224b4f98cc94",
     ),
     "fixed-rate": (
-        "b0e30c7b65f3f4fe57409a59f32ddbcce07290483d8897ec3024e690920e4066",
-        "d3a1c05ee8ef9ad1e4271de31842a974851ffa1408f716fdb212fe4c1300a50a",
-        "d51f2ccf4cb08531d6fb0c2ec480b95e278c2058c9fadd17b8aaf02aea539dab",
+        "73dfeb95eca8a00562e8290e7fd70629cc87b48ca957e3c3373a138815354235",
+        "65c3b4dab09fb6f128adfe98358c71e9d94a902aaf6306c9f858de55b64f6191",
+        "fef23b71a041b3cf27febfaee860d6bcea46e4855907ae9f149cb3ccdc70de72",
     ),
     "markov4": (
-        "0d635bf436327a8fc5e7bbfa52af525aebb701f5b0246552c699ff45c549e0ee",
-        "886009e6b4fc02d9e88e81a7caab0bc0c6ea2f8d85ae0bc330bb2d4bfa239897",
-        "d5e18ebf92d58353eec713767eb407f62da731a07ec954b283aae4a9d4380f60",
+        "66df0ff581f50f7f7de148a97c9cce1fe7dc2b16b30f4a22c02acbc49cf10c88",
+        "d8f03ee4ff3b7ac3e1070ab75f08dcc373d623586f75558385d7b0fd407ba95d",
+        "b56919221d35976f55c6674dac910a0447a1465d78f4626c396bb0a0c928df76",
     ),
     "markov8": (
-        "c6f952a29c6c0a8a647c2e55b1286001a78bf1fe843435a2b1d49188649ebbfd",
-        "5ae69085e3b24d98d31c0f92b9e65fc3576cc18d214ab57d095308661276b382",
-        "940a818d8ec0b5c4e9d58ffaeded537ffeeec4f58870de70e69bae7e0636c7a6",
+        "9af00835aad8241ab00997ae0923ad6e47bfbff88d00cbab1024d23f56d775bc",
+        "285132ae08e69cbef1e7017c0b41489d6b902c574d4bdf9cc2b301fc3e22894c",
+        "a1d55ff5b3306064abe6604593dbba021f4504d380a201d8fdd2224b4f98cc94",
     ),
     "tail": (
-        "065973ba8d03b2f12211b526bf25fbbae0ddfd12e89ef2e613d0d644a2704b2f",
-        "0f1d5931a64305f2ddb8b5b5165a034cde76b0091288ff8a1e8fff85b47df175",
-        "b792107dd42a9ea582e221fb85f85f5cd033a1c70a57a5fa66b62a406e17704a",
+        "8385c54c1ac7251e4f692442e0513a19e2b9d496d3cdec276e490c6610755954",
+        "fc6c46d2092064cb75850beb66a2fedc586bf923b7900403dc5e4baa9b731833",
+        "dac7dd29a2f43d29aa03d854ff5456267a61d75a39f23062063c55bbaec0ed34",
     ),
     "given-up": (
         "1f374075761138c84a90c7ae65697c10eb1cc4acd972b1eecd59ff2fd7565c53",
@@ -101,3 +101,19 @@ def test_golden_hashes(case, traces, tmp_path):
         assert directives > {"base"}
     got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
     assert got == GOLDEN[case]
+
+
+def test_model_choice_does_not_depend_on_seed(traces, tmp_path):
+    # Shadow predictions count their expected value and make no draw, so
+    # the seed reaches only the swapped intervals, not the model choice.
+    path, _ = traces["even"]
+    reports = []
+    for seed in ("3", "4"):
+        out = tmp_path / seed
+        assert main(["run", "--trace", path, "--seed", seed, "--out", str(out), *FAST]) == EXIT_OK
+        reports.append(json.loads((out / "report.json").read_text()))
+    a, b = reports
+    assert a["chosen_models"]
+    for key in ("scores", "score_vectors", "chosen_models"):
+        assert a[key] == b[key]
+    assert a["intervals"] != b["intervals"]  # the swapped intervals did draw

@@ -1,25 +1,18 @@
 """Property tests of the interval-level paths against their per-reference
 definitions: the access contexts, the compiled Markov table, shadow
-training in any candidate order, the interval signature, the detailed L1 across swapped and base
+training's expected-value counters, the interval signature, the detailed L1 across swapped and base
 intervals, the batched reuse tracker, and the synthetic generator's
 draws; and the whole-run invariants of the simulation's totals."""
 import dataclasses
 import random
 from array import array
 from operator import mul
-from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapsim.cache import DEFAULT_L1, CacheConfig, Hierarchy, HierarchyConfig, SetAssociativeCache
-from swapsim.controller import (
-    _SHADOW_BLOCK,
-    ControllerConfig,
-    PhaseModelState,
-    PhaseState,
-    SwapController,
-)
+from swapsim.controller import ControllerConfig, PhaseModelState, PhaseState, SwapController
 from swapsim.metrics import REUSE_CAP, ReuseDistanceTracker
 from swapsim.models import SWAP_KINDS, MarkovModel, ModelKind, contexts
 from swapsim.phase import (
@@ -194,21 +187,35 @@ def per_reference_inputs(ops, addresses, misses, prev_address):
     return out
 
 
-def shadow_train_per_reference(st_, refs, rng, block):
-    """Shadow training one reference at a time, block by block: in each
-    block of `block` references, every candidate in turn, in st_.models
-    order, predicts, trains on and counts each reference. Block 1 is the
-    reference-major order, every candidate in turn at each reference."""
-    for lo in range(0, len(refs), block):
-        for kind, model in st_.models.items():
-            stats = st_.shadow[kind]
-            for ctx, hit, near in refs[lo:lo + block]:
-                predicted = model.predict(ctx, rng)
-                model.train(ctx, hit)
-                stats.total_predictions += 1
-                stats.correct_predictions += predicted == hit
-                stats.model_near_misses += near and not predicted
-                stats.base_near_misses += near and not hit
+def hit_probability(model, ctx):
+    """The probability that `predict` draws against: fixed-rate's rate, or
+    a Markov chain's `_p_hit` from its last state, 0 for an unseen
+    context, where `predict` returns miss without a draw."""
+    if isinstance(model, MarkovModel):
+        h = model._hits[ctx]
+        row = h if model.last_state is None else model.last_state
+        return max(model._p_hit(row, h), 0.0)
+    return model.hit_rate
+
+
+def shadow_train_per_reference(st_, refs):
+    """Shadow training one reference at a time: each candidate in turn
+    scores `predict`'s expected value at every reference of the interval,
+    then trains on it. The expected counts are summed over the interval in
+    reference order and then added to the candidate's counters."""
+    for kind, model in st_.models.items():
+        stats = st_.shadow[kind]
+        correct = near_misses = 0.0
+        for ctx, hit, near in refs:
+            p = hit_probability(model, ctx)
+            correct += p if hit else 1.0 - p
+            if near:
+                near_misses += 1.0 - p
+            model.train(ctx, hit)
+            stats.total_predictions += 1
+            stats.base_near_misses += near and not hit
+        stats.correct_predictions += correct
+        stats.model_near_misses += near_misses
 
 
 def model_state(model):
@@ -222,7 +229,7 @@ def shadow_runs(draw):
     """Candidates in any order, and a stream cut into at least three
     intervals. The first interval only reads, so the write column pairs
     are still unseen after it and later intervals reach the references
-    where a Markov chain makes no draw."""
+    where a Markov chain's hit probability is 0."""
     subset = draw(st.permutations(SWAP_KINDS))[:draw(st.integers(1, len(SWAP_KINDS)))]
     ref = st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans())
     first = draw(st.lists(ref.map(lambda r: (0, *r[1:])), max_size=30))
@@ -231,42 +238,35 @@ def shadow_runs(draw):
     return tuple(subset), first, rest, cuts
 
 
-SHADOW_BLOCKS = st.sampled_from([1, 2, 3, 7, _SHADOW_BLOCK])
 PREV_ADDRESS = st.one_of(st.just(-1), st.integers(0x3F00, 0x4100))
 
 
-# Blocks of a few references split an interval; the default block holds
-# a whole test interval.
 @settings(max_examples=80, deadline=None)
-@given(run=shadow_runs(), prev_address=PREV_ADDRESS, seed=st.integers(0, 2**32 - 1),
-       block=SHADOW_BLOCKS)
+@given(run=shadow_runs(), prev_address=PREV_ADDRESS)
 @example(run=((ModelKind.MARKOV8, ModelKind.FIXED_RATE), [(0, 0, False)] * 3,
               [(1, 1, True), (1, 2, False), (0, 0, True)], [1]),
-         prev_address=-1, seed=3, block=2)
-@example(run=(SWAP_KINDS, [], [], [0]), prev_address=-1, seed=0, block=_SHADOW_BLOCK)
-def test_shadow_train_any_candidate_order(run, prev_address, seed, block):
-    got, want = shadow_train_in_intervals(run, prev_address, seed, block, block)
+         prev_address=-1)
+@example(run=(SWAP_KINDS, [], [], [0]), prev_address=-1)
+def test_shadow_train_any_candidate_order(run, prev_address):
+    got, want = shadow_train_in_intervals(run, prev_address, seed=0)
     for kind in run[0]:
         assert got.shadow[kind] == want.shadow[kind]
 
 
-# Reordering the draws moves only the shadow predictions: the models
-# train on the detailed outcomes alone, and the rng ends every interval
-# where the reference-major loop leaves it, so swapped intervals draw
-# the same numbers.
+# Shadow training makes no draw: the models train on the detailed
+# outcomes alone, and swapped intervals draw the same numbers whatever
+# was trained before them.
 @settings(max_examples=60, deadline=None)
-@given(run=shadow_runs(), prev_address=PREV_ADDRESS, seed=st.integers(0, 2**32 - 1),
-       block=SHADOW_BLOCKS)
-def test_shadow_train_models_and_rng_match_reference_major_loop(run, prev_address, seed, block):
-    shadow_train_in_intervals(run, prev_address, seed, block, 1)
+@given(run=shadow_runs(), prev_address=PREV_ADDRESS, seed=st.integers(0, 2**32 - 1))
+def test_shadow_train_models_match_oracle_and_leave_rng_untouched(run, prev_address, seed):
+    shadow_train_in_intervals(run, prev_address, seed)
 
 
-def shadow_train_in_intervals(run, prev_address, seed, block, oracle_block):
-    """Shadow-train a run interval by interval with `_shadow_train` in
-    blocks of `block` references, and with the per-reference oracle in
-    blocks of `oracle_block`. After every interval both leave the models
-    in the same state and their rngs at the same draw. Returns both
-    phase states."""
+def shadow_train_in_intervals(run, prev_address, seed):
+    """Shadow-train a run interval by interval with `_shadow_train` and
+    with the per-reference oracle. After every interval both leave the
+    models in the same state, and the controller's rng where it started.
+    Returns both phase states."""
     kinds, first, rest, cuts = run
     refs = first + rest
     # Addresses walk 32-byte steps, so neighbours are near or far.
@@ -275,17 +275,16 @@ def shadow_train_in_intervals(run, prev_address, seed, block, oracle_block):
     bounds = [0, len(first), *(len(first) + c for c in cuts), len(refs)]
     ctrl = SwapController(Hierarchy(), ControllerConfig(candidate_kinds=kinds),
                           rng=random.Random(seed))
+    rng_state = ctrl.rng.getstate()
     ctrl.on_interval_end(PhaseEvent(0, 0))
     got = ctrl.phases[0]
     want = PhaseModelState(kinds)
-    want_rng = random.Random(seed)
     ctrl._prev_address = prev = prev_address
     for lo, hi in zip(bounds, bounds[1:]):
         misses = [i - lo for i in range(lo, hi) if refs[i][2]]
-        with mock.patch("swapsim.controller._SHADOW_BLOCK", block):
-            ctrl._shadow_train(got, ops[lo:hi], addrs[lo:hi], misses)
+        ctrl._shadow_train(got, ops[lo:hi], addrs[lo:hi], misses)
         inputs = per_reference_inputs(ops[lo:hi], addrs[lo:hi], misses, prev)
-        shadow_train_per_reference(want, inputs, want_rng, oracle_block)
+        shadow_train_per_reference(want, inputs)
         if hi > lo:
             ctrl._prev_address = prev = addrs[hi - 1]
         assert list(got.models) == list(kinds)
@@ -294,7 +293,7 @@ def shadow_train_in_intervals(run, prev_address, seed, block, oracle_block):
             assert model_state(model) == model_state(want.models[kind])
             if isinstance(model, MarkovModel):
                 assert model.last_state == model._train_last
-        assert ctrl.rng.getstate() == want_rng.getstate()
+        assert ctrl.rng.getstate() == rng_state
     return got, want
 
 

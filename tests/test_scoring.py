@@ -18,26 +18,35 @@ from swapsim.scoring import (
 
 def test_record_shadow_counting():
     s = ShadowStats()
-    # correct, no misses; wrong, model near miss; wrong, base near miss;
-    # correct, far: near counters untouched
-    s.add_interval(predicted=[1, 0, 1, 0], hit=[1, 1, 0, 0], near=[1, 1, 1, 0])
+    # The model's expected counts are added as they are; the base's near
+    # misses are the near references that missed: only the third here.
+    s.add_interval(2.5, 1.25, hit=[1, 1, 0, 0], near=[1, 1, 1, 0])
     assert s.total_predictions == 4
-    assert s.correct_predictions == 2
-    assert s.model_near_misses == 1
+    assert s.correct_predictions == 2.5
+    assert s.model_near_misses == 1.25
     assert s.base_near_misses == 1
 
 
 def test_record_shadow_bulk_recount():
     rng = random.Random(11)
     s = ShadowStats()
-    events = [(rng.random() < 0.6, rng.random() < 0.7, rng.random() < 0.5) for _ in range(10_000)]
-    # Two intervals in the byte form the controller passes: the counters add up.
+    events = [(rng.random(), rng.random() < 0.7, rng.random() < 0.5) for _ in range(10_000)]
+    # Two intervals in the byte form the controller passes, with their
+    # expected counts summed in reference order: the counters add up.
+    want_correct = want_near = 0.0
     for part in (events[:3_000], events[3_000:]):
-        p, a, n = (bytes(column) for column in zip(*part))
-        s.add_interval(bytearray(p), a, n)
+        correct = near_misses = 0.0
+        for p, a, n in part:
+            correct += p if a else 1.0 - p
+            if n:
+                near_misses += 1.0 - p
+        a, n = (bytes(column) for column in list(zip(*part))[1:])
+        s.add_interval(correct, near_misses, bytearray(a), n)
+        want_correct += correct
+        want_near += near_misses
     assert s.total_predictions == len(events)
-    assert s.correct_predictions == sum(p == a for p, a, _ in events)
-    assert s.model_near_misses == sum((not p) and n for p, _, n in events)
+    assert s.correct_predictions == want_correct
+    assert s.model_near_misses == want_near
     assert s.base_near_misses == sum((not a) and n for _, a, n in events)
 
 
