@@ -58,8 +58,8 @@ def interval_signature(addresses, config: PhaseDetectorConfig) -> int:
 
     The distinct addresses are hashed all at once, each in its own 128-bit
     lane of one int. A lane value below 2**64 times a 64-bit constant stays
-    below 2**128, and every shifted term is masked back to the low halves,
-    so no lane's bits reach another lane."""
+    below 2**128, and every shifted term of the finalizer is masked back
+    to the low halves, so no lane's bits reach another lane's value."""
     distinct = array("Q", set(addresses))
     n = len(distinct)
     lanes = array("Q", bytes(16 * n))
@@ -73,9 +73,11 @@ def interval_signature(addresses, config: PhaseDetectorConfig) -> int:
     x ^= x >> 30 & m
     x = x * 0xBF58476D1CE4E5B9 & m
     x ^= x >> 27 & m
-    x = x * 0x94D049BB133111EB & m
-    x ^= x >> 31 & m
-    x = x >> 64 - (config.sig_len.bit_length() - 1) & m
+    # The finalizer's last step, x ^= x >> 31, leaves the top 31 bits as
+    # they are, and a signature reads at most 24 of them. Shifted down,
+    # they land in the low half of their lane; the high half, which takes
+    # the next lane's low bits, is not read.
+    x = (x * 0x94D049BB133111EB & m) >> 64 - (config.sig_len.bit_length() - 1)
     lanes = array("Q", x.to_bytes(16 * n, "little"))
     if _SWAP:
         lanes.byteswap()
