@@ -228,20 +228,23 @@ class MarkovModel:
         the compiled table; returns the positions predicted to miss.
         `prev_address` is the reference before the interval (-1 for none)."""
         table = self._compiled()
-        hits = self._hits
+        # The state is held as the offset of its row in the table.
+        hit_row = [h << 2 for h in self._hits]
+        miss_row = [h + 1 << 2 for h in self._hits]
         none = self.n_states
-        s = none if self.last_state is None else self.last_state
+        r = (none if self.last_state is None else self.last_state) << 2
         rand = rng.random
         misses = []
         for i, ctx in enumerate(contexts(ops, addresses, prev_address)):
-            p_hit = table[s << 2 | ctx]
+            p_hit = table[r | ctx]
             if p_hit < 0.0:
                 misses.append(i)  # unseen context: miss, no draw, state kept
             elif rand() < p_hit:
-                s = hits[ctx]
+                r = hit_row[ctx]
             else:
-                s = hits[ctx] + 1
+                r = miss_row[ctx]
                 misses.append(i)
+        s = r >> 2
         self.last_state = None if s == none else s
         return misses
 
