@@ -5,11 +5,13 @@ All three share the train-on-observation / predict-hit interface. They
 predict a whole interval at once with `predict_interval` while swapped
 in, which matches `predict` applied one reference at a time. They
 shadow-train on a run of references at once with `shadow_interval`,
-which matches `train` one reference at a time and scores each reference
-by the expected value of `predict` before its `train`, with no draw. The
-Markov chains keep transition counts as the source of truth; the
-compiled prediction table is derived from them and rebuilt after
-training.
+which matches `train` one reference at a time and returns the expected
+counts of `predict` before each `train`, summed in reference order with
+no draw. With p the hit probability `predict` draws against, a reference
+adds p to the correct predictions at a detailed hit and 1 - p at a miss,
+and 1 - p to the near misses if it is near. The Markov chains keep
+transition counts as the source of truth; the compiled prediction table
+is derived from them and rebuilt after training.
 """
 from __future__ import annotations
 
@@ -119,12 +121,9 @@ class FixedHitRateModel:
         return [i for i in range(len(addresses)) if not rand() < p]
 
     def shadow_interval(self, ctxs: bytes, hit) -> tuple[float, float]:
-        """`train` on the detailed L1's outcome in `hit` (1 hit, 0 miss),
-        every reference of `ctxs`. Returns the expected correct predictions
-        and near misses of `predict` before each `train`, each summed in
-        reference order: p at a hit and 1 - p at a miss, and 1 - p at a
-        near reference. p is the rate before the reference, the same int
-        division `train` makes, over the running hit count and total."""
+        """The expected correct predictions and near misses of an interval,
+        `hit` holding the detailed L1's outcomes (1 hit, 0 miss). p is the
+        rate before each reference, the same int division `train` makes."""
         n = len(hit)
         if not n:
             return 0.0, 0.0
@@ -231,8 +230,8 @@ class MarkovModel:
         # The state is held as the offset of its row in the table.
         hit_row = [h << 2 for h in self._hits]
         miss_row = [h + 1 << 2 for h in self._hits]
-        none = self.n_states
-        r = (none if self.last_state is None else self.last_state) << 2
+        none = self.n_states << 2
+        r = none if self.last_state is None else self.last_state << 2
         rand = rng.random
         misses = []
         for i, ctx in enumerate(contexts(ops, addresses, prev_address)):
@@ -244,16 +243,13 @@ class MarkovModel:
             else:
                 r = miss_row[ctx]
                 misses.append(i)
-        s = r >> 2
-        self.last_state = None if s == none else s
+        self.last_state = None if r == none else r >> 2
         return misses
 
     def shadow_interval(self, ctxs: bytes, hit) -> tuple[float, float]:
-        """`train` on the detailed L1's outcome in `hit` (1 hit, 0 miss),
-        every reference of `ctxs`. Returns the expected correct predictions
-        and near misses of `predict` before each `train`, each summed in
-        reference order: p at a hit and 1 - p at a miss, and 1 - p at a
-        near reference. p is `_p_hit`'s, or 0 where it is -1.0.
+        """The expected correct predictions and near misses of an interval,
+        `hit` holding the detailed L1's outcomes (1 hit, 0 miss). p is
+        `_p_hit`'s, or 0 where that is -1.0.
 
         After every `train`, `last_state` is the true state, so the true
         states alone fix which row each reference predicts from: the
@@ -272,13 +268,9 @@ class MarkovModel:
         cells = int.from_bytes(rows.translate(row_cells), "little") | h
         counts = [x for row in self.counts for x in row]
         near = ctxs.translate(NEAR)
-        correct = near_misses = 0.0
-        # A fresh chain has no count at all, so its first reference has
-        # p = 0, and no transition is counted there.
+        # A fresh chain's first reference has p = 0 and counts no transition.
         start = int(self._train_last is None)
-        if start:
-            correct += 1.0 - hit[0]
-            near_misses += near[0]
+        correct, near_misses = (1.0 - hit[0], float(near[0])) if start else (0.0, 0.0)
         for cell, to, is_near in zip(cells.to_bytes(k, "little")[start:],
                                      (cells | miss).to_bytes(k, "little")[start:], near[start:]):
             a = counts[cell]
@@ -291,10 +283,7 @@ class MarkovModel:
                 ch = sum(counts[col::n])
                 cm = sum(counts[col + 1::n])
                 p = ch / (ch + cm) if ch + cm else 0.0
-            if to == cell:
-                correct += p
-            else:
-                correct += 1.0 - p
+            correct += p if to == cell else 1.0 - p
             if is_near:
                 near_misses += 1.0 - p
             counts[to] += 1

@@ -24,11 +24,9 @@ class ShadowStats:
     base_near_misses: int = 0
 
     def add_interval(self, correct: float, model_near_misses: float, hit, near) -> None:
-        """Count one interval: the model's expected correct predictions and
-        near misses over it, and per reference the actual outcome (1 hit,
-        0 miss) and whether it was near (1) or far (0). Each column is read
-        as one int of 0/1 bytes, so a count of references is a count of
-        set bits."""
+        """Count one interval: the model's expected counts, and per reference
+        the detailed outcome (1 hit, 0 miss) and whether it was near (1) or
+        far (0), each column read as one int of 0/1 bytes."""
         h, nr = (int.from_bytes(column, "little") for column in (hit, near))
         self.total_predictions += len(hit)
         self.correct_predictions += correct
