@@ -55,7 +55,9 @@ def _build_parser() -> _Parser:
     run.add_argument("--models", default="all",
                      help="comma-separated candidate models, or 'all'")
     run.add_argument("--train-intervals", type=int, default=2)
-    run.add_argument("--give-up-after", type=int, default=None)
+    run.add_argument("--give-up-after", type=int, default=None, metavar="N",
+                     help="leave a phase unswapped after N trained intervals (only N below "
+                          "--train-intervals has an effect)")
     run.add_argument("--validate", action="store_true",
                      help="run a detailed hierarchy in lockstep, in the same thread, as ground truth")
     run.add_argument("--out", default="swapsim-out", help="output directory")

@@ -23,7 +23,7 @@ class PhaseState(enum.Enum):
 class ControllerConfig:
     train_intervals: int = 2
     candidate_kinds: tuple[ModelKind, ...] = SWAP_KINDS
-    give_up_after: int | None = None  # training-interval budget; disabled by default
+    give_up_after: int | None = None  # give up after this many trained intervals; off by default
 
     def __post_init__(self):
         if self.train_intervals < 1:
@@ -39,13 +39,12 @@ class ControllerConfig:
 class PhaseModelState:
     """Everything the controller knows about one cataloged phase."""
 
-    __slots__ = ("state", "intervals_trained", "intervals_observed", "models", "shadow",
-                 "chosen", "scores", "score_vectors")
+    __slots__ = ("state", "intervals_trained", "models", "shadow", "chosen", "scores",
+                 "score_vectors")
 
     def __init__(self, kinds):
         self.state = PhaseState.TRAINING
         self.intervals_trained = 0
-        self.intervals_observed = 0
         self.models = {k: make_model(k) for k in kinds}
         self.shadow = {k: ShadowStats() for k in kinds}
         self.chosen: ModelKind | None = None
@@ -55,9 +54,9 @@ class PhaseModelState:
 
 @dataclass(frozen=True)
 class Directive:
-    """What the L1D slot should do for the upcoming interval."""
+    """What the L1D slot does for one interval."""
 
-    phase_id: int  # phase the interval is assumed to continue; -1 unknown
+    phase_id: int  # the phase the detector labeled this interval; -1 none
     swapped_kind: ModelKind | None  # None means run the detailed base model
     training: bool  # shadow-train candidates for phase_id
 
@@ -70,9 +69,9 @@ _BASE_DIRECTIVE = Directive(phase_id=-1, swapped_kind=None, training=False)
 
 
 class SwapController:
-    """Owns the L1D slot of a hierarchy. Feed it every interval's
-    references through run_interval and every detector event through
-    on_interval_end."""
+    """Owns the L1D slot of a hierarchy. For each interval, pass the
+    detector's label to start_interval, the references to run_interval,
+    and the same label to on_interval_end."""
 
     def __init__(self, hierarchy: Hierarchy, config: ControllerConfig | None = None, *, rng):
         self.hierarchy = hierarchy
@@ -82,22 +81,25 @@ class SwapController:
         self.directive: Directive = _BASE_DIRECTIVE
         self._prev_address = -1  # previous reference, for near/far; -1 for none
 
-    def on_interval_end(self, event: PhaseEvent) -> Directive:
+    def start_interval(self, event: PhaseEvent) -> Directive:
+        """Set the directive of the interval labeled `event`, before it runs."""
         pid = event.phase_id
-        prev = self.directive
         if pid < 0:
             self.directive = _BASE_DIRECTIVE
-            return self.directive
+        else:
+            st = self.phases.get(pid)
+            if st is None:
+                st = self.phases[pid] = PhaseModelState(self.config.candidate_kinds)
+            self.directive = Directive(pid, st.chosen, st.state is PhaseState.TRAINING)
+        return self.directive
 
-        st = self.phases.get(pid)
-        if st is None:
-            st = self.phases[pid] = PhaseModelState(self.config.candidate_kinds)
-        elif st.state is PhaseState.TRAINING:
-            # The completed interval only counts if it actually trained
-            # this phase (the label can disagree right after a transition).
-            if prev.training and prev.phase_id == pid:
-                st.intervals_trained += 1
-            st.intervals_observed += 1
+    def on_interval_end(self, event: PhaseEvent) -> Directive:
+        """Count the closing interval if it trained its phase, then score and
+        swap once the budget is met, or give up. A trailing partial interval
+        runs under the directive of `event`'s label."""
+        if self.directive.training:
+            st = self.phases[self.directive.phase_id]
+            st.intervals_trained += 1
             if st.intervals_trained >= self.config.train_intervals:
                 st.scores = {}
                 for kind in self.config.candidate_kinds:
@@ -106,19 +108,9 @@ class SwapController:
                     st.scores[kind] = scalar
                 st.chosen = select_best(st.scores)
                 st.state = PhaseState.SWAPPED
-            elif (
-                self.config.give_up_after is not None
-                and st.intervals_observed >= self.config.give_up_after
-            ):
+            elif st.intervals_trained == self.config.give_up_after:
                 st.state = PhaseState.GIVEN_UP
-
-        if st.state is PhaseState.SWAPPED:
-            self.directive = Directive(pid, st.chosen, False)
-        elif st.state is PhaseState.TRAINING:
-            self.directive = Directive(pid, None, True)
-        else:  # GIVEN_UP
-            self.directive = Directive(pid, None, False)
-        return self.directive
+        return self.start_interval(event)
 
     def run_interval(self, ops, addresses) -> list[int]:
         """Run one interval's references under the current directive and

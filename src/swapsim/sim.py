@@ -5,10 +5,11 @@ swapped run's decisions.
 
 A Runner takes the trace one interval at a time: run_simulation slices
 an in-memory Trace, and `swapsim run --trace` feeds it from
-trace.read_intervals, so a trace file is never held whole. The directive
-can change only at an interval boundary, so each interval runs as one
-loop chosen by its directive, and its L1 misses then go through L2/L3
-and the reuse tracker in order.
+trace.read_intervals, so a trace file is never held whole. The detector
+labels each interval before it runs (the paper decides at its end), and
+the label sets the interval's directive. Each interval runs as one loop
+chosen by its directive, and its L1 misses then go through L2/L3 and
+the reuse tracker in order.
 """
 from __future__ import annotations
 
@@ -94,15 +95,18 @@ class Runner:
         if len(addresses) > interval_len:
             raise ValueError(f"an interval holds at most {interval_len} references")
         controller = self.controller
+        full = len(addresses) == interval_len
+        if full:
+            event = self.detector.observe_interval(addresses)
+            controller.start_interval(event)
         directive = controller.directive
         misses = controller.run_interval(ops, addresses)
         if self.val_hier is not None:
             val_misses = self.val_hier.run_detailed(addresses)
-        if len(addresses) < interval_len:
+        if not full:
             self._ended = True
             return None
 
-        event = self.detector.observe_interval(addresses)
         now = self.hierarchy.totals()
         snapshot = self._snapshot
         accuracy = None

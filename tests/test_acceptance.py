@@ -157,7 +157,7 @@ HL_PHASE, MARKER_PHASE, VA_PHASE, RA_PHASE = 0, 1, 2, 3  # catalog order on the 
 
 def steady_accuracies(run, pid):
     """Accuracies of swapped intervals, skipping the first interval after
-    each entry into the phase (the directive lags the detector there)."""
+    each entry into the phase (it starts from another phase's state)."""
     out = []
     prev_pid = None
     for rec in run.intervals:

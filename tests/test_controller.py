@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from swapsim.cache import Hierarchy
-from swapsim.controller import ControllerConfig, PhaseState, SwapController
+from swapsim.controller import ControllerConfig, Directive, PhaseState, SwapController
 from swapsim.models import ModelKind
 from swapsim.phase import PhaseEvent
 
@@ -17,6 +17,16 @@ def make_controller(**kwargs):
 
 def train_accesses(ctrl, n=50, base=0x1000):
     return ctrl.run_interval(bytes(n), [base + (i % 16) * 8 for i in range(n)])
+
+
+def run_labeled(ctrl, event, n=50, base=0x1000):
+    """One interval in the order Runner.step takes: label it, run it, close
+    it. Returns the directive it ran under."""
+    d = ctrl.start_interval(event)
+    train_accesses(ctrl, n, base)
+    assert ctrl.directive is d
+    ctrl.on_interval_end(event)
+    return d
 
 
 def served(totals):
@@ -58,57 +68,43 @@ def test_initial_directive_is_base():
 
 def test_unstable_interval_keeps_base():
     ctrl = make_controller()
-    d = ctrl.on_interval_end(PhaseEvent(0, -1))
+    e = PhaseEvent(0, -1)
+    d = ctrl.start_interval(e)
     assert d.uses_base and not d.training
+    train_accesses(ctrl)
+    assert ctrl.on_interval_end(e) == d
+    assert not ctrl.phases
 
 
 def test_training_then_swap_on_schedule():
     ctrl = make_controller(train_intervals=2)
-    # discovery boundary: phase 0 first seen
-    d = ctrl.on_interval_end(PhaseEvent(0, 0))
+    # Phase 0's first labeled interval is its first trained one.
+    assert run_labeled(ctrl, PhaseEvent(0, 0)) == Directive(0, None, True)
+    assert ctrl.phases[0].intervals_trained == 1
+    e = PhaseEvent(1, 0)
+    d = ctrl.start_interval(e)
     assert d.training and d.uses_base and d.phase_id == 0
     train_accesses(ctrl)
-    d = ctrl.on_interval_end(PhaseEvent(1, 0))  # 1st trained interval done
-    assert d.training
-    train_accesses(ctrl)
-    d = ctrl.on_interval_end(PhaseEvent(2, 0))  # 2nd done: swap
+    d = ctrl.on_interval_end(e)  # 2nd trained interval done: swap
     assert not d.uses_base and not d.training
     assert ctrl.phases[0].state is PhaseState.SWAPPED
     assert ctrl.phases[0].chosen is d.swapped_kind
     assert set(ctrl.phases[0].scores) == set(ctrl.config.candidate_kinds)
-
-
-def test_mislabeled_interval_does_not_count_toward_training():
-    ctrl = make_controller(train_intervals=2)
-    ctrl.on_interval_end(PhaseEvent(0, 0))
-    train_accesses(ctrl)
-    ctrl.on_interval_end(PhaseEvent(1, 0))
-    # an unstable stretch interrupts: the next interval runs base untrained
-    ctrl.on_interval_end(PhaseEvent(2, -1))
-    # this boundary's completed interval did not train phase 0
-    d = ctrl.on_interval_end(PhaseEvent(3, 0))
-    assert d.training
-    assert ctrl.phases[0].intervals_trained == 1
-    train_accesses(ctrl)
-    d = ctrl.on_interval_end(PhaseEvent(4, 0))
-    assert not d.uses_base
+    assert ctrl.start_interval(PhaseEvent(2, 0)) == d
 
 
 def test_swap_persists_on_reentry():
     ctrl = make_controller(train_intervals=1)
-    ctrl.on_interval_end(PhaseEvent(0, 0))
-    train_accesses(ctrl)
-    ctrl.on_interval_end(PhaseEvent(1, 0))
-    ctrl.on_interval_end(PhaseEvent(2, -1))
-    d = ctrl.on_interval_end(PhaseEvent(3, 0))
+    run_labeled(ctrl, PhaseEvent(0, 0))
+    run_labeled(ctrl, PhaseEvent(1, -1))
+    d = ctrl.start_interval(PhaseEvent(2, 0))
     assert not d.uses_base  # no retraining on re-entry
 
 
 def test_base_cache_frozen_while_swapped():
     ctrl = make_controller(train_intervals=1)
-    ctrl.on_interval_end(PhaseEvent(0, 0))
-    train_accesses(ctrl)
-    ctrl.on_interval_end(PhaseEvent(1, 0))
+    run_labeled(ctrl, PhaseEvent(0, 0))
+    assert not ctrl.start_interval(PhaseEvent(1, 0)).uses_base
     fp = ctrl.hierarchy.l1.fingerprint()
     mru = list(ctrl.hierarchy.l1._mru)
     misses = ctrl.run_interval(bytes(200), [0x1000 + i * 8 for i in range(200)])
@@ -127,9 +123,8 @@ def test_base_cache_updates_when_not_swapped():
 
 def test_counters_advance_under_swap():
     ctrl = make_controller(train_intervals=1, candidate_kinds=(ModelKind.FIXED_RATE,))
-    ctrl.on_interval_end(PhaseEvent(0, 0))
-    train_accesses(ctrl)  # high-hit training stream
-    ctrl.on_interval_end(PhaseEvent(1, 0))
+    run_labeled(ctrl, PhaseEvent(0, 0))  # high-hit training stream
+    assert not ctrl.start_interval(PhaseEvent(1, 0)).uses_base
     before = ctrl.hierarchy.totals()
     misses = train_accesses(ctrl, n=100)
     after = ctrl.hierarchy.totals()
@@ -139,46 +134,53 @@ def test_counters_advance_under_swap():
 
 
 def test_give_up_after_budget():
-    # Training never completes because every other interval is mislabeled;
-    # after the observation budget the phase runs base untrained forever.
-    ctrl = make_controller(train_intervals=5, give_up_after=4)
-    ctrl.on_interval_end(PhaseEvent(0, 0))
-    for i in range(1, 9):
-        pid = 0 if i % 2 == 0 else -1
-        d = ctrl.on_interval_end(PhaseEvent(i, pid))
+    # The phase trains 3 intervals, 2 short of its training budget, and
+    # then runs base untrained for good. The unlabeled intervals between
+    # them do not count.
+    ctrl = make_controller(train_intervals=5, give_up_after=3)
+    for i in range(3):
+        assert run_labeled(ctrl, PhaseEvent(2 * i, 0)).training
+        run_labeled(ctrl, PhaseEvent(2 * i + 1, -1))
     assert ctrl.phases[0].state is PhaseState.GIVEN_UP
-    d = ctrl.on_interval_end(PhaseEvent(9, 0))
-    assert d.uses_base and not d.training
+    assert ctrl.phases[0].intervals_trained == 3
+    d = run_labeled(ctrl, PhaseEvent(6, 0))
+    assert d == Directive(0, None, False)
+    assert ctrl.phases[0].intervals_trained == 3 and not ctrl.phases[0].scores
 
 
 def test_give_up_disabled_by_default():
-    ctrl = make_controller(train_intervals=3)
-    ctrl.on_interval_end(PhaseEvent(0, 0))
-    for i in range(1, 40):
-        ctrl.on_interval_end(PhaseEvent(i, 0 if i % 2 else -1))
-        if ctrl.phases[0].state is PhaseState.SWAPPED:
-            break
-        train_accesses(ctrl)
-    assert ctrl.phases[0].state is not PhaseState.GIVEN_UP
+    ctrl = make_controller(train_intervals=30)
+    for i in range(29):
+        assert run_labeled(ctrl, PhaseEvent(i, 0)).training
+    assert ctrl.phases[0].state is PhaseState.TRAINING
+    run_labeled(ctrl, PhaseEvent(29, 0))
+    assert ctrl.phases[0].state is PhaseState.SWAPPED
+
+
+@pytest.mark.parametrize("give_up_after", [3, 4])
+def test_give_up_at_or_above_training_budget_never_bites(give_up_after):
+    ctrl = make_controller(train_intervals=3, give_up_after=give_up_after)
+    for i in range(3):
+        run_labeled(ctrl, PhaseEvent(i, 0))
+    assert ctrl.phases[0].state is PhaseState.SWAPPED
 
 
 def test_single_candidate_is_the_only_model_trained_and_swapped():
     ctrl = make_controller(train_intervals=1, candidate_kinds=(ModelKind.MARKOV4,))
-    ctrl.on_interval_end(PhaseEvent(0, 0))
-    train_accesses(ctrl)
-    d = ctrl.on_interval_end(PhaseEvent(1, 0))
+    run_labeled(ctrl, PhaseEvent(0, 0))
+    d = ctrl.start_interval(PhaseEvent(1, 0))
     assert d.swapped_kind is ModelKind.MARKOV4
     assert list(ctrl.phases[0].models) == [ModelKind.MARKOV4]
 
 
 def test_independent_phases_get_independent_models():
-    ctrl = make_controller(train_intervals=1)
-    ctrl.on_interval_end(PhaseEvent(0, 0))
-    train_accesses(ctrl, base=0x1000)
-    ctrl.on_interval_end(PhaseEvent(1, 1))
-    train_accesses(ctrl, base=0x900000)
-    ctrl.on_interval_end(PhaseEvent(2, 1))
+    ctrl = make_controller(train_intervals=2)
+    run_labeled(ctrl, PhaseEvent(0, 0), base=0x1000)
+    run_labeled(ctrl, PhaseEvent(1, 1), base=0x900000)
+    run_labeled(ctrl, PhaseEvent(2, 1), base=0x900000)
     assert ctrl.phases[0].state is PhaseState.TRAINING
+    assert ctrl.phases[0].intervals_trained == 1
+    assert ctrl.phases[0].shadow[ModelKind.FIXED_RATE].total_predictions == 50
     assert ctrl.phases[1].state is PhaseState.SWAPPED
     assert ctrl.phases[0].models is not ctrl.phases[1].models
 
@@ -199,7 +201,7 @@ def test_shadow_interval_transient_memory_is_bounded():
     n = 10_000
     rng = random.Random(5)
     ctrl = make_controller()
-    ctrl.on_interval_end(PhaseEvent(0, 0))
+    ctrl.start_interval(PhaseEvent(0, 0))
     st = ctrl.phases[0]
     assert len(st.models) == 3
     intervals = []

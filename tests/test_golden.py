@@ -48,29 +48,29 @@ CASES = {
 
 GOLDEN = {
     "validate": (
-        "ffec5a61a4d3cb31a6b122b8a1537fb7ab52a65697da797473cef3aede192e5a",
-        "285132ae08e69cbef1e7017c0b41489d6b902c574d4bdf9cc2b301fc3e22894c",
-        "a1d55ff5b3306064abe6604593dbba021f4504d380a201d8fdd2224b4f98cc94",
+        "18faf4f507bddbe3fd069e08deff69737aaa8a86cda920144316bde1c90b6be3",
+        "4ddaa536ad6f2eff4a98dfe6e67c16a5ef5f9e0595cbc755c94c63a1c990ce5f",
+        "f6768465e938262d96f1cab2ffb0ad74868d4ba776dc52caae1df50931779a90",
     ),
     "fixed-rate": (
-        "73dfeb95eca8a00562e8290e7fd70629cc87b48ca957e3c3373a138815354235",
-        "65c3b4dab09fb6f128adfe98358c71e9d94a902aaf6306c9f858de55b64f6191",
-        "fef23b71a041b3cf27febfaee860d6bcea46e4855907ae9f149cb3ccdc70de72",
+        "85b6f554cef1d6fdd956050419309b38dc83eebfd8b62d877faf737fe9473f9a",
+        "12f555867606ffaa3eb16844f5cfa9fb0643885bb4a46724b526f9aaa643d42d",
+        "cb00e0c28800488a578bd4b9c59ea7ce3d6ff86cb999b046e8d98deb59b3d7d5",
     ),
     "markov4": (
-        "66df0ff581f50f7f7de148a97c9cce1fe7dc2b16b30f4a22c02acbc49cf10c88",
-        "d8f03ee4ff3b7ac3e1070ab75f08dcc373d623586f75558385d7b0fd407ba95d",
-        "b56919221d35976f55c6674dac910a0447a1465d78f4626c396bb0a0c928df76",
+        "512b3bd00a47c734b37ae7fa4ffd3a9ea3564adf28280ac8ea792dcb2d1c84b4",
+        "e2b268cda37ee19c5d20256f6b9ffd1273891107fee2ae079c294bb9c01685a4",
+        "2cf6a52204537b3c078b9268a2753a851c73063c677085473a0b3f5a25d30d4f",
     ),
     "markov8": (
-        "9af00835aad8241ab00997ae0923ad6e47bfbff88d00cbab1024d23f56d775bc",
-        "285132ae08e69cbef1e7017c0b41489d6b902c574d4bdf9cc2b301fc3e22894c",
-        "a1d55ff5b3306064abe6604593dbba021f4504d380a201d8fdd2224b4f98cc94",
+        "3a69f8c2cc0c461057bb7f4f9525819b6d0c367471cd5fb8785b0fa52dc22ab5",
+        "90a79ae95e2fc6517babbdc409a0b9c4ecf46d5b69f2273b89e806fce5c46e34",
+        "9471888b2970571ac3bfca4706fcbc238f4e7889fa19f3209c0aba9edddf788c",
     ),
     "tail": (
-        "8385c54c1ac7251e4f692442e0513a19e2b9d496d3cdec276e490c6610755954",
-        "fc6c46d2092064cb75850beb66a2fedc586bf923b7900403dc5e4baa9b731833",
-        "dac7dd29a2f43d29aa03d854ff5456267a61d75a39f23062063c55bbaec0ed34",
+        "2d6dd6162429d125ab9277948928166dedb19888621c9d9863305840482202c3",
+        "fee62a633936320cba35bc6fea8b293d1db02cfb48541702bfb4ea324e01ff12",
+        "abfae8a475a984212fc7a987ac53b44fbcd08ca3f4ad507794f349ad5afbed95",
     ),
     "given-up": (
         "1f374075761138c84a90c7ae65697c10eb1cc4acd972b1eecd59ff2fd7565c53",
@@ -99,6 +99,11 @@ def test_golden_hashes(case, traces, tmp_path):
         assert directives == {"base"}
     else:
         assert directives > {"base"}
+    # Each interval is labeled before it runs, so a swapped interval runs
+    # the model chosen for its own phase.
+    for r in report["intervals"]:
+        if r["directive"] != "base":
+            assert r["directive"] == report["chosen_models"].get(str(r["phase_id"]))
     got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
     assert got == GOLDEN[case]
 

@@ -276,7 +276,7 @@ def shadow_train_in_intervals(run, prev_address, seed):
     ctrl = SwapController(Hierarchy(), ControllerConfig(candidate_kinds=kinds),
                           rng=random.Random(seed))
     rng_state = ctrl.rng.getstate()
-    ctrl.on_interval_end(PhaseEvent(0, 0))
+    ctrl.start_interval(PhaseEvent(0, 0))
     got = ctrl.phases[0]
     want = PhaseModelState(kinds)
     ctrl._prev_address = prev = prev_address
@@ -402,10 +402,12 @@ def test_detailed_l1_frozen_across_swapped_interval(addrs, kind, seed):
     ctrl = SwapController(Hierarchy(), ControllerConfig(train_intervals=1,
                                                         candidate_kinds=(kind,)),
                           rng=random.Random(seed))
-    ctrl.on_interval_end(PhaseEvent(0, 0))
+    e = PhaseEvent(0, 0)
+    ctrl.start_interval(e)
     ctrl.run_interval(bytes(64), [0x1000 + (i % 24) * 8 for i in range(64)])
-    ctrl.on_interval_end(PhaseEvent(1, 0))
+    ctrl.on_interval_end(e)
     assert ctrl.phases[0].state is PhaseState.SWAPPED
+    assert ctrl.start_interval(PhaseEvent(1, 0)).swapped_kind is kind
     fp = ctrl.hierarchy.l1.fingerprint()
     l1_hits = ctrl.hierarchy.l1_hits
     misses = ctrl.run_interval(bytes(a & 1 for a in addrs), addrs)
