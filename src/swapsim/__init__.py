@@ -8,7 +8,7 @@ from .cache import (
     HierarchyConfig,
     SetAssociativeCache,
 )
-from .controller import ControllerConfig, Directive, PhaseState, SwapController
+from .controller import ControllerConfig, Directive, SwapController
 from .metrics import (
     IntervalRecord,
     ReuseDistanceTracker,

@@ -55,9 +55,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--models", default="all",
                      help="comma-separated candidate models, or 'all'")
     run.add_argument("--train-intervals", type=int, default=2)
-    run.add_argument("--give-up-after", type=int, default=None, metavar="N",
-                     help="leave a phase unswapped after N trained intervals (only N below "
-                          "--train-intervals has an effect)")
     run.add_argument("--validate", action="store_true",
                      help="run a detailed hierarchy in lockstep, in the same thread, as ground truth")
     run.add_argument("--out", default="swapsim-out", help="output directory")
@@ -126,11 +123,7 @@ def _controller_config(args) -> ControllerConfig:
             kinds = tuple(_MODELS[m.strip()] for m in args.models.split(","))
         except KeyError as e:
             raise UsageError(f"unknown model {e.args[0]!r}") from None
-    return ControllerConfig(
-        train_intervals=args.train_intervals,
-        candidate_kinds=kinds,
-        give_up_after=args.give_up_after,
-    )
+    return ControllerConfig(train_intervals=args.train_intervals, candidate_kinds=kinds)
 
 
 def _reuse_report(hists: dict) -> dict:

@@ -4,7 +4,6 @@ best one into the L1D slot for all future intervals of that phase.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .cache import Hierarchy
@@ -13,23 +12,14 @@ from .phase import PhaseEvent
 from .scoring import ShadowStats, score, select_best
 
 
-class PhaseState(enum.Enum):
-    TRAINING = "training"
-    SWAPPED = "swapped"
-    GIVEN_UP = "given-up"
-
-
 @dataclass(frozen=True)
 class ControllerConfig:
     train_intervals: int = 2
     candidate_kinds: tuple[ModelKind, ...] = SWAP_KINDS
-    give_up_after: int | None = None  # give up after this many trained intervals; off by default
 
     def __post_init__(self):
         if self.train_intervals < 1:
             raise ValueError("train_intervals must be >= 1")
-        if self.give_up_after is not None and self.give_up_after < 1:
-            raise ValueError("give_up_after must be >= 1")
         if not self.candidate_kinds:
             raise ValueError("need at least one candidate model kind")
         if len(set(self.candidate_kinds)) != len(self.candidate_kinds):
@@ -39,15 +29,13 @@ class ControllerConfig:
 class PhaseModelState:
     """Everything the controller knows about one cataloged phase."""
 
-    __slots__ = ("state", "intervals_trained", "models", "shadow", "chosen", "scores",
-                 "score_vectors")
+    __slots__ = ("intervals_trained", "models", "shadow", "chosen", "scores", "score_vectors")
 
     def __init__(self, kinds):
-        self.state = PhaseState.TRAINING
         self.intervals_trained = 0
         self.models = {k: make_model(k) for k in kinds}
         self.shadow = {k: ShadowStats() for k in kinds}
-        self.chosen: ModelKind | None = None
+        self.chosen: ModelKind | None = None  # the phase trains until this is set
         self.scores: dict[ModelKind, float] = {}
         self.score_vectors = {}
 
@@ -58,14 +46,14 @@ class Directive:
 
     phase_id: int  # the phase the detector labeled this interval; -1 none
     swapped_kind: ModelKind | None  # None means run the detailed base model
-    training: bool  # shadow-train candidates for phase_id
 
     @property
-    def uses_base(self) -> bool:
-        return self.swapped_kind is None
+    def training(self) -> bool:
+        """Shadow-train phase_id's candidates: its phase has no model yet."""
+        return self.phase_id >= 0 and self.swapped_kind is None
 
 
-_BASE_DIRECTIVE = Directive(phase_id=-1, swapped_kind=None, training=False)
+_BASE_DIRECTIVE = Directive(phase_id=-1, swapped_kind=None)
 
 
 class SwapController:
@@ -90,13 +78,13 @@ class SwapController:
             st = self.phases.get(pid)
             if st is None:
                 st = self.phases[pid] = PhaseModelState(self.config.candidate_kinds)
-            self.directive = Directive(pid, st.chosen, st.state is PhaseState.TRAINING)
+            self.directive = Directive(pid, st.chosen)
         return self.directive
 
     def on_interval_end(self, event: PhaseEvent) -> Directive:
         """Count the closing interval if it trained its phase, then score and
-        swap once the budget is met, or give up. A trailing partial interval
-        runs under the directive of `event`'s label."""
+        swap once the budget is met. A trailing partial interval runs under
+        the directive of `event`'s label."""
         if self.directive.training:
             st = self.phases[self.directive.phase_id]
             st.intervals_trained += 1
@@ -107,9 +95,6 @@ class SwapController:
                     st.score_vectors[kind] = vec
                     st.scores[kind] = scalar
                 st.chosen = select_best(st.scores)
-                st.state = PhaseState.SWAPPED
-            elif st.intervals_trained == self.config.give_up_after:
-                st.state = PhaseState.GIVEN_UP
         return self.start_interval(event)
 
     def run_interval(self, ops, addresses) -> list[int]:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cache import Hierarchy, HierarchyConfig
-from .controller import ControllerConfig, PhaseState, SwapController
+from .controller import ControllerConfig, SwapController
 from .metrics import IntervalRecord, ReuseDistanceTracker, ReuseHistogram
 from .phase import PhaseDetector, PhaseDetectorConfig
 from .trace import Trace
@@ -99,7 +99,7 @@ class Runner:
         if full:
             event = self.detector.observe_interval(addresses)
             controller.start_interval(event)
-        directive = controller.directive
+        swapped = controller.directive.swapped_kind
         misses = controller.run_interval(ops, addresses)
         if self.val_hier is not None:
             val_misses = self.val_hier.run_detailed(addresses)
@@ -117,7 +117,7 @@ class Runner:
         record = IntervalRecord(
             interval_index=event.interval_index,
             phase_id=event.phase_id,
-            directive="base" if directive.uses_base else directive.swapped_kind.value,
+            directive="base" if swapped is None else swapped.value,
             accuracy=accuracy,
             l1_hits=now["l1_hits"] - snapshot["l1_hits"],
             l2_hits=now["l2_hits"] - snapshot["l2_hits"],
@@ -144,7 +144,7 @@ class Runner:
         scores = {}
         score_vectors = {}
         for pid, st in sorted(self.controller.phases.items()):
-            if st.state is PhaseState.SWAPPED:
+            if st.chosen is not None:
                 chosen[pid] = st.chosen.value
             scores[pid] = {k.value: v for k, v in st.scores.items()}
             score_vectors[pid] = {k.value: vec.as_tuple() for k, vec in st.score_vectors.items()}

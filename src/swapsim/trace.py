@@ -164,12 +164,15 @@ def _parse_chunk(text: str, lineno: int, trace: Trace) -> None:
     passes. Every line then starts with its op token, and `R` and `W` are
     not hex digits, so a line with an odd token count would put the next
     line's op where `int` fails; with two tokens per line on average,
-    every line has exactly two, and the even tokens are the ops. Any
-    other chunk goes through the per-line parser, which defines the
-    accepted syntax and names a bad line.
+    every line has exactly two, and the even tokens are the ops. `int`
+    also takes a sign, "_" and non-ASCII digits, so a chunk that holds
+    any of them is not parsed in bulk. Any other chunk goes through the
+    per-line parser, which defines the accepted syntax and names a bad
+    line.
     """
     lines = text.count("\n")
-    if text[:2] in ("R ", "W ") and text.count("\nR ") + text.count("\nW ") == lines - 1:
+    if (text[:2] in ("R ", "W ") and text.isascii() and not any(c in text for c in "+-_")
+            and text.count("\nR ") + text.count("\nW ") == lines - 1):
         tokens = text.split()
         if len(tokens) == 2 * lines:
             try:
@@ -201,10 +204,13 @@ def _parse_lines(text: str, lineno: int, trace: Trace) -> None:
         if op is None:
             raise TraceFormatError(f"line {lineno}: invalid op code {op_s!r}")
         try:
+            # ASCII hex digits only, after an optional "0x"; "-" is out of range.
+            if not (addr_s.isascii() and addr_s.lstrip("-").isalnum()):
+                raise ValueError
             addr = int(addr_s, 16)
         except ValueError:
             raise TraceFormatError(f"line {lineno}: invalid address {addr_s!r}") from None
-        if addr < 0 or addr >= 1 << 64:
+        if addr_s[0] == "-" or addr >= 1 << 64:
             raise TraceFormatError(f"line {lineno}: address out of 64-bit range")
         ops.append(op)
         addresses.append(addr)

@@ -194,11 +194,20 @@ def test_usage_error_on_unknown_detector_key(trace_file, tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--interval-len", "--train-intervals", "--give-up-after"])
+@pytest.mark.parametrize("flag", ["--interval-len", "--train-intervals"])
 def test_usage_error_on_zero_count_flag(trace_file, tmp_path, capsys, flag):
     code = run_cli("run", "--trace", trace_file, flag, "0", "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+def test_give_up_after_is_not_a_flag(tmp_path, capsys):
+    # A phase trains until it swaps; no flag ends its training early.
+    code = run_cli("run", "--synthetic", "locality", "--give-up-after", "1",
+                   "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_usage_error_on_oversized_sig_len(capsys):

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from swapsim.cache import Hierarchy
-from swapsim.controller import ControllerConfig, Directive, PhaseState, SwapController
+from swapsim.controller import ControllerConfig, Directive, SwapController
 from swapsim.models import ModelKind
 from swapsim.phase import PhaseEvent
 
@@ -44,9 +44,6 @@ def test_config_validation():
         ControllerConfig(train_intervals=0)
     with pytest.raises(ValueError):
         ControllerConfig(candidate_kinds=())
-    for budget in (0, -5):
-        with pytest.raises(ValueError):
-            ControllerConfig(give_up_after=budget)
     cfg = ControllerConfig(candidate_kinds=(ModelKind.MARKOV4,))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.candidate_kinds = (ModelKind.MARKOV8,)
@@ -61,7 +58,7 @@ def test_duplicate_candidate_kinds_rejected():
 
 def test_initial_directive_is_base():
     ctrl = make_controller()
-    assert ctrl.directive.uses_base
+    assert ctrl.directive.swapped_kind is None
     assert ctrl.directive.phase_id == -1
     assert not ctrl.directive.training
 
@@ -70,7 +67,7 @@ def test_unstable_interval_keeps_base():
     ctrl = make_controller()
     e = PhaseEvent(0, -1)
     d = ctrl.start_interval(e)
-    assert d.uses_base and not d.training
+    assert d.swapped_kind is None and not d.training
     train_accesses(ctrl)
     assert ctrl.on_interval_end(e) == d
     assert not ctrl.phases
@@ -79,15 +76,15 @@ def test_unstable_interval_keeps_base():
 def test_training_then_swap_on_schedule():
     ctrl = make_controller(train_intervals=2)
     # Phase 0's first labeled interval is its first trained one.
-    assert run_labeled(ctrl, PhaseEvent(0, 0)) == Directive(0, None, True)
+    d = run_labeled(ctrl, PhaseEvent(0, 0))
+    assert d == Directive(0, None) and d.training
     assert ctrl.phases[0].intervals_trained == 1
     e = PhaseEvent(1, 0)
     d = ctrl.start_interval(e)
-    assert d.training and d.uses_base and d.phase_id == 0
+    assert d.training and d.swapped_kind is None and d.phase_id == 0
     train_accesses(ctrl)
     d = ctrl.on_interval_end(e)  # 2nd trained interval done: swap
-    assert not d.uses_base and not d.training
-    assert ctrl.phases[0].state is PhaseState.SWAPPED
+    assert d.swapped_kind is not None and not d.training
     assert ctrl.phases[0].chosen is d.swapped_kind
     assert set(ctrl.phases[0].scores) == set(ctrl.config.candidate_kinds)
     assert ctrl.start_interval(PhaseEvent(2, 0)) == d
@@ -98,13 +95,13 @@ def test_swap_persists_on_reentry():
     run_labeled(ctrl, PhaseEvent(0, 0))
     run_labeled(ctrl, PhaseEvent(1, -1))
     d = ctrl.start_interval(PhaseEvent(2, 0))
-    assert not d.uses_base  # no retraining on re-entry
+    assert d.swapped_kind is not None  # no retraining on re-entry
 
 
 def test_base_cache_frozen_while_swapped():
     ctrl = make_controller(train_intervals=1)
     run_labeled(ctrl, PhaseEvent(0, 0))
-    assert not ctrl.start_interval(PhaseEvent(1, 0)).uses_base
+    assert ctrl.start_interval(PhaseEvent(1, 0)).swapped_kind is not None
     fp = ctrl.hierarchy.l1.fingerprint()
     mru = list(ctrl.hierarchy.l1._mru)
     misses = ctrl.run_interval(bytes(200), [0x1000 + i * 8 for i in range(200)])
@@ -124,7 +121,7 @@ def test_base_cache_updates_when_not_swapped():
 def test_counters_advance_under_swap():
     ctrl = make_controller(train_intervals=1, candidate_kinds=(ModelKind.FIXED_RATE,))
     run_labeled(ctrl, PhaseEvent(0, 0))  # high-hit training stream
-    assert not ctrl.start_interval(PhaseEvent(1, 0)).uses_base
+    assert ctrl.start_interval(PhaseEvent(1, 0)).swapped_kind is not None
     before = ctrl.hierarchy.totals()
     misses = train_accesses(ctrl, n=100)
     after = ctrl.hierarchy.totals()
@@ -133,36 +130,18 @@ def test_counters_advance_under_swap():
     assert after["l1_hits"] - before["l1_hits"] == 100 - len(misses)
 
 
-def test_give_up_after_budget():
-    # The phase trains 3 intervals, 2 short of its training budget, and
-    # then runs base untrained for good. The unlabeled intervals between
-    # them do not count.
-    ctrl = make_controller(train_intervals=5, give_up_after=3)
-    for i in range(3):
-        assert run_labeled(ctrl, PhaseEvent(2 * i, 0)).training
-        run_labeled(ctrl, PhaseEvent(2 * i + 1, -1))
-    assert ctrl.phases[0].state is PhaseState.GIVEN_UP
-    assert ctrl.phases[0].intervals_trained == 3
-    d = run_labeled(ctrl, PhaseEvent(6, 0))
-    assert d == Directive(0, None, False)
-    assert ctrl.phases[0].intervals_trained == 3 and not ctrl.phases[0].scores
-
-
-def test_give_up_disabled_by_default():
+def test_long_training_budget_swaps_on_its_last_interval():
+    # A phase trains until it swaps: the unlabeled intervals between its
+    # own do not count, and nothing ends its training early.
     ctrl = make_controller(train_intervals=30)
     for i in range(29):
-        assert run_labeled(ctrl, PhaseEvent(i, 0)).training
-    assert ctrl.phases[0].state is PhaseState.TRAINING
-    run_labeled(ctrl, PhaseEvent(29, 0))
-    assert ctrl.phases[0].state is PhaseState.SWAPPED
-
-
-@pytest.mark.parametrize("give_up_after", [3, 4])
-def test_give_up_at_or_above_training_budget_never_bites(give_up_after):
-    ctrl = make_controller(train_intervals=3, give_up_after=give_up_after)
-    for i in range(3):
-        run_labeled(ctrl, PhaseEvent(i, 0))
-    assert ctrl.phases[0].state is PhaseState.SWAPPED
+        assert run_labeled(ctrl, PhaseEvent(2 * i, 0)).training
+        run_labeled(ctrl, PhaseEvent(2 * i + 1, -1))
+    assert ctrl.phases[0].chosen is None and ctrl.phases[0].intervals_trained == 29
+    assert not ctrl.phases[0].scores
+    assert run_labeled(ctrl, PhaseEvent(58, 0)).training
+    assert ctrl.phases[0].chosen is not None
+    assert ctrl.start_interval(PhaseEvent(59, 0)).swapped_kind is ctrl.phases[0].chosen
 
 
 def test_single_candidate_is_the_only_model_trained_and_swapped():
@@ -178,10 +157,10 @@ def test_independent_phases_get_independent_models():
     run_labeled(ctrl, PhaseEvent(0, 0), base=0x1000)
     run_labeled(ctrl, PhaseEvent(1, 1), base=0x900000)
     run_labeled(ctrl, PhaseEvent(2, 1), base=0x900000)
-    assert ctrl.phases[0].state is PhaseState.TRAINING
+    assert ctrl.phases[0].chosen is None
     assert ctrl.phases[0].intervals_trained == 1
     assert ctrl.phases[0].shadow[ModelKind.FIXED_RATE].total_predictions == 50
-    assert ctrl.phases[1].state is PhaseState.SWAPPED
+    assert ctrl.phases[1].chosen is not None
     assert ctrl.phases[0].models is not ctrl.phases[1].models
 
 

@@ -7,6 +7,7 @@ moves one must say why and record the new value.
 """
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from swapsim.cli import EXIT_OK, main
 from swapsim.trace import PhaseKind, SyntheticPhaseSpec, generate_trace, write_trace
 
 FAST = ["--interval-len", "2000", "--stable-min", "2"]
+TRAIN_INTERVALS = 2  # the default training budget, passed explicitly
 FILES = ("report.json", "intervals.csv", "reuse.csv")
 
 
@@ -43,7 +45,6 @@ CASES = {
     "markov4": ("even", ["--validate", "--models", "markov4"]),
     "markov8": ("even", ["--validate", "--models", "markov8"]),
     "tail": ("tail", ["--validate"]),
-    "given-up": ("even", ["--give-up-after", "1"]),
 }
 
 GOLDEN = {
@@ -72,11 +73,6 @@ GOLDEN = {
         "fee62a633936320cba35bc6fea8b293d1db02cfb48541702bfb4ea324e01ff12",
         "abfae8a475a984212fc7a987ac53b44fbcd08ca3f4ad507794f349ad5afbed95",
     ),
-    "given-up": (
-        "1f374075761138c84a90c7ae65697c10eb1cc4acd972b1eecd59ff2fd7565c53",
-        "c5ce4c0f8b5e917b1f9dd9d62a2b1b708e761ac48b4a20299032375fb63f0bbb",
-        "07962cf3f8c78b8f16b663d36c5ce7d4709e908f18547062b33302a51fece135",
-    ),
 }
 
 
@@ -85,8 +81,8 @@ def test_golden_hashes(case, traces, tmp_path):
     name, flags = CASES[case]
     path, refs = traces[name]
     out = tmp_path / "out"
-    assert main(["run", "--trace", path, "--seed", "3", "--out", str(out),
-                 *FAST, *flags]) == EXIT_OK
+    assert main(["run", "--trace", path, "--seed", "3", "--out", str(out), *FAST,
+                 "--train-intervals", str(TRAIN_INTERVALS), *flags]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     served = sum(report["totals"][k] for k in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses"))
     assert served == refs
@@ -94,9 +90,6 @@ def test_golden_hashes(case, traces, tmp_path):
     # Each case reaches the path it is there for.
     if case in ("fixed-rate", "markov4", "markov8"):
         assert case in directives
-    elif case == "given-up":
-        assert report["phase_count"] >= 1 and report["chosen_models"] == {}
-        assert directives == {"base"}
     else:
         assert directives > {"base"}
     # Each interval is labeled before it runs, so a swapped interval runs
@@ -104,6 +97,16 @@ def test_golden_hashes(case, traces, tmp_path):
     for r in report["intervals"]:
         if r["directive"] != "base":
             assert r["directive"] == report["chosen_models"].get(str(r["phase_id"]))
+    # A phase trains on its first labeled intervals until it swaps, so a
+    # chosen phase ran base on exactly the training budget and any other
+    # cataloged phase on fewer.
+    labeled = {r["phase_id"] for r in report["intervals"] if r["phase_id"] >= 0}
+    base = Counter(r["phase_id"] for r in report["intervals"] if r["directive"] == "base")
+    for pid in labeled:
+        if str(pid) in report["chosen_models"]:
+            assert base[pid] == TRAIN_INTERVALS, pid
+        else:
+            assert base[pid] < TRAIN_INTERVALS, pid
     got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
     assert got == GOLDEN[case]
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapsim.cache import DEFAULT_L1, CacheConfig, Hierarchy, HierarchyConfig, SetAssociativeCache
-from swapsim.controller import ControllerConfig, PhaseModelState, PhaseState, SwapController
+from swapsim.controller import ControllerConfig, PhaseModelState, SwapController
 from swapsim.metrics import REUSE_CAP, ReuseDistanceTracker
 from swapsim.models import SWAP_KINDS, MarkovModel, ModelKind, contexts
 from swapsim.phase import (
@@ -406,7 +406,7 @@ def test_detailed_l1_frozen_across_swapped_interval(addrs, kind, seed):
     ctrl.start_interval(e)
     ctrl.run_interval(bytes(64), [0x1000 + (i % 24) * 8 for i in range(64)])
     ctrl.on_interval_end(e)
-    assert ctrl.phases[0].state is PhaseState.SWAPPED
+    assert ctrl.phases[0].chosen is kind
     assert ctrl.start_interval(PhaseEvent(1, 0)).swapped_kind is kind
     fp = ctrl.hierarchy.l1.fingerprint()
     l1_hits = ctrl.hierarchy.l1_hits

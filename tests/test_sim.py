@@ -172,14 +172,18 @@ def test_per_phase_cycle_error_is_small():
 def test_directive_holds_through_on_interval_end(monkeypatch):
     # A wrapper of on_interval_end reads the directive the closing
     # interval ran under, and after it the one a trailing partial
-    # interval would run under.
+    # interval would run under. It classifies the directive as the
+    # benchmark's tracer does: swapped_kind first, then training.
     runner = Runner(detector_config=FAST, seed=5)
     seen = []
+    kinds = Counter()
     close = runner.controller.on_interval_end
 
     def wrapped(event):
         d = runner.controller.directive
-        seen.append("base" if d.uses_base else d.swapped_kind.value)
+        seen.append("base" if d.swapped_kind is None else d.swapped_kind.value)
+        kinds["swapped" if d.swapped_kind is not None else
+              "training" if d.training else "base"] += 1
         after = close(event)
         assert after is runner.controller.directive
         assert after == runner.controller.start_interval(event)
@@ -189,8 +193,12 @@ def test_directive_holds_through_on_interval_end(monkeypatch):
     tr, n = small_trace(), FAST.interval_len
     for start in range(0, len(tr), n):
         runner.step(tr.ops[start:start + n], tr.addresses[start:start + n])
-    assert seen == [r.directive for r in runner.finish().intervals]
+    records = runner.finish().intervals
+    assert seen == [r.directive for r in records]
     assert "base" in seen and len(set(seen)) > 1
+    # Every base interval of a cataloged phase trained it.
+    assert kinds["training"] == sum(r.directive == "base" and r.phase_id >= 0 for r in records)
+    assert kinds["training"] > 0 and kinds["base"] > 0
 
 
 def _streamed(path, **settings):

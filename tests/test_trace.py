@@ -23,6 +23,7 @@ from swapsim.trace import (
     generate_trace,
     load_trace,
     preset_specs,
+    read_intervals,
     write_trace,
 )
 
@@ -111,11 +112,15 @@ def per_line_load(path):
             op = {"R": 0, "W": 1}.get(op_s)
             if op is None:
                 raise TraceFormatError(f"line {lineno}: invalid op code {op_s!r}")
+            # ASCII letters and digits, or a "-" that is out of range: int()
+            # also takes "_", "+" and non-ASCII digits.
             try:
+                if not (addr_s.isascii() and addr_s.lstrip("-").isalnum()):
+                    raise ValueError
                 addr = int(addr_s, 16)
             except ValueError:
                 raise TraceFormatError(f"line {lineno}: invalid address {addr_s!r}") from None
-            if addr < 0 or addr >= 1 << 64:
+            if addr_s[0] == "-" or addr >= 1 << 64:
                 raise TraceFormatError(f"line {lineno}: address out of 64-bit range")
             ops.append(op)
             addresses.append(addr)
@@ -208,6 +213,39 @@ def test_canonical_lines_parse_in_bulk(tmp_path, monkeypatch, chunk):
     p = tmp_path / "t.txt"
     p.write_text("R 0x40\nW 0xdeadbeef\nR 0X7f")
     assert parsed(p) == ([0, 1, 0], [0x40, 0xDEADBEEF, 0x7F])
+    # Nor does a line write_trace wrote, through either entry point.
+    t = Trace(array("B", [i % 3 == 0 for i in range(500)]),
+              array("Q", [0, 2**64 - 1, *(i * 0x9E3779B97F4A7C15 % 2**64 for i in range(498))]))
+    write_trace(t, p)
+    assert parsed(p) == (list(t.ops), list(t.addresses))
+    streamed = list(read_intervals(p, 64))
+    assert [a for _, addrs in streamed for a in addrs] == list(t.addresses)
+    assert [o for ops, _ in streamed for o in ops] == list(t.ops)
+
+
+# Spellings `int(s, 16)` takes that are not a hex address.
+NON_HEX = {"underscore": "0x1_0", "plus": "+0x20", "arabic-indic": "\u0661\u0660",
+           "fullwidth": "0x\uff11\uff10", "minus-zero": "-0"}
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical-chunk", "commented"])
+@pytest.mark.parametrize("spelling", NON_HEX)
+def test_non_hex_address_names_its_line(tmp_path, spelling, canonical):
+    # In a chunk of canonical lines the bulk path must not take the bad
+    # line either: each entry point names it.
+    address = NON_HEX[spelling]
+    lines = canonical_text(40).splitlines(keepends=True)
+    lines[29] = f"W {address}\n"
+    if not canonical:
+        lines.insert(0, "# header\n")
+    p = tmp_path / "t.txt"
+    p.write_text("".join(lines), encoding="utf-8")
+    lineno = 30 + (not canonical)
+    reason = "address out of 64-bit range" if address[0] == "-" else f"invalid address {address!r}"
+    for load in (load_trace, lambda path: list(read_intervals(path, 7))):
+        with pytest.raises(TraceFormatError) as e:
+            load(p)
+        assert str(e.value) == f"line {lineno}: {reason}"
 
 
 def test_load_memory_flat_in_trace_length(tmp_path):
