@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .cache import Hierarchy
 from .models import NEAR, SWAP_KINDS, ModelKind, contexts, make_model
 from .phase import PhaseEvent
-from .scoring import ShadowStats, score, select_best
+from .scoring import ScoreVector, ShadowStats, score, select_best
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,14 @@ class ControllerConfig:
 class PhaseModelState:
     """Everything the controller knows about one cataloged phase."""
 
-    __slots__ = ("intervals_trained", "models", "shadow", "chosen", "scores", "score_vectors")
+    __slots__ = ("intervals_trained", "models", "shadow", "chosen", "score_vectors")
 
     def __init__(self, kinds):
         self.intervals_trained = 0
         self.models = {k: make_model(k) for k in kinds}
         self.shadow = {k: ShadowStats() for k in kinds}
         self.chosen: ModelKind | None = None  # the phase trains until this is set
-        self.scores: dict[ModelKind, float] = {}
-        self.score_vectors = {}
+        self.score_vectors: dict[ModelKind, ScoreVector] = {}
 
 
 @dataclass(frozen=True)
@@ -89,12 +88,10 @@ class SwapController:
             st = self.phases[self.directive.phase_id]
             st.intervals_trained += 1
             if st.intervals_trained >= self.config.train_intervals:
-                st.scores = {}
-                for kind in self.config.candidate_kinds:
-                    vec, scalar = score(st.shadow[kind], kind, self.hierarchy.config.l1)
-                    st.score_vectors[kind] = vec
-                    st.scores[kind] = scalar
-                st.chosen = select_best(st.scores)
+                l1 = self.hierarchy.config.l1
+                st.score_vectors = {k: score(st.shadow[k], k, l1) for k in self.config.candidate_kinds}
+                st.chosen = select_best({k: vec.distance_from_ideal()
+                                         for k, vec in st.score_vectors.items()})
         return self.start_interval(event)
 
     def run_interval(self, ops, addresses) -> list[int]:
@@ -126,4 +123,4 @@ class SwapController:
             hit[i] = 0
         near = ctxs.translate(NEAR)
         for kind, model in st.models.items():
-            st.shadow[kind].add_interval(*model.shadow_interval(ctxs, hit), hit, near)
+            st.shadow[kind].add_interval(*model.shadow_interval(ctxs, hit, near), hit, near)

@@ -120,10 +120,11 @@ class FixedHitRateModel:
         p = self.hit_rate
         return [i for i in range(len(addresses)) if not rand() < p]
 
-    def shadow_interval(self, ctxs: bytes, hit) -> tuple[float, float]:
+    def shadow_interval(self, ctxs: bytes, hit, near) -> tuple[float, float]:
         """The expected correct predictions and near misses of an interval,
-        `hit` holding the detailed L1's outcomes (1 hit, 0 miss). p is the
-        rate before each reference, the same int division `train` makes."""
+        `hit` holding the detailed L1's outcomes (1 hit, 0 miss) and `near`
+        1 at each near reference. p is the rate before each reference, the
+        same int division `train` makes."""
         n = len(hit)
         if not n:
             return 0.0, 0.0
@@ -135,7 +136,7 @@ class FixedHitRateModel:
 
         # |miss - p| is p at a hit and 1 - p at a miss.
         correct = reduce(add, map(abs, map(sub, hit.translate(_FLIP), rates())), 0.0)
-        near_misses = reduce(add, compress(map(sub, repeat(1.0), rates()), ctxs.translate(NEAR)), 0.0)
+        near_misses = reduce(add, compress(map(sub, repeat(1.0), rates()), near), 0.0)
         self.hit_count = h0 + hit.count(1)
         self.total_count = t0 + n
         self.hit_rate = self.hit_count / self.total_count
@@ -163,7 +164,7 @@ class MarkovModel:
     that pair, and resolved with one uniform draw.
     """
 
-    __slots__ = ("n_states", "counts", "last_state", "_train_last", "_table", "_hits")
+    __slots__ = ("n_states", "counts", "last_state", "_table", "_hits")
 
     def __init__(self, n_states: int):
         if n_states not in (4, 8):
@@ -171,16 +172,14 @@ class MarkovModel:
         self.n_states = n_states
         self.counts = [[0] * n_states for _ in range(n_states)]
         self.last_state = None
-        self._train_last = None
         self._table: list[float] | None = None
         self._hits = _HIT_STATES[n_states]
 
     def train(self, ctx: int, hit: bool) -> None:
         s = self._hits[ctx] + (0 if hit else 1)
-        if self._train_last is not None:
-            self.counts[self._train_last][s] += 1
+        if self.last_state is not None:
+            self.counts[self.last_state][s] += 1
             self._table = None
-        self._train_last = s
         self.last_state = s
 
     def _p_hit(self, row_state: int, h: int) -> float:
@@ -246,10 +245,10 @@ class MarkovModel:
         self.last_state = None if r == none else r >> 2
         return misses
 
-    def shadow_interval(self, ctxs: bytes, hit) -> tuple[float, float]:
+    def shadow_interval(self, ctxs: bytes, hit, near) -> tuple[float, float]:
         """The expected correct predictions and near misses of an interval,
-        `hit` holding the detailed L1's outcomes (1 hit, 0 miss). p is
-        `_p_hit`'s, or 0 where that is -1.0.
+        `hit` holding the detailed L1's outcomes (1 hit, 0 miss) and `near`
+        1 at each near reference. p is `_p_hit`'s, or 0 where that is -1.0.
 
         After every `train`, `last_state` is the true state, so the true
         states alone fix which row each reference predicts from: the
@@ -264,12 +263,11 @@ class MarkovModel:
         h = int.from_bytes(ctxs.translate(hit_states), "little")
         miss = int.from_bytes(hit.translate(_FLIP), "little")
         states = (h | miss).to_bytes(k, "little")
-        rows = bytes((self._train_last or 0,)) + states[:-1]
+        rows = bytes((self.last_state or 0,)) + states[:-1]
         cells = int.from_bytes(rows.translate(row_cells), "little") | h
         counts = [x for row in self.counts for x in row]
-        near = ctxs.translate(NEAR)
         # A fresh chain's first reference has p = 0 and counts no transition.
-        start = int(self._train_last is None)
+        start = int(self.last_state is None)
         correct, near_misses = (1.0 - hit[0], float(near[0])) if start else (0.0, 0.0)
         for cell, to, is_near in zip(cells.to_bytes(k, "little")[start:],
                                      (cells | miss).to_bytes(k, "little")[start:], near[start:]):
@@ -288,7 +286,7 @@ class MarkovModel:
                 near_misses += 1.0 - p
             counts[to] += 1
         self.counts = [counts[r:r + n] for r in range(0, n * n, n)]
-        self.last_state = self._train_last = states[-1]
+        self.last_state = states[-1]
         self._table = None
         return correct, near_misses
 
@@ -303,14 +301,12 @@ def make_model(kind: ModelKind):
     raise ValueError(f"no swappable model for {kind}")
 
 
-def model_size_bytes(kind: ModelKind, base_config: CacheConfig | None = None) -> int:
+def model_size_bytes(kind: ModelKind, base_config: CacheConfig) -> int:
     """Storage cost of a model. The base cache's cost is its tag array of
     8-byte tags. A Markov chain counts as three NxN matrices of 8-byte
     values: the paper's storage accounting, which criterion 1 of the
     acceptance suite pins, not the memory this code uses."""
     if kind is ModelKind.BASE:
-        if base_config is None:
-            raise ValueError("base model size requires a CacheConfig")
         return base_config.set_count * base_config.associativity * 8
     if kind is ModelKind.FIXED_RATE:
         return 16  # 8 B hit count + 8 B hit rate
@@ -318,13 +314,11 @@ def model_size_bytes(kind: ModelKind, base_config: CacheConfig | None = None) ->
     return 3 * n * n * 8
 
 
-def model_hit_check_comparisons(kind: ModelKind, base_config: CacheConfig | None = None) -> int:
+def model_hit_check_comparisons(kind: ModelKind, base_config: CacheConfig) -> int:
     """Comparisons per hit check: the base cache scans its ways twice
     (search + eviction), the restricted Markov prediction needs one draw
     comparison, plus a near/far check for the 8-state model."""
     if kind is ModelKind.BASE:
-        if base_config is None:
-            raise ValueError("base model complexity requires a CacheConfig")
         return 2 * base_config.associativity
     if kind is ModelKind.MARKOV8:
         return 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cache import CacheConfig
 from .models import SWAP_KINDS, ModelKind, model_hit_check_comparisons, model_size_bytes
@@ -34,18 +35,14 @@ class ShadowStats:
         self.base_near_misses += nr.bit_count() - (h & nr).bit_count()
 
 
-@dataclass(frozen=True)
-class ScoreVector:
+class ScoreVector(NamedTuple):
     accuracy: float
     near_miss_ratio: float
     size_fraction: float
     complexity_fraction: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.accuracy, self.near_miss_ratio, self.size_fraction, self.complexity_fraction)
-
     def distance_from_ideal(self) -> float:
-        return math.sqrt(math.fsum((v - i) ** 2 for v, i in zip(self.as_tuple(), IDEAL_VECTOR)))
+        return math.sqrt(math.fsum((v - i) ** 2 for v, i in zip(self, IDEAL_VECTOR)))
 
 
 def near_miss_ratio(stats: ShadowStats) -> float:
@@ -60,10 +57,10 @@ def near_miss_ratio(stats: ShadowStats) -> float:
     return stats.model_near_misses / stats.base_near_misses
 
 
-def score(stats: ShadowStats, kind: ModelKind, base_config: CacheConfig) -> tuple[ScoreVector, float]:
+def score(stats: ShadowStats, kind: ModelKind, base_config: CacheConfig) -> ScoreVector:
     if stats.total_predictions == 0:
         raise ValueError("cannot score a model with no shadow predictions")
-    vec = ScoreVector(
+    return ScoreVector(
         accuracy=stats.correct_predictions / stats.total_predictions,
         near_miss_ratio=near_miss_ratio(stats),
         size_fraction=model_size_bytes(kind, base_config)
@@ -71,7 +68,6 @@ def score(stats: ShadowStats, kind: ModelKind, base_config: CacheConfig) -> tupl
         complexity_fraction=model_hit_check_comparisons(kind, base_config)
         / model_hit_check_comparisons(ModelKind.BASE, base_config),
     )
-    return vec, vec.distance_from_ideal()
 
 
 def select_best(scores: dict[ModelKind, float]) -> ModelKind:

@@ -94,6 +94,8 @@ class Runner:
             raise ValueError("a partial interval must be the last one stepped")
         if len(addresses) > interval_len:
             raise ValueError(f"an interval holds at most {interval_len} references")
+        if len(ops) != len(addresses):
+            raise ValueError(f"{len(ops)} ops for {len(addresses)} addresses")
         controller = self.controller
         full = len(addresses) == interval_len
         if full:
@@ -146,8 +148,8 @@ class Runner:
         for pid, st in sorted(self.controller.phases.items()):
             if st.chosen is not None:
                 chosen[pid] = st.chosen.value
-            scores[pid] = {k.value: v for k, v in st.scores.items()}
-            score_vectors[pid] = {k.value: vec.as_tuple() for k, vec in st.score_vectors.items()}
+            score_vectors[pid] = {k.value: vec for k, vec in st.score_vectors.items()}
+            scores[pid] = {k: vec.distance_from_ideal() for k, vec in score_vectors[pid].items()}
 
         return RunResult(
             seed=self.seed,

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -242,6 +243,26 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.startswith("usage error:")
+
+
+def test_package_binds_only_its_version():
+    src = str(Path(swapsim.__file__).parents[1])
+    code = "import swapsim; print(*(n for n in vars(swapsim) if n[0] != '_'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_readme_imports_resolve():
+    # The package re-exports nothing, so each example imports from a module.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if re.match(r"from swapsim\S* import ", line)]
+    assert len(lines) >= 4
+    for line in lines:
+        exec(line, {})
 
 
 def test_config_section_keeps_defaults():

@@ -86,7 +86,7 @@ def test_training_then_swap_on_schedule():
     d = ctrl.on_interval_end(e)  # 2nd trained interval done: swap
     assert d.swapped_kind is not None and not d.training
     assert ctrl.phases[0].chosen is d.swapped_kind
-    assert set(ctrl.phases[0].scores) == set(ctrl.config.candidate_kinds)
+    assert set(ctrl.phases[0].score_vectors) == set(ctrl.config.candidate_kinds)
     assert ctrl.start_interval(PhaseEvent(2, 0)) == d
 
 
@@ -138,7 +138,7 @@ def test_long_training_budget_swaps_on_its_last_interval():
         assert run_labeled(ctrl, PhaseEvent(2 * i, 0)).training
         run_labeled(ctrl, PhaseEvent(2 * i + 1, -1))
     assert ctrl.phases[0].chosen is None and ctrl.phases[0].intervals_trained == 29
-    assert not ctrl.phases[0].scores
+    assert not ctrl.phases[0].score_vectors
     assert run_labeled(ctrl, PhaseEvent(58, 0)).training
     assert ctrl.phases[0].chosen is not None
     assert ctrl.start_interval(PhaseEvent(59, 0)).swapped_kind is ctrl.phases[0].chosen

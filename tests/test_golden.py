@@ -12,6 +12,8 @@ from collections import Counter
 import pytest
 
 from swapsim.cli import EXIT_OK, main
+from swapsim.models import SWAP_KINDS
+from swapsim.scoring import ScoreVector
 from swapsim.trace import PhaseKind, SyntheticPhaseSpec, generate_trace, write_trace
 
 FAST = ["--interval-len", "2000", "--stable-min", "2"]
@@ -107,6 +109,18 @@ def test_golden_hashes(case, traces, tmp_path):
             assert base[pid] == TRAIN_INTERVALS, pid
         else:
             assert base[pid] < TRAIN_INTERVALS, pid
+    # Each scalar score is its vector's distance from the ideal, and a
+    # phase's model is their argmin, ties going to the earlier kind.
+    order = [k.value for k in SWAP_KINDS]
+    assert report["scores"].keys() == report["score_vectors"].keys()
+    for pid, vectors in report["score_vectors"].items():
+        scores = {k: ScoreVector(*v).distance_from_ideal() for k, v in vectors.items()}
+        assert report["scores"][pid] == scores
+        if scores:
+            best = min(scores, key=lambda k: (scores[k], order.index(k)))
+            assert report["chosen_models"][pid] == best
+        else:
+            assert pid not in report["chosen_models"]
     got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
     assert got == GOLDEN[case]
 

@@ -59,7 +59,7 @@ def test_near_miss_ratio_paths():
 
 def test_ideal_vector_scores_zero():
     v = ScoreVector(1.0, 1.0, 0.0, 0.0)
-    assert v.as_tuple() == IDEAL_VECTOR
+    assert v == IDEAL_VECTOR
     assert v.distance_from_ideal() == 0.0
 
 
@@ -70,13 +70,13 @@ def test_all_ones_vector_scores_sqrt2():
 def test_score_vector_composition():
     stats = ShadowStats(correct_predictions=75, total_predictions=100,
                         model_near_misses=3, base_near_misses=4)
-    vec, scalar = score(stats, ModelKind.MARKOV4, DEFAULT_L1)
+    vec = score(stats, ModelKind.MARKOV4, DEFAULT_L1)
+    assert vec == (0.75, 0.75, 384 / 8192, 1 / 16)
     assert vec.accuracy == 0.75
     assert vec.near_miss_ratio == 0.75
     assert vec.size_fraction == 384 / 8192
     assert vec.complexity_fraction == 1 / 16
-    assert scalar == pytest.approx(vec.distance_from_ideal())
-    assert scalar > 0
+    assert vec.distance_from_ideal() > 0
 
 
 def test_score_requires_predictions():
@@ -90,7 +90,7 @@ def test_trivial_phase_prefers_fixed_rate():
     perfect = ShadowStats(10_000, 10_000, 0, 0)
     scores = {}
     for kind in (ModelKind.FIXED_RATE, ModelKind.MARKOV4, ModelKind.MARKOV8):
-        _, scores[kind] = score(perfect, kind, DEFAULT_L1)
+        scores[kind] = score(perfect, kind, DEFAULT_L1).distance_from_ideal()
     assert select_best(scores) is ModelKind.FIXED_RATE
     assert scores[ModelKind.FIXED_RATE] < scores[ModelKind.MARKOV4] < scores[ModelKind.MARKOV8]
 

@@ -145,6 +145,21 @@ def test_step_after_partial_interval_raises():
             + totals["mem_accesses"] == 2500
 
 
+def test_step_rejects_ops_and_addresses_of_different_lengths():
+    tr = small_trace()
+    ops, addrs = tr.ops, tr.addresses
+    runner = Runner(detector_config=FAST, validate=True)
+    for n_ops in (1000, 3000):
+        with pytest.raises(ValueError, match=f"{n_ops} ops for 2000 addresses"):
+            runner.step(ops[:n_ops], addrs[:2000])
+    # Nothing of a rejected step reached the caches or the detector.
+    record = runner.step(ops[:2000], addrs[:2000])
+    assert record.interval_index == 0
+    for totals in (runner.hierarchy.totals(), runner.val_hier.totals()):
+        assert totals["l1_hits"] + totals["l2_hits"] + totals["l3_hits"] \
+            + totals["mem_accesses"] == 2000
+
+
 # Measured on meabo3-small seed 1: at most 0.50 % per phase. When an
 # interval ran under the previous interval's label, phase -1 was off by
 # -12.2 % and phase 1 by +3.7 %.
