@@ -18,9 +18,6 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from functools import reduce
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, sub, truediv
 
 from .cache import CacheConfig
 
@@ -93,6 +90,39 @@ def contexts(ops, addresses, prev_address: int) -> bytes:
     return (far | write).to_bytes(n, "little")
 
 
+def _pair_p(counts, n: int, cell: int) -> float:
+    """Restricted hit probability of the pair `(cell, cell + 1)` of counts
+    flattened from `n` columns; -1.0 when neither column was ever seen."""
+    a, b = counts[cell], counts[cell + 1]
+    if a + b:
+        return a / (a + b)
+    # Degenerate pair: neither legal state was ever reached from this row,
+    # so the row carries no information about this context. Fall back to
+    # the column marginals, the model's aggregate behavior for the
+    # context; conditioning on the row alone would strand the chain in
+    # untrained states.
+    ch, cm = sum(counts[cell % n::n]), sum(counts[cell % n + 1::n])
+    return ch / (ch + cm) if ch + cm else -1.0
+
+
+def _shadow_sums(counts, n, cells, tos, near, correct, near_misses) -> tuple[float, float]:
+    """The shadow loop of every candidate. Reference i predicts from the
+    pair at `cells[i]` of counts flattened from `n` columns, p `_pair_p`'s
+    clamped at 0; adds p to `correct` at a hit (`tos[i] == cells[i]`) and
+    1 - p at a miss and to `near_misses` if near; then bumps `tos[i]`."""
+    for cell, to, is_near in zip(cells, tos, near):
+        a = counts[cell]
+        try:
+            p = a / (a + counts[cell + 1])
+        except ZeroDivisionError:
+            p = max(_pair_p(counts, n, cell), 0.0)
+        correct += p if to == cell else 1.0 - p
+        if is_near:
+            near_misses += 1.0 - p
+        counts[to] += 1
+    return correct, near_misses
+
+
 class FixedHitRateModel:
     """Counts hits and misses during training; predicts hit with the
     observed rate. Untrained, it predicts miss."""
@@ -121,26 +151,13 @@ class FixedHitRateModel:
         return [i for i in range(len(addresses)) if not rand() < p]
 
     def shadow_interval(self, ctxs: bytes, hit, near) -> tuple[float, float]:
-        """The expected correct predictions and near misses of an interval,
-        `hit` holding the detailed L1's outcomes (1 hit, 0 miss) and `near`
-        1 at each near reference. p is the rate before each reference, the
-        same int division `train` makes."""
-        n = len(hit)
-        if not n:
-            return 0.0, 0.0
-        h0, t0 = self.hit_count, self.total_count
-
-        def rates():
-            return chain((self.hit_rate,),
-                         map(truediv, islice(accumulate(hit, initial=h0), 1, n), range(t0 + 1, t0 + n)))
-
-        # |miss - p| is p at a hit and 1 - p at a miss.
-        correct = reduce(add, map(abs, map(sub, hit.translate(_FLIP), rates())), 0.0)
-        near_misses = reduce(add, compress(map(sub, repeat(1.0), rates()), near), 0.0)
-        self.hit_count = h0 + hit.count(1)
-        self.total_count = t0 + n
-        self.hit_rate = self.hit_count / self.total_count
-        return correct, near_misses
+        """`_shadow_sums` on a one-row chain `[hits, misses]`: each reference
+        predicts from cell 0, its p the rate `train` leaves, 0 untrained."""
+        counts = [self.hit_count, self.total_count - self.hit_count]
+        sums = _shadow_sums(counts, 2, bytes(len(hit)), hit.translate(_FLIP), near, 0.0, 0.0)
+        self.hit_count, self.total_count = counts[0], counts[0] + counts[1]
+        self.hit_rate = self.hit_count / self.total_count if self.total_count else 0.0
+        return sums
 
 
 # State encoding: bit 1 = write, bit 0 = miss, giving RH=0, RM=1, WH=2,
@@ -183,21 +200,9 @@ class MarkovModel:
         self.last_state = s
 
     def _p_hit(self, row_state: int, h: int) -> float:
-        """Restricted hit probability of the pair (h, h + 1) from
-        `row_state`; -1.0 when the context was never observed."""
-        m = h + 1
-        row = self.counts[row_state]
-        total = row[h] + row[m]
-        if total:
-            return row[h] / total
-        # Degenerate pair: neither legal state was ever reached from here,
-        # so the row carries no information about this context. Fall back
-        # to the column marginals, the model's aggregate behavior for the
-        # context; conditioning on the row alone would strand the chain in
-        # untrained states.
-        ch = sum(r[h] for r in self.counts)
-        cm = sum(r[m] for r in self.counts)
-        return ch / (ch + cm) if ch + cm else -1.0
+        """`_pair_p` of the pair (h, h + 1) from `row_state`."""
+        n = self.n_states
+        return _pair_p([x for row in self.counts for x in row], n, row_state * n + h)
 
     def predict(self, ctx: int, rng) -> bool:
         h = self._hits[ctx]
@@ -248,7 +253,7 @@ class MarkovModel:
     def shadow_interval(self, ctxs: bytes, hit, near) -> tuple[float, float]:
         """The expected correct predictions and near misses of an interval,
         `hit` holding the detailed L1's outcomes (1 hit, 0 miss) and `near`
-        1 at each near reference. p is `_p_hit`'s, or 0 where that is -1.0.
+        1 at each near reference, summed by `_shadow_sums`.
 
         After every `train`, `last_state` is the true state, so the true
         states alone fix which row each reference predicts from: the
@@ -268,23 +273,10 @@ class MarkovModel:
         counts = [x for row in self.counts for x in row]
         # A fresh chain's first reference has p = 0 and counts no transition.
         start = int(self.last_state is None)
-        correct, near_misses = (1.0 - hit[0], float(near[0])) if start else (0.0, 0.0)
-        for cell, to, is_near in zip(cells.to_bytes(k, "little")[start:],
-                                     (cells | miss).to_bytes(k, "little")[start:], near[start:]):
-            a = counts[cell]
-            try:
-                p = a / (a + counts[cell + 1])
-            except ZeroDivisionError:
-                # Degenerate pair, as in `_p_hit`: the column marginals,
-                # or p = 0 where the pair has no count at all.
-                col = cell % n
-                ch = sum(counts[col::n])
-                cm = sum(counts[col + 1::n])
-                p = ch / (ch + cm) if ch + cm else 0.0
-            correct += p if to == cell else 1.0 - p
-            if is_near:
-                near_misses += 1.0 - p
-            counts[to] += 1
+        first = (1.0 - hit[0], float(near[0])) if start else (0.0, 0.0)
+        correct, near_misses = _shadow_sums(counts, n, cells.to_bytes(k, "little")[start:],
+                                            (cells | miss).to_bytes(k, "little")[start:],
+                                            near[start:], *first)
         self.counts = [counts[r:r + n] for r in range(0, n * n, n)]
         self.last_state = states[-1]
         self._table = None

@@ -115,6 +115,8 @@ def _intervals(interval_len: int, fill, *args):
     arrays of `interval_len` references each, then any shorter rest. It
     holds one block plus less than one interval; the yielded arrays are
     the caller's."""
+    if interval_len <= 0:
+        raise ValueError(f"interval_len must be positive, got {interval_len}")
     buf = Trace()
     for _ in fill(buf, *args):
         full = len(buf) - len(buf) % interval_len

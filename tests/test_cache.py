@@ -39,17 +39,17 @@ class ReferenceLRU:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="divisible by associativity"):
         CacheConfig(1000, 8, 32, 4)  # not divisible into sets
-    with pytest.raises(ValueError):
-        CacheConfig(32 * 1024, 8, 48, 4)  # line size not a power of two
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line_bytes must be a power of two"):
+        CacheConfig(49152, 8, 48, 4)  # 128 sets; line size not a power of two
+    with pytest.raises(ValueError, match="set count must be a power of two"):
         CacheConfig(3 * 32 * 1024, 8, 32, 4)  # 384 sets, not a power of two
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hit_latency must be positive"):
         CacheConfig(32 * 1024, 8, 32, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="associativity and line_bytes must be positive"):
         CacheConfig(32 * 1024, 0, 32, 4)  # no ways
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="associativity and line_bytes must be positive"):
         CacheConfig(32 * 1024, 8, 0, 4)  # no line
     assert CacheConfig(1 << 30, 16, 64, 40).set_count == MAX_SETS  # 1 GiB, 16-way
     for total in (1 << 31, 1 << 40):  # sets are allocated up front

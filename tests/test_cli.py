@@ -340,6 +340,7 @@ def test_usage_error_on_malformed_config(trace_file, tmp_path, capsys, cfg, sect
     {},
     [],
     {"intervals": [{"interval_index": 0}]},
+    {"intervals": [], "reuse": [1]},
     {"intervals": [], "reuse": {"0": {"cold": 1}}},
     {"intervals": [], "reuse": {"x": {"cold": 1, "buckets": []}}},
     {"intervals": [], "base_reuse": {"0": {"cold": 1, "buckets": [[1, 2, 3]]}}},

@@ -20,6 +20,7 @@ from swapsim.trace import (
     Trace,
     TraceFormatError,
     build_preset,
+    generate_intervals,
     generate_trace,
     load_trace,
     preset_specs,
@@ -246,6 +247,16 @@ def test_non_hex_address_names_its_line(tmp_path, spelling, canonical):
         with pytest.raises(TraceFormatError) as e:
             load(p)
         assert str(e.value) == f"line {lineno}: {reason}"
+
+
+@pytest.mark.parametrize("interval_len", [0, -5])
+def test_intervals_reject_nonpositive_length(tmp_path, interval_len):
+    p = tmp_path / "t.txt"
+    p.write_text(canonical_text(25))
+    spec = SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 25, 0)
+    for intervals in (read_intervals(p, interval_len), generate_intervals([spec], interval_len)):
+        with pytest.raises(ValueError, match=rf"^interval_len must be positive, got {interval_len}$"):
+            list(intervals)
 
 
 def test_load_memory_flat_in_trace_length(tmp_path):
