@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .cache import Hierarchy
 from .models import NEAR, SWAP_KINDS, ModelKind, contexts, make_model
 from .phase import PhaseEvent
-from .scoring import ScoreVector, ShadowStats, score, select_best
+from .scoring import ScoreVector, score, select_best
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,16 @@ class ControllerConfig:
 class PhaseModelState:
     """Everything the controller knows about one cataloged phase."""
 
-    __slots__ = ("intervals_trained", "models", "shadow", "chosen", "score_vectors")
+    __slots__ = ("intervals_trained", "models", "refs", "base_near_misses", "shadow", "chosen",
+                 "score_vectors")
 
     def __init__(self, kinds):
         self.intervals_trained = 0
         self.models = {k: make_model(k) for k in kinds}
-        self.shadow = {k: ShadowStats() for k in kinds}
+        # The detailed L1's shadowed references and near misses, once per
+        # phase; per candidate, its expected correct predictions and near misses.
+        self.refs = self.base_near_misses = 0
+        self.shadow = {k: (0.0, 0.0) for k in kinds}
         self.chosen: ModelKind | None = None  # the phase trains until this is set
         self.score_vectors: dict[ModelKind, ScoreVector] = {}
 
@@ -89,7 +93,8 @@ class SwapController:
             st.intervals_trained += 1
             if st.intervals_trained >= self.config.train_intervals:
                 l1 = self.hierarchy.config.l1
-                st.score_vectors = {k: score(st.shadow[k], k, l1) for k in self.config.candidate_kinds}
+                st.score_vectors = {k: score(st.refs, st.base_near_misses, st.shadow[k], k, l1)
+                                    for k in self.config.candidate_kinds}
                 st.chosen = select_best({k: vec.distance_from_ideal()
                                          for k, vec in st.score_vectors.items()})
         return self.start_interval(event)
@@ -118,9 +123,13 @@ class SwapController:
         prediction counts its expected value, so shadow training makes no
         draw and the scores depend on the trace alone."""
         ctxs = contexts(ops, addresses, self._prev_address)
-        hit = bytearray(b"\x01") * len(ctxs)
+        miss = bytearray(len(ctxs))
         for i in misses:
-            hit[i] = 0
+            miss[i] = 1
         near = ctxs.translate(NEAR)
+        st.refs += len(ctxs)
+        st.base_near_misses += (int.from_bytes(miss, "little")
+                                & int.from_bytes(near, "little")).bit_count()
         for kind, model in st.models.items():
-            st.shadow[kind].add_interval(*model.shadow_interval(ctxs, hit, near), hit, near)
+            total, interval = st.shadow[kind], model.shadow_interval(ctxs, miss, near)
+            st.shadow[kind] = (total[0] + interval[0], total[1] + interval[1])

@@ -31,8 +31,6 @@ _WRITE_BIT = bytes.maketrans(b"\x01", b"\x02")
 _LINE_BITS = bytes(b >> NEAR_LINE_SHIFT for b in range(256))
 # Maps every nonzero byte to 1.
 _ONE = bytes((0,)) + bytes((1,)) * 255
-# Maps an outcome byte (1 hit, 0 miss) to its miss bit.
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 # Maps a context column to 1 if its reference is near (far bit clear).
 NEAR = bytes.maketrans(bytes(range(4)), bytes((1, 0, 1, 0)))
 _SWAP = sys.byteorder == "big"  # planes are read from little-endian bytes
@@ -150,11 +148,12 @@ class FixedHitRateModel:
         p = self.hit_rate
         return [i for i in range(len(addresses)) if not rand() < p]
 
-    def shadow_interval(self, ctxs: bytes, hit, near) -> tuple[float, float]:
+    def shadow_interval(self, ctxs: bytes, miss, near) -> tuple[float, float]:
         """`_shadow_sums` on a one-row chain `[hits, misses]`: each reference
-        predicts from cell 0, its p the rate `train` leaves, 0 untrained."""
+        predicts from cell 0, its p the rate `train` leaves, 0 untrained,
+        and bumps the cell its miss byte names."""
         counts = [self.hit_count, self.total_count - self.hit_count]
-        sums = _shadow_sums(counts, 2, bytes(len(hit)), hit.translate(_FLIP), near, 0.0, 0.0)
+        sums = _shadow_sums(counts, 2, bytes(len(miss)), miss, near, 0.0, 0.0)
         self.hit_count, self.total_count = counts[0], counts[0] + counts[1]
         self.hit_rate = self.hit_count / self.total_count if self.total_count else 0.0
         return sums
@@ -250,9 +249,9 @@ class MarkovModel:
         self.last_state = None if r == none else r >> 2
         return misses
 
-    def shadow_interval(self, ctxs: bytes, hit, near) -> tuple[float, float]:
+    def shadow_interval(self, ctxs: bytes, miss, near) -> tuple[float, float]:
         """The expected correct predictions and near misses of an interval,
-        `hit` holding the detailed L1's outcomes (1 hit, 0 miss) and `near`
+        `miss` holding the detailed L1's outcomes (1 miss, 0 hit) and `near`
         1 at each near reference, summed by `_shadow_sums`.
 
         After every `train`, `last_state` is the true state, so the true
@@ -266,16 +265,16 @@ class MarkovModel:
             return 0.0, 0.0
         hit_states, row_cells = _SHADOW_TABLES[n]
         h = int.from_bytes(ctxs.translate(hit_states), "little")
-        miss = int.from_bytes(hit.translate(_FLIP), "little")
-        states = (h | miss).to_bytes(k, "little")
+        m = int.from_bytes(miss, "little")
+        states = (h | m).to_bytes(k, "little")
         rows = bytes((self.last_state or 0,)) + states[:-1]
         cells = int.from_bytes(rows.translate(row_cells), "little") | h
         counts = [x for row in self.counts for x in row]
         # A fresh chain's first reference has p = 0 and counts no transition.
         start = int(self.last_state is None)
-        first = (1.0 - hit[0], float(near[0])) if start else (0.0, 0.0)
+        first = (float(miss[0]), float(near[0])) if start else (0.0, 0.0)
         correct, near_misses = _shadow_sums(counts, n, cells.to_bytes(k, "little")[start:],
-                                            (cells | miss).to_bytes(k, "little")[start:],
+                                            (cells | m).to_bytes(k, "little")[start:],
                                             near[start:], *first)
         self.counts = [counts[r:r + n] for r in range(0, n * n, n)]
         self.last_state = states[-1]

@@ -118,16 +118,10 @@ class PhaseDetector:
         else:
             self._stable = 0
             self._phase = -1
-            if self.table:
-                # Argmin scan; the lowest phase id wins ties.
-                best = 0
-                best_diff = signature_diff(sig, self.table[0])
-                for i in range(1, len(self.table)):
-                    d = signature_diff(sig, self.table[i])
-                    if d < best_diff:
-                        best, best_diff = i, d
-                if best_diff < self._threshold:
-                    self._phase = best
+            diffs = [signature_diff(sig, known) for known in self.table]
+            # The closest cataloged phase, the lowest id on ties, if close enough.
+            if diffs and min(diffs) < self._threshold:
+                self._phase = diffs.index(min(diffs))
         self._last_sig = sig
         event = PhaseEvent(self._interval_index, self._phase)
         self._interval_index += 1

@@ -85,18 +85,6 @@ _BLOCK = 8192
 _CHUNK_CHARS = 64 * 1024
 
 
-def load_trace(path) -> Trace:
-    """Parse a trace file into a Trace, one chunk of whole lines at a time.
-
-    Malformed lines raise TraceFormatError naming the line number. An empty
-    file gives an empty trace.
-    """
-    trace = Trace()
-    for _ in _parse_into(trace, path):
-        pass
-    return trace
-
-
 def read_intervals(path, interval_len: int):
     """Yield the references of a trace file as `(ops, addresses)` arrays of
     `interval_len` references each, then any shorter rest, parsing one
@@ -440,6 +428,20 @@ def _generate_into(trace: Trace, phases, iterations: int, marker_spec):
 # --- presets ------------------------------------------------------------
 
 
+# Preset name -> (high-locality, vector-add and random-access lengths, 0
+# leaving the phase out; marker length; iterations). Phase kind i of the
+# three is seeded `seed * 1000 + i`, the marker `seed * 1000 + 4`.
+_PRESETS = {
+    "meabo3": (280_000, 280_000, 280_000, 120_000, 3),
+    "meabo3-small": (240_000, 240_000, 240_000, 100_000, 2),
+    # Two locality-heavy phases, one pass each: phase transitions are
+    # rare, so downstream deltas reflect steady-state model behavior.
+    "locality": (300_000, 600_000, 0, 100_000, 1),
+}
+PRESET_NAMES = tuple(_PRESETS)
+_PRESET_KINDS = (PhaseKind.HIGH_LOCALITY, PhaseKind.VECTOR_ADD, PhaseKind.RANDOM_ACCESS)
+
+
 def preset_specs(name: str, seed: int = 1) -> tuple[list[SyntheticPhaseSpec], int, SyntheticPhaseSpec]:
     """Return (phases, iterations, marker_spec) for a named preset.
 
@@ -449,31 +451,12 @@ def preset_specs(name: str, seed: int = 1) -> tuple[list[SyntheticPhaseSpec], in
     shorter two-iteration variant for quick experiments, and `locality`
     is a single pass over the two locality-heavy phases only.
     """
-    if name == "meabo3":
-        comp_len, marker_len, iters = 280_000, 120_000, 3
-    elif name == "meabo3-small":
-        comp_len, marker_len, iters = 240_000, 100_000, 2
-    elif name == "locality":
-        # Two locality-heavy phases, one pass each: phase transitions are
-        # rare, so downstream deltas reflect steady-state model behavior.
-        phases = [
-            SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 300_000, seed * 1000 + 1),
-            SyntheticPhaseSpec(PhaseKind.VECTOR_ADD, 600_000, seed * 1000 + 2),
-        ]
-        marker = SyntheticPhaseSpec(PhaseKind.MARKER, 100_000, seed * 1000 + 4)
-        return phases, 1, marker
-    else:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}")
-    phases = [
-        SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, comp_len, seed * 1000 + 1),
-        SyntheticPhaseSpec(PhaseKind.VECTOR_ADD, comp_len, seed * 1000 + 2),
-        SyntheticPhaseSpec(PhaseKind.RANDOM_ACCESS, comp_len, seed * 1000 + 3),
-    ]
-    marker = SyntheticPhaseSpec(PhaseKind.MARKER, marker_len, seed * 1000 + 4)
-    return phases, iters, marker
-
-
-PRESET_NAMES = ("meabo3", "meabo3-small", "locality")
+    *lengths, marker_len, iterations = _PRESETS[name]
+    phases = [SyntheticPhaseSpec(kind, n, seed * 1000 + i)
+              for i, (kind, n) in enumerate(zip(_PRESET_KINDS, lengths), 1) if n]
+    return phases, iterations, SyntheticPhaseSpec(PhaseKind.MARKER, marker_len, seed * 1000 + 4)
 
 
 def build_preset(name: str, seed: int = 1) -> Trace:

@@ -7,7 +7,7 @@ import pytest
 
 from swapsim.cache import Hierarchy
 from swapsim.controller import ControllerConfig, Directive, SwapController
-from swapsim.models import ModelKind
+from swapsim.models import ModelKind, contexts, make_model
 from swapsim.phase import PhaseEvent
 
 
@@ -159,9 +159,56 @@ def test_independent_phases_get_independent_models():
     run_labeled(ctrl, PhaseEvent(2, 1), base=0x900000)
     assert ctrl.phases[0].chosen is None
     assert ctrl.phases[0].intervals_trained == 1
-    assert ctrl.phases[0].shadow[ModelKind.FIXED_RATE].total_predictions == 50
+    assert ctrl.phases[0].refs == 50
     assert ctrl.phases[1].chosen is not None
     assert ctrl.phases[0].models is not ctrl.phases[1].models
+
+
+def test_shadow_train_counts_the_detailed_side_once_per_phase():
+    ctrl = make_controller()
+    ctrl.start_interval(PhaseEvent(0, 0))
+    st = ctrl.phases[0]
+    ctrl._prev_address = 0x1000
+    # Near, near, near, far; the last two miss. The detailed L1's near
+    # misses are the near references that missed: only the third here.
+    addrs = [0x1000, 0x1008, 0x1010, 0x2000]
+    ctrl._shadow_train(st, bytes(4), addrs, [2, 3])
+    assert (st.refs, st.base_near_misses) == (4, 1)
+    # A candidate keeps only its own expected counts.
+    ctxs = contexts(bytes(4), addrs, 0x1000)
+    for kind in st.models:
+        assert st.shadow[kind] == make_model(kind).shadow_interval(ctxs, b"\0\0\1\1", b"\1\1\1\0")
+
+
+def test_shadow_train_sums_over_intervals():
+    rng = random.Random(11)
+    ctrl = make_controller()
+    ctrl.start_interval(PhaseEvent(0, 0))
+    st = ctrl.phases[0]
+    twins = {kind: make_model(kind) for kind in st.models}
+    want = {kind: (0.0, 0.0) for kind in st.models}
+    want_refs = want_near_misses = 0
+    for n in (3_000, 7_000):
+        addrs = [0x1000 + rng.randrange(64) * 32 for _ in range(n)]
+        ops = bytes(rng.randrange(2) for _ in range(n))
+        misses = [i for i in range(n) if rng.random() < 0.3]
+        prev = ctrl._prev_address
+        ctrl._shadow_train(st, ops, addrs, misses)
+        # The same interval, counted one reference at a time, and each
+        # candidate's interval sums added to its running sums in order.
+        # Line -1, before the first interval, matches no reference's line.
+        lines = [prev >> 6, *(a >> 6 for a in addrs)]
+        near = bytes(lines[i] == lines[i + 1] for i in range(n))
+        missed = set(misses)
+        miss = bytes(i in missed for i in range(n))
+        want_refs += n
+        want_near_misses += sum(m and nr for m, nr in zip(miss, near))
+        for kind, twin in twins.items():
+            c, m = twin.shadow_interval(contexts(ops, addrs, prev), miss, near)
+            want[kind] = (want[kind][0] + c, want[kind][1] + m)
+        ctrl._prev_address = addrs[-1]
+    assert (st.refs, st.base_near_misses) == (want_refs, want_near_misses)
+    assert st.shadow == want
 
 
 # The transient memory of one shadow interval, per reference: `contexts`

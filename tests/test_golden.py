@@ -1,7 +1,8 @@
 """Golden hashes of `swapsim run` output files.
 
-Each case runs the CLI in-process on a small fixed trace and pins the
-sha256 of report.json, intervals.csv and reuse.csv. A refactor that is
+Each case runs the CLI in-process on a small fixed trace, or on one
+preset at the default configuration, and pins the sha256 of report.json,
+intervals.csv and reuse.csv. A refactor that is
 meant to keep behaviour must leave every hash as it is; a change that
 moves one must say why and record the new value.
 """
@@ -123,6 +124,26 @@ def test_golden_hashes(case, traces, tmp_path):
             assert pid not in report["chosen_models"]
     got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
     assert got == GOLDEN[case]
+
+
+# `run --synthetic meabo3-small --seed 1 --validate` at the default
+# detector, controller and cache configuration.
+PRESET_GOLDEN = (
+    "8ac512624fb828417f0f8553e8429f9a8795c6c4754ab1270726dd0f668c2608",
+    "c1defa91352da77d8e14ba9e942f50d1f0e3dd7f166a686278b50f9ff7cdb277",
+    "2b5dce56e2ca44376830990df969547152f158343148e010706c682aae7f5dd7",
+)
+
+
+def test_golden_preset_at_default_config(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--synthetic", "meabo3-small", "--seed", "1", "--validate",
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    served = sum(report["totals"][k] for k in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses"))
+    assert served == 2 * 3 * (240_000 + 100_000)
+    got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
+    assert got == PRESET_GOLDEN
 
 
 def test_model_choice_does_not_depend_on_seed(traces, tmp_path):

@@ -127,6 +127,19 @@ def test_reentry_reuses_id():
     assert len(det.table) == 2
 
 
+def test_unstable_interval_takes_the_closest_cataloged_phase():
+    # These four addresses set bits 0, 346, 165 and 167 (see above).
+    addrs = [0x0, 0x8, 0x7FFF0040, 0xDEADBEEF]
+    for table, want in (
+        ([bits(0, 346, 165), bits(0, 346, 165, 167)], 1),  # distances 0.25, 0
+        ([bits(0, 346, 165), bits(0, 346, 167)], 0),  # a tie: the lowest id wins
+        ([bits(1, 2, 3)], -1),  # nothing below the threshold
+    ):
+        det = PhaseDetector()
+        det.table = list(table)
+        assert det.observe_interval(addrs).phase_id == want
+
+
 def test_alternating_content_never_stabilizes():
     cfg = PhaseDetectorConfig(interval_len=1000, stable_min=2)
     det = PhaseDetector(cfg)

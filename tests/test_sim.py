@@ -20,7 +20,6 @@ from swapsim.trace import (
     Trace,
     build_preset,
     generate_trace,
-    load_trace,
     read_intervals,
     write_trace,
 )
@@ -257,7 +256,9 @@ def test_streamed_run_matches_loaded_run(tmp_path, monkeypatch, case):
     p.write_text(edit((tmp_path / "gen.txt").read_text()))
     settings = dict(detector_config=PhaseDetectorConfig(interval_len=interval_len, stable_min=2),
                     controller_config=ControllerConfig(train_intervals=1), seed=3, validate=True)
-    loaded = run_simulation(load_trace(p), **settings)
+    # The whole file read as one interval, then run from memory.
+    whole = list(read_intervals(p, 1 << 20))
+    loaded = run_simulation(Trace(*whole[0]) if whole else Trace(), **settings)
     assert sum(loaded.totals[k] for k in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses")) \
         == (0 if case == "empty" else 2874)
     assert _result_to_report(_streamed(p, **settings)) == _result_to_report(loaded)

@@ -15,6 +15,7 @@ from swapsim.cache import Hierarchy
 from swapsim.cli import EXIT_RUNTIME, main
 from swapsim.trace import (
     DEFAULT_WORKING_SET,
+    PRESET_NAMES,
     PhaseKind,
     SyntheticPhaseSpec,
     Trace,
@@ -22,16 +23,16 @@ from swapsim.trace import (
     build_preset,
     generate_intervals,
     generate_trace,
-    load_trace,
     preset_specs,
     read_intervals,
     write_trace,
 )
 
 
-def parsed(path):
-    t = load_trace(path)
-    return list(t.ops), list(t.addresses)
+def parsed(path, interval_len=7):
+    """The ops and addresses of a trace file, read an interval at a time."""
+    intervals = list(read_intervals(path, interval_len))
+    return [o for ops, _ in intervals for o in ops], [a for _, addrs in intervals for a in addrs]
 
 
 def test_parse_basic_lines(tmp_path):
@@ -66,7 +67,7 @@ def test_parse_rejects(tmp_path, line, message):
     p.write_text(f"# header\n\nW 0x8\n{line}\nR 0x10\n", encoding="utf-8",
                  errors="surrogateescape")
     with pytest.raises(TraceFormatError) as e:
-        load_trace(p)
+        parsed(p)
     assert str(e.value) == message
 
 
@@ -74,32 +75,32 @@ def test_parse_bad_op_names_line(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("R 0x10\nX 0x10\n")
     with pytest.raises(TraceFormatError, match="line 2"):
-        load_trace(p)
+        parsed(p)
 
 
 def test_parse_bad_address(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("R zzz\n")
     with pytest.raises(TraceFormatError, match="line 1"):
-        load_trace(p)
+        parsed(p)
 
 
 def test_parse_missing_field(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("R\n")
     with pytest.raises(TraceFormatError):
-        load_trace(p)
+        parsed(p)
 
 
 def test_empty_file_yields_nothing(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("")
-    assert len(load_trace(p)) == 0
+    assert list(read_intervals(p, 7)) == []
 
 
 def per_line_load(path):
     """The line-at-a-time parser whose syntax, values and messages
-    load_trace keeps."""
+    read_intervals keeps."""
     ops, addresses = [], []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
@@ -198,7 +199,7 @@ def test_bad_line_after_third_chunk_names_its_line(tmp_path, capsys):
     p = tmp_path / "t.txt"
     p.write_text(text)
     with pytest.raises(TraceFormatError) as e:
-        load_trace(p)
+        parsed(p)
     assert str(e.value) == "line 90000: expected '<op> <address>', got 'R 0x10 extra'"
     assert main(["run", "--trace", str(p), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
     assert "line 90000" in capsys.readouterr().err
@@ -243,10 +244,9 @@ def test_non_hex_address_names_its_line(tmp_path, spelling, canonical):
     p.write_text("".join(lines), encoding="utf-8")
     lineno = 30 + (not canonical)
     reason = "address out of 64-bit range" if address[0] == "-" else f"invalid address {address!r}"
-    for load in (load_trace, lambda path: list(read_intervals(path, 7))):
-        with pytest.raises(TraceFormatError) as e:
-            load(p)
-        assert str(e.value) == f"line {lineno}: {reason}"
+    with pytest.raises(TraceFormatError) as e:
+        parsed(p)
+    assert str(e.value) == f"line {lineno}: {reason}"
 
 
 @pytest.mark.parametrize("interval_len", [0, -5])
@@ -257,23 +257,6 @@ def test_intervals_reject_nonpositive_length(tmp_path, interval_len):
     for intervals in (read_intervals(p, interval_len), generate_intervals([spec], interval_len)):
         with pytest.raises(ValueError, match=rf"^interval_len must be positive, got {interval_len}$"):
             list(intervals)
-
-
-def test_load_memory_flat_in_trace_length(tmp_path):
-    # Beyond the arrays it returns, load_trace holds about one chunk.
-    extra = []
-    for n in (100_000, 400_000):
-        p = tmp_path / f"{n}.txt"
-        p.write_text(canonical_text(n))
-        tracemalloc.start()
-        try:
-            t = load_trace(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(t) == n
-        extra.append(peak - sum(a.buffer_info()[1] * a.itemsize for a in (t.ops, t.addresses)))
-    assert abs(extra[1] - extra[0]) < 1 << 20
 
 
 def test_run_memory_flat_in_trace_length(tmp_path):
@@ -542,6 +525,26 @@ def test_meabo3_structure():
     t = build_preset("meabo3")
     expect = 3 * (3 * 280_000 + 3 * 120_000)
     assert len(t) == expect
+
+
+def test_preset_table_pins_every_preset():
+    hl, va, ra, marker = (PhaseKind.HIGH_LOCALITY, PhaseKind.VECTOR_ADD, PhaseKind.RANDOM_ACCESS,
+                          PhaseKind.MARKER)
+    assert PRESET_NAMES == ("meabo3", "meabo3-small", "locality")
+    # Phase kind i of the three is seeded seed * 1000 + i, the marker + 4;
+    # a kind left out of a preset leaves its seed unused.
+    want = {
+        "meabo3": ([(hl, 280_000, 7001), (va, 280_000, 7002), (ra, 280_000, 7003)], 3,
+                   (marker, 120_000, 7004)),
+        "meabo3-small": ([(hl, 240_000, 7001), (va, 240_000, 7002), (ra, 240_000, 7003)], 2,
+                         (marker, 100_000, 7004)),
+        "locality": ([(hl, 300_000, 7001), (va, 600_000, 7002)], 1, (marker, 100_000, 7004)),
+    }
+    for name in PRESET_NAMES:
+        phases, iterations, marker_spec = preset_specs(name, 7)
+        assert ([(p.kind, p.length, p.seed) for p in phases], iterations,
+                (marker_spec.kind, marker_spec.length, marker_spec.seed)) == want[name]
+        assert all(p.working_set_bytes == 0 for p in (*phases, marker_spec))
 
 
 def test_unknown_preset():
