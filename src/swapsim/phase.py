@@ -1,10 +1,13 @@
 """Online phase detection from hashed working-set bit-vector signatures.
 
-Every distinct address of an interval sets one bit in its signature, so
-a signature does not depend on access order or repeats (a working-set
-signature). At each interval boundary it is compared with the previous one;
-enough consecutive similar intervals get cataloged as a new phase, and
-unstable intervals are matched against the catalog or labeled -1.
+Every distinct address of an interval's sample sets one bit in its
+signature, so a signature does not depend on access order or repeats (a
+working-set signature). An interval of at most 2 * SAMPLE_REFS references
+is its own sample; a longer one is sampled as SAMPLE_RUNS contiguous runs
+spread evenly over it. At each interval boundary the signature is compared
+with the previous one; enough consecutive similar intervals get cataloged
+as a new phase, and unstable intervals are matched against the catalog or
+labeled -1.
 """
 from __future__ import annotations
 
@@ -21,6 +24,13 @@ _SWAP = sys.byteorder == "big"  # lanes are read as little-endian bytes
 # A signature is an int of up to sig_len bits: 2 MiB at 2**24 bits, while
 # 2**32 bits already run out of memory in signature_diff.
 MAX_SIG_LEN = 1 << 24
+
+# An interval longer than 2 * SAMPLE_REFS is hashed from SAMPLE_RUNS runs of
+# SAMPLE_REFS // SAMPLE_RUNS contiguous references, spread evenly over it.
+# Runs, not a position stride: a stride of 4 sees one word of each 4-word
+# burst, and which word depends on where the phase starts.
+SAMPLE_REFS = 2500
+SAMPLE_RUNS = 16
 
 
 @dataclass(frozen=True)
@@ -52,15 +62,31 @@ class PhaseEvent:
     phase_id: int  # -1 means unstable / unclassified
 
 
+def _sample(addresses) -> set:
+    """The distinct addresses of the interval's sample: all of them up to
+    2 * SAMPLE_REFS references, else those of the runs that start every
+    n // SAMPLE_RUNS references."""
+    n = len(addresses)
+    if n <= 2 * SAMPLE_REFS:
+        return set(addresses)
+    sample = set()
+    run = SAMPLE_REFS // SAMPLE_RUNS
+    step = n // SAMPLE_RUNS
+    for start in range(0, SAMPLE_RUNS * step, step):
+        sample.update(addresses[start:start + run])
+    return sample
+
+
 def interval_signature(addresses, config: PhaseDetectorConfig) -> int:
-    """OR of one bit per distinct 64-bit address: the top log2(sig_len)
-    bits of its SplitMix64 finalizer hash, its low drop_bits dropped.
+    """OR of one bit per distinct 64-bit address of the interval's sample
+    (see SAMPLE_REFS): the top log2(sig_len) bits of its SplitMix64
+    finalizer hash, its low drop_bits dropped.
 
     The distinct addresses are hashed all at once, each in its own 128-bit
     lane of one int. A lane value below 2**64 times a 64-bit constant stays
     below 2**128, and every shifted term of the finalizer is masked back
     to the low halves, so no lane's bits reach another lane's value."""
-    distinct = array("Q", set(addresses))
+    distinct = array("Q", _sample(addresses))
     n = len(distinct)
     lanes = array("Q", bytes(16 * n))
     lanes[::2] = distinct

@@ -27,9 +27,10 @@ class PhaseKind(enum.Enum):
 
 # Default footprint per phase kind, in bytes actually touched. These are
 # sized so that interval signatures stay well below saturation for every
-# kind except VECTOR_ADD, whose streaming sweep intentionally saturates:
-# with the default 1024-bit signature, two saturated phases would be
-# indistinguishable, so at most one kind may saturate.
+# kind except VECTOR_ADD, whose streaming sweep intentionally saturates
+# what the signature's sample reaches: its 2 496 sampled references are
+# all distinct and set about 930 of the default 1024 bits. Two saturated
+# phases would be indistinguishable, so at most one kind may saturate.
 DEFAULT_WORKING_SET = {
     PhaseKind.HIGH_LOCALITY: 2048,
     PhaseKind.VECTOR_ADD: 3 * 1024 * 1024,

@@ -1,15 +1,20 @@
 """Phase detector: hashing, signature distance and interval labeling."""
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
+from swapsim import phase
 from swapsim.phase import (
+    SAMPLE_REFS,
     PhaseDetector,
     PhaseDetectorConfig,
     PhaseEvent,
     interval_signature,
     signature_diff,
 )
+from swapsim.trace import PhaseKind, SyntheticPhaseSpec, build_preset, generate_trace
 
 
 def bits(*idx):
@@ -172,3 +177,71 @@ def test_observe_matches_hash_address():
     # the closed interval's signature, the golden bits of its addresses,
     # becomes the comparison baseline
     assert det._last_sig == bits(165, 167, 346, 0)
+
+
+def exact_signature(addresses, config):
+    """The signature of every reference: the OR of the signatures of
+    chunks short enough to be hashed whole."""
+    chunk = 2 * SAMPLE_REFS
+    return reduce(or_, (interval_signature(addresses[k:k + chunk], config)
+                        for k in range(0, len(addresses), chunk)), 0)
+
+
+def detect(trace, signature, monkeypatch):
+    """(labels, signatures, cataloged phases) of the default detector run
+    over the full intervals of `trace`, hashing each with `signature`."""
+    det = PhaseDetector()
+    n = det.config.interval_len
+    a = trace.addresses
+    intervals = [a[k:k + n] for k in range(0, len(a) - n + 1, n)]
+    with monkeypatch.context() as m:
+        m.setattr(phase, "interval_signature", signature)
+        labels = [det.observe_interval(i).phase_id for i in intervals]
+    return labels, [signature(i, det.config) for i in intervals], len(det.table)
+
+
+def distances(sigs):
+    """Each signature's distance from its predecessor's (the first from 0)."""
+    return [signature_diff(s, p) for s, p in zip(sigs, [0] + sigs)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sampling_survives_misaligned_phases(seed, monkeypatch):
+    # Phase lengths that are not multiples of 4 shift where each
+    # high-locality burst of 4 words starts. A position stride of 4
+    # (addresses[::4]) changes 22 of the 79 labels here and catalogs 6
+    # phases; contiguous runs move only labels near the threshold.
+    kinds = ((PhaseKind.HIGH_LOCALITY, 60_001), (PhaseKind.RANDOM_ACCESS, 60_002),
+             (PhaseKind.VECTOR_ADD, 60_003))
+    specs = [SyntheticPhaseSpec(k, n, seed * 1000 + i) for i, (k, n) in enumerate(kinds, 1)]
+    trace = generate_trace(specs, 4, SyntheticPhaseSpec(PhaseKind.MARKER, 6_101, seed * 1000 + 4))
+    exact, exact_sigs, exact_phases = detect(trace, exact_signature, monkeypatch)
+    sampled, _, sampled_phases = detect(trace, interval_signature, monkeypatch)
+    assert len(exact) == 79
+    assert sampled_phases == exact_phases
+    threshold = PhaseDetectorConfig().threshold
+    for d, e, s in zip(distances(exact_sigs), exact, sampled):
+        assert e == s or abs(d - threshold) <= 0.1
+
+
+@pytest.mark.parametrize("preset", ["meabo3-small", "locality"])
+@pytest.mark.parametrize("seed", [1, 9973])
+def test_sampled_signature_keeps_its_margin(preset, seed, monkeypatch):
+    # Exact distances between similar consecutive intervals are about
+    # 0.003 on these presets, sampled ones 0.17-0.19, against the 0.5
+    # threshold.
+    trace = build_preset(preset, seed)
+    exact, exact_sigs, _ = detect(trace, exact_signature, monkeypatch)
+    sampled, sampled_sigs, _ = detect(trace, interval_signature, monkeypatch)
+    assert sampled == exact
+    threshold = PhaseDetectorConfig().threshold
+    for e, s in zip(distances(exact_sigs), distances(sampled_sigs)):
+        assert e >= threshold or s <= 0.25
+
+
+def test_sampled_detector_catalogs_no_churn_phase(monkeypatch):
+    # Phases of 2.5 intervals never stay stable for stable_min intervals.
+    kinds = (PhaseKind.HIGH_LOCALITY, PhaseKind.RANDOM_ACCESS, PhaseKind.VECTOR_ADD)
+    trace = generate_trace([SyntheticPhaseSpec(k, 25_000, 9973 * 1000 + i)
+                            for i, k in zip((1, 3, 2), kinds)], iterations=10)
+    assert detect(trace, interval_signature, monkeypatch)[2] == 0

@@ -8,6 +8,7 @@ import random
 from array import array
 from operator import mul
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,8 @@ from swapsim.controller import ControllerConfig, PhaseModelState, SwapController
 from swapsim.metrics import REUSE_CAP, ReuseDistanceTracker
 from swapsim.models import SWAP_KINDS, MarkovModel, ModelKind, contexts
 from swapsim.phase import (
+    SAMPLE_REFS,
+    SAMPLE_RUNS,
     PhaseDetector,
     PhaseDetectorConfig,
     PhaseEvent,
@@ -337,6 +340,25 @@ def test_interval_signature_is_or_of_hashes(addrs, sig_len, drop_bits, packed):
     det = PhaseDetector(cfg)
     det.observe_interval(interval)
     assert det._last_sig == expected
+
+
+@pytest.mark.parametrize("n", [5_001, 10_000, 10_007])
+@pytest.mark.parametrize("packed", [False, True])
+def test_long_interval_signature_hashes_only_its_sample(n, packed):
+    # Above 2 * SAMPLE_REFS references, only SAMPLE_RUNS runs of
+    # SAMPLE_REFS // SAMPLE_RUNS references, one every n // SAMPLE_RUNS,
+    # set bits. A 2**24-bit signature shows any address hashed outside them.
+    assert n > 2 * SAMPLE_REFS
+    rng = random.Random(n)
+    addrs = [rng.getrandbits(64) for _ in range(n + 6)]
+    cfg = PhaseDetectorConfig(sig_len=2**24, drop_bits=0)
+    run, step = SAMPLE_REFS // SAMPLE_RUNS, n // SAMPLE_RUNS
+    expected = 0
+    for start in range(0, SAMPLE_RUNS * step, step):
+        for a in addrs[3 + start:3 + start + run]:
+            expected |= 1 << (splitmix64(a) >> 40)
+    interval = array("Q", addrs)[3:3 + n] if packed else addrs[3:3 + n]
+    assert interval_signature(interval, cfg) == expected
 
 
 # (sets, ways, line_bytes), 1-set and 1-way caches included.
