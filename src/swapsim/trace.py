@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
@@ -149,34 +150,76 @@ def _line_chunks(path):
 
 def _parse_chunk(text: str, lineno: int, trace: Trace) -> None:
     """Append the references of whole lines `text`, the first of which is
-    line `lineno`, to `trace`.
+    line `lineno`, to `trace`, through the first parser that takes them:
+    by column, by token, then line by line. The per-line parser defines
+    the accepted syntax and names a bad line; the other two take only
+    chunks that it would parse to the same values."""
+    if not (_parse_columns(text, trace) or _parse_tokens(text, trace)):
+        _parse_lines(text, lineno, trace)
 
-    A chunk of only `<R|W> <address>` lines is parsed in a few C-level
-    passes. Every line then starts with its op token, and `R` and `W` are
-    not hex digits, so a line with an odd token count would put the next
-    line's op where `int` fails; with two tokens per line on average,
-    every line has exactly two, and the even tokens are the ops. `int`
-    also takes a sign, "_" and non-ASCII digits, so a chunk that holds
-    any of them is not parsed in bulk. Any other chunk goes through the
-    per-line parser, which defines the accepted syntax and names a bad
-    line.
+
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+_NIBBLES = bytes.maketrans(_HEX_DIGITS, bytes(range(16)) + bytes(range(10, 16)))
+# Where byte j of an address, least significant first, sits in its "Q" item.
+_BYTE_AT = range(8) if sys.byteorder == "little" else range(7, -1, -1)
+
+
+def _parse_columns(text: str, trace: Trace) -> bool:
+    """Parse a chunk of lines of one width that each read `R 0x` or `W 0x`,
+    1 to 16 hex digits and a line break, one strided slice per column:
+    each digit column becomes a whole-column int of nibbles, and each pair
+    of them one byte of every address. Return whether the chunk was one;
+    every column is checked before `trace` is touched."""
+    width = text.find("\n") + 1
+    digits = width - 5
+    if not (0 < digits <= 16 and len(text) % width == 0 and text.isascii()):
+        return False
+    n = len(text) // width
+    chars = text.encode()
+    ops = chars[0::width]
+    if (ops.translate(None, b"RW") or chars[width - 1::width].count(b"\n") != n
+            or chars[1::width].count(b" ") != n or chars[2::width].count(b"0") != n
+            or chars[3::width].count(b"x") != n):
+        return False
+    columns = [chars[k::width] for k in range(width - 2, 3, -1)]  # least significant first
+    if any(c.translate(None, _HEX_DIGITS) for c in columns):
+        return False
+    nibbles = [int.from_bytes(c.translate(_NIBBLES), "little") for c in columns] + [0]
+    addresses = bytearray(8 * n)
+    for j in range(0, digits, 2):
+        addresses[_BYTE_AT[j // 2]::8] = (nibbles[j] | nibbles[j + 1] << 4).to_bytes(n, "little")
+    trace.addresses.frombytes(addresses)
+    trace.ops.frombytes(ops.translate(_OP_BYTES))
+    return True
+
+
+def _parse_tokens(text: str, trace: Trace) -> bool:
+    """Parse a chunk of only `<R|W> <address>` lines in a few C-level
+    passes; return whether the chunk was one.
+
+    Every line then starts with its op token, and `R` and `W` are not hex
+    digits, so a line with an odd token count would put the next line's op
+    where `int` fails; with two tokens per line on average, every line has
+    exactly two, and the even tokens are the ops. `int` also takes a sign,
+    "_" and non-ASCII digits, so a chunk that holds any of them is not
+    parsed here.
     """
     lines = text.count("\n")
-    if (text[:2] in ("R ", "W ") and text.isascii() and not any(c in text for c in "+-_")
+    if not (text[:2] in ("R ", "W ") and text.isascii() and not any(c in text for c in "+-_")
             and text.count("\nR ") + text.count("\nW ") == lines - 1):
-        tokens = text.split()
-        if len(tokens) == 2 * lines:
-            try:
-                # Straight into the trace: a per-chunk array in between
-                # fragments the heap as the trace grows, which raised the
-                # peak RSS of `swapsim run --trace` by about 6 MiB.
-                trace.addresses.extend(map(int, tokens[1::2], repeat(16)))
-            except (ValueError, OverflowError):
-                pass  # a malformed line, which the per-line parser names
-            else:
-                trace.ops.frombytes("".join(tokens[0::2]).encode().translate(_OP_BYTES))
-                return
-    _parse_lines(text, lineno, trace)
+        return False
+    tokens = text.split()
+    if len(tokens) != 2 * lines:
+        return False
+    try:
+        # Straight into the trace: a per-chunk array in between
+        # fragments the heap as the trace grows, which raised the
+        # peak RSS of `swapsim run --trace` by about 6 MiB.
+        trace.addresses.extend(map(int, tokens[1::2], repeat(16)))
+    except (ValueError, OverflowError):
+        return False  # a malformed line, which the per-line parser names
+    trace.ops.frombytes("".join(tokens[0::2]).encode().translate(_OP_BYTES))
+    return True
 
 
 def _parse_lines(text: str, lineno: int, trace: Trace) -> None:

@@ -186,6 +186,44 @@ def test_load_matches_per_line_parser(tmp_path, monkeypatch, data, chunk):
     assert outcome(parsed, p) == outcome(per_line_load, p)
 
 
+HEX_MIXED_CASE = "0123456789abcdefABCDEF"
+# One character of a fixed-width file is at most replaced by one of these.
+JUNK = ["g", " ", "\t", "_", "+", "-", "\x1c", "\r", "\n", "X", "#", "\udcff", "١"]
+
+
+@st.composite
+def fixed_width_files(draw):
+    """Lines `<R|W> 0x<w hex digits>` of one width w, at most one character
+    replaced, and sometimes no final newline."""
+    digits = draw(st.integers(1, 18))
+    address = st.text(HEX_MIXED_CASE, min_size=digits, max_size=digits)
+    lines = draw(st.lists(st.builds("{} 0x{}\n".format, st.sampled_from("RW"), address),
+                          min_size=1, max_size=40))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, len(text) - 1))
+        text = text[:pos] + draw(st.sampled_from(JUNK)) + text[pos + 1:]
+    if draw(st.booleans()):
+        text = text.removesuffix("\n")
+    return text.encode("utf-8", errors="surrogateescape")
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=fixed_width_files(), chunk=st.sampled_from([3, 7, 13, 64, 64 * 1024]))
+@example(data=b"R 0x1\nR 0x1gR 0x1\n", chunk=64)  # two lines joined, twice the width
+@example(data=b"R 0x\nW 0x\n", chunk=64)  # no digits
+@example(data=b"R 0x1\nR\n", chunk=64)  # a short last line
+@example(data=b"W 0x0000000000000000f\n", chunk=64)  # 17 digits, below 2**64
+def test_fixed_width_load_matches_per_line_parser(tmp_path, monkeypatch, data, chunk):
+    # The column parser's chunks: any that it takes, it parses as the
+    # per-line parser does, and it declines the rest.
+    monkeypatch.setattr(swapsim.trace, "_CHUNK_CHARS", chunk)
+    p = tmp_path / "t.txt"
+    p.write_bytes(data)
+    assert outcome(parsed, p) == outcome(per_line_load, p)
+
+
 def canonical_text(n, bad=None):
     lines = [f"{'RW'[i % 3 == 0]} 0x{i * 0x9e3779b9 % (1 << 48):x}\n" for i in range(n)]
     if bad is not None:
@@ -203,6 +241,15 @@ def test_bad_line_after_third_chunk_names_its_line(tmp_path, capsys):
     assert str(e.value) == "line 90000: expected '<op> <address>', got 'R 0x10 extra'"
     assert main(["run", "--trace", str(p), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
     assert "line 90000" in capsys.readouterr().err
+
+
+def fixed_width_text(digits, n, prefix="0x"):
+    """`n` lines `<R|W> <prefix><address>`, each address below 2**64 and
+    `digits` hex digits with leading zeros, lower case on even lines,
+    upper on odd."""
+    modulus = 2 ** min(4 * digits, 64)
+    return "".join(f"{'RW'[i % 3 == 0]} {prefix}"
+                   f"{i * 0x9E3779B97F4A7C15 % modulus:0{digits}{'xX'[i % 2]}}\n" for i in range(n))
 
 
 @pytest.mark.parametrize("chunk", [4, 7, swapsim.trace._CHUNK_CHARS])
@@ -223,6 +270,30 @@ def test_canonical_lines_parse_in_bulk(tmp_path, monkeypatch, chunk):
     streamed = list(read_intervals(p, 64))
     assert [a for _, addrs in streamed for a in addrs] == list(t.addresses)
     assert [o for ops, _ in streamed for o in ops] == list(t.ops)
+    # A file of one address width of 1 to 16 digits reaches neither the
+    # token parser nor the per-line one.
+    parse_tokens = swapsim.trace._parse_tokens
+    monkeypatch.setattr(swapsim.trace, "_parse_tokens",
+                        lambda *a: pytest.fail("a fixed-width chunk reached the token parser"))
+    for digits in (1, 2, 8, 15, 16):
+        p.write_text(fixed_width_text(digits, 300))
+        assert parsed(p) == per_line_load(p)
+    # Every chunk of 17 digits (leading zeros, below 2**64) or of "0X"
+    # does.
+    token_chunks = []
+    monkeypatch.setattr(swapsim.trace, "_parse_tokens",
+                        lambda text, trace: token_chunks.append(text) or parse_tokens(text, trace))
+    for text in (fixed_width_text(17, 300), fixed_width_text(16, 300, prefix="0X")):
+        token_chunks.clear()
+        p.write_text(text)
+        assert parsed(p) == per_line_load(p)
+        assert "".join(token_chunks) == text
+    # So does a chunk of mixed widths. At 4 or 7 characters a read holds
+    # at most one line break, so there each chunk is one line.
+    token_chunks.clear()
+    p.write_text(canonical_text(300))
+    assert parsed(p) == per_line_load(p)
+    assert bool(token_chunks) == (chunk > 7)
 
 
 # Spellings `int(s, 16)` takes that are not a hex address.
