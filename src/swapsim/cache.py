@@ -82,11 +82,6 @@ class SetAssociativeCache:
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.set_count - 1
 
-    def hit_check(self, address: int) -> bool:
-        """True iff the line containing `address` is resident. Always leaves
-        the line resident and MRU afterwards."""
-        return not self.misses((address,))
-
     def misses(self, addresses) -> list[int]:
         """Look up each address in turn; returns the positions that missed.
         A hit promotes its line to MRU, a miss allocates it and evicts the

@@ -74,10 +74,6 @@ class ReuseDistanceTracker:
         self._now = t
         return out
 
-    def observe(self, line: int) -> int | None:
-        """`observe_all` for a single access."""
-        return self.observe_all((line,))[0]
-
 
 class ReuseHistogram:
     """Histogram of reuse distances; distances at or beyond REUSE_CAP

@@ -1,17 +1,17 @@
 """Statistical L1D approximations: fixed hit rate, 4-state and 8-state
 Markov chains with restricted prediction.
 
-All three share the train-on-observation / predict-hit interface. They
-predict a whole interval at once with `predict_interval` while swapped
-in, which matches `predict` applied one reference at a time. They
-shadow-train on a run of references at once with `shadow_interval`,
-which matches `train` one reference at a time and returns the expected
-counts of `predict` before each `train`, summed in reference order with
-no draw. With p the hit probability `predict` draws against, a reference
-adds p to the correct predictions at a detailed hit and 1 - p at a miss,
-and 1 - p to the near misses if it is near. The Markov chains keep
-transition counts as the source of truth; the compiled prediction table
-is derived from them and rebuilt after training.
+Each model has one runtime path per role. While swapped in,
+`predict_interval` predicts a whole interval, one draw per reference
+against the hit probability p of the reference's restricted pair. While
+its phase trains, `shadow_interval` runs it beside the detailed L1's
+outcomes: a reference adds p to the expected correct predictions at a
+detailed hit and 1 - p at a miss, and 1 - p to the near misses if it is
+near, with no draw; then it counts the reference's outcome. Every model
+keeps its counts as one flat row-major list, `row * n + col`, the
+layout `_pair_p` and `_shadow_sums` read: fixed-rate is the one-row
+chain `[hits, misses]`, and a Markov chain's counts are the source of
+truth for its compiled prediction table, rebuilt after training.
 """
 from __future__ import annotations
 
@@ -89,8 +89,8 @@ def contexts(ops, addresses, prev_address: int) -> bytes:
 
 
 def _pair_p(counts, n: int, cell: int) -> float:
-    """Restricted hit probability of the pair `(cell, cell + 1)` of counts
-    flattened from `n` columns; -1.0 when neither column was ever seen."""
+    """Restricted hit probability of the pair `(cell, cell + 1)` of
+    row-major counts of `n` columns; -1.0 when neither column was ever seen."""
     a, b = counts[cell], counts[cell + 1]
     if a + b:
         return a / (a + b)
@@ -105,7 +105,7 @@ def _pair_p(counts, n: int, cell: int) -> float:
 
 def _shadow_sums(counts, n, cells, tos, near, correct, near_misses) -> tuple[float, float]:
     """The shadow loop of every candidate. Reference i predicts from the
-    pair at `cells[i]` of counts flattened from `n` columns, p `_pair_p`'s
+    pair at `cells[i]` of row-major counts of `n` columns, p `_pair_p`'s
     clamped at 0; adds p to `correct` at a hit (`tos[i] == cells[i]`) and
     1 - p at a miss and to `near_misses` if near; then bumps `tos[i]`."""
     for cell, to, is_near in zip(cells, tos, near):
@@ -122,41 +122,26 @@ def _shadow_sums(counts, n, cells, tos, near, correct, near_misses) -> tuple[flo
 
 
 class FixedHitRateModel:
-    """Counts hits and misses during training; predicts hit with the
-    observed rate. Untrained, it predicts miss."""
+    """A one-row chain `[hits, misses]` of the detailed L1's outcomes:
+    predicts hit with the observed rate. Untrained, it predicts miss."""
 
-    __slots__ = ("hit_count", "total_count", "hit_rate")
+    __slots__ = ("counts",)
 
     def __init__(self):
-        self.hit_count = 0
-        self.total_count = 0
-        self.hit_rate = 0.0
-
-    def train(self, ctx: int, hit: bool) -> None:
-        self.total_count += 1
-        if hit:
-            self.hit_count += 1
-        self.hit_rate = self.hit_count / self.total_count
-
-    def predict(self, ctx: int, rng) -> bool:
-        return rng.random() < self.hit_rate
+        self.counts = [0, 0]
 
     def predict_interval(self, ops, addresses, prev_address: int, rng) -> list[int]:
         """Predict every reference of an interval, one draw each; returns
         the positions predicted to miss."""
         rand = rng.random
-        p = self.hit_rate
+        p = max(_pair_p(self.counts, 2, 0), 0.0)
         return [i for i in range(len(addresses)) if not rand() < p]
 
     def shadow_interval(self, ctxs: bytes, miss, near) -> tuple[float, float]:
-        """`_shadow_sums` on a one-row chain `[hits, misses]`: each reference
-        predicts from cell 0, its p the rate `train` leaves, 0 untrained,
-        and bumps the cell its miss byte names."""
-        counts = [self.hit_count, self.total_count - self.hit_count]
-        sums = _shadow_sums(counts, 2, bytes(len(miss)), miss, near, 0.0, 0.0)
-        self.hit_count, self.total_count = counts[0], counts[0] + counts[1]
-        self.hit_rate = self.hit_count / self.total_count if self.total_count else 0.0
-        return sums
+        """`_shadow_sums` on the one-row chain: each reference predicts from
+        cell 0, its p the rate before it, 0 untrained, and bumps the cell
+        its miss byte names."""
+        return _shadow_sums(self.counts, 2, bytes(len(miss)), miss, near, 0.0, 0.0)
 
 
 # State encoding: bit 1 = write, bit 0 = miss, giving RH=0, RM=1, WH=2,
@@ -166,8 +151,7 @@ class FixedHitRateModel:
 _HIT_STATES = {4: (0, 0, 2, 2), 8: (0, 4, 2, 6)}
 
 # Per chain size, two translate tables for `shadow_interval`: a context
-# column to its hit state, and a state to the first cell of its row in the
-# flattened counts.
+# column to its hit state, and a state to the first cell of its row.
 _SHADOW_TABLES = {n: (bytes(hits).ljust(256, b"\0"), bytes(range(0, n * n, n)).ljust(256, b"\0"))
                   for n, hits in _HIT_STATES.items()}
 
@@ -177,7 +161,8 @@ class MarkovModel:
 
     Prediction is restricted to the pair of states legal for the incoming
     request (read/write, and near/far for 8 states), renormalized over
-    that pair, and resolved with one uniform draw.
+    that pair, and resolved with one uniform draw. `counts[row * n + col]`
+    counts the transitions from state `row` to state `col`.
     """
 
     __slots__ = ("n_states", "counts", "last_state", "_table", "_hits")
@@ -186,49 +171,25 @@ class MarkovModel:
         if n_states not in (4, 8):
             raise ValueError("n_states must be 4 or 8")
         self.n_states = n_states
-        self.counts = [[0] * n_states for _ in range(n_states)]
+        self.counts = [0] * (n_states * n_states)
         self.last_state = None
         self._table: list[float] | None = None
         self._hits = _HIT_STATES[n_states]
 
-    def train(self, ctx: int, hit: bool) -> None:
-        s = self._hits[ctx] + (0 if hit else 1)
-        if self.last_state is not None:
-            self.counts[self.last_state][s] += 1
-            self._table = None
-        self.last_state = s
-
-    def _p_hit(self, row_state: int, h: int) -> float:
-        """`_pair_p` of the pair (h, h + 1) from `row_state`."""
-        n = self.n_states
-        return _pair_p([x for row in self.counts for x in row], n, row_state * n + h)
-
-    def predict(self, ctx: int, rng) -> bool:
-        h = self._hits[ctx]
-        p_hit = self._p_hit(self.last_state if self.last_state is not None else h, h)
-        if p_hit < 0.0:
-            # Context never observed at all: predict miss, let the
-            # detailed L2 resolve it, and keep the chain where it is.
-            return False
-        if rng.random() < p_hit:
-            self.last_state = h
-            return True
-        self.last_state = h + 1
-        return False
-
     def _compiled(self) -> list[float]:
-        """`_p_hit` for every row and context, flattened: entry
+        """`_pair_p` of every row and context, flattened: entry
         `(row << 2) | (is_write << 1) | far`, where row `n_states` stands
         for "no last state" and predicts from the context's hit state."""
         if self._table is None:
-            self._table = [self._p_hit(row if row < self.n_states else h, h)
-                           for row in range(self.n_states + 1) for h in self._hits]
+            n = self.n_states
+            self._table = [_pair_p(self.counts, n, (row if row < n else h) * n + h)
+                           for row in range(n + 1) for h in self._hits]
         return self._table
 
     def predict_interval(self, ops, addresses, prev_address: int, rng) -> list[int]:
-        """Predict every reference of an interval as `predict` would, from
-        the compiled table; returns the positions predicted to miss.
-        `prev_address` is the reference before the interval (-1 for none)."""
+        """Predict every reference of an interval from the compiled table,
+        moving the chain to each drawn state; returns the positions predicted
+        to miss. `prev_address` is the reference before the interval (-1 for none)."""
         table = self._compiled()
         # The state is held as the offset of its row in the table.
         hit_row = [h << 2 for h in self._hits]
@@ -254,11 +215,10 @@ class MarkovModel:
         `miss` holding the detailed L1's outcomes (1 miss, 0 hit) and `near`
         1 at each near reference, summed by `_shadow_sums`.
 
-        After every `train`, `last_state` is the true state, so the true
-        states alone fix which row each reference predicts from: the
-        previous reference's. Its `train` then counts a transition from
-        that same row into the same column pair, so one reference reads
-        and bumps one cell of the flattened counts, `row * n + h`."""
+        Each reference predicts from the row of the true state before it
+        and then counts a transition from that row into the same column
+        pair, so one reference reads and bumps one cell, `row * n + h`;
+        `last_state` ends on the interval's last true state."""
         n = self.n_states
         k = len(ctxs)
         if not k:
@@ -269,14 +229,12 @@ class MarkovModel:
         states = (h | m).to_bytes(k, "little")
         rows = bytes((self.last_state or 0,)) + states[:-1]
         cells = int.from_bytes(rows.translate(row_cells), "little") | h
-        counts = [x for row in self.counts for x in row]
         # A fresh chain's first reference has p = 0 and counts no transition.
         start = int(self.last_state is None)
         first = (float(miss[0]), float(near[0])) if start else (0.0, 0.0)
-        correct, near_misses = _shadow_sums(counts, n, cells.to_bytes(k, "little")[start:],
+        correct, near_misses = _shadow_sums(self.counts, n, cells.to_bytes(k, "little")[start:],
                                             (cells | m).to_bytes(k, "little")[start:],
                                             near[start:], *first)
-        self.counts = [counts[r:r + n] for r in range(0, n * n, n)]
         self.last_state = states[-1]
         self._table = None
         return correct, near_misses

@@ -18,6 +18,7 @@ from swapsim.metrics import per_phase_accuracy, percent_change
 from swapsim.models import MarkovModel, ModelKind
 from swapsim.sim import run_simulation
 from swapsim.trace import build_preset
+from oracles import FixedU
 
 SEEDS = list(range(10))
 CONFIGS = {
@@ -256,14 +257,6 @@ def oracle_markov_predict(counts, n_states, row_state, is_write, near, u):
     return u < p
 
 
-class FixedU:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def test_criterion_08_oracle_equivalences():
     from swapsim.metrics import ReuseDistanceTracker
 
@@ -272,8 +265,7 @@ def test_criterion_08_oracle_equivalences():
     for _ in range(100):
         n = rng.randrange(100, 3000)
         stream = [rng.randrange(rng.randrange(4, 256)) for _ in range(n)]
-        t = ReuseDistanceTracker()
-        assert [t.observe(x) for x in stream] == quadratic_reuse(stream)
+        assert ReuseDistanceTracker().observe_all(stream) == quadratic_reuse(stream)
 
     # (b) detailed cache against a list-based LRU
     for cfg in (
@@ -286,8 +278,9 @@ def test_criterion_08_oracle_equivalences():
             fast = SetAssociativeCache(cfg)
             sets = [[] for _ in range(cfg.set_count)]
             shift = cfg.line_bytes.bit_length() - 1
-            for _ in range(200):
-                a = rng.randrange(16 * cfg.total_bytes)
+            addrs = [rng.randrange(16 * cfg.total_bytes) for _ in range(200)]
+            ref_misses = []
+            for i, a in enumerate(addrs):
                 line = a >> shift
                 s = sets[line & (cfg.set_count - 1)]
                 ref_hit = line in s
@@ -296,23 +289,28 @@ def test_criterion_08_oracle_equivalences():
                 elif len(s) >= cfg.associativity:
                     s.pop(0)
                 s.append(line)
-                assert fast.hit_check(a) == ref_hit
+                if not ref_hit:
+                    ref_misses.append(i)
+            assert fast.misses(addrs) == ref_misses
 
-    # (c) restricted Markov prediction on a dense u-grid
+    # (c) restricted Markov prediction on a dense u-grid, through the
+    # swapped path: a one-reference interval, near or far by the address
+    # before it
     checked = 0
+    addr = 0x1040
     for n_states in (4, 8):
         model = MarkovModel(n_states)
-        for i in range(n_states):
-            for j in range(n_states):
-                model.counts[i][j] = rng.choice([0, 0, 1, 3, 17])
+        model.counts = [rng.choice([0, 0, 1, 3, 17]) for _ in range(n_states * n_states)]
+        counts = [model.counts[i * n_states:(i + 1) * n_states] for i in range(n_states)]
         for row_state in range(n_states):
             for is_write in (False, True):
                 for near in (False, True) if n_states == 8 else (True,):
                     for k in range(1000):
                         u = k / 1000
                         model.last_state = row_state
-                        got = model.predict(is_write << 1 | (not near), FixedU(u))
-                        want = oracle_markov_predict(model.counts, n_states, row_state, is_write, near, u)
+                        got = not model.predict_interval([is_write], [addr], addr if near else -1,
+                                                         FixedU(u))
+                        want = oracle_markov_predict(counts, n_states, row_state, is_write, near, u)
                         assert got == want, (n_states, row_state, is_write, near, u)
                         checked += 1
     report(8, True, f"reuse, LRU and {checked} restricted-prediction points match")

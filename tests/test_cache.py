@@ -13,29 +13,9 @@ from swapsim.cache import (
     HierarchyConfig,
     SetAssociativeCache,
 )
+from oracles import ReferenceLRU
 
 LEVELS = ("l1_hits", "l2_hits", "l3_hits", "mem_accesses")
-
-
-class ReferenceLRU:
-    """List-based LRU per set; deliberately naive."""
-
-    def __init__(self, config):
-        self.config = config
-        self.sets = [[] for _ in range(config.set_count)]
-        self.shift = config.line_bytes.bit_length() - 1
-
-    def hit_check(self, address):
-        line = address >> self.shift
-        s = self.sets[line & (self.config.set_count - 1)]
-        if line in s:
-            s.remove(line)
-            s.append(line)
-            return True
-        if len(s) >= self.config.associativity:
-            s.pop(0)
-        s.append(line)
-        return False
 
 
 def test_config_validation():
@@ -70,19 +50,17 @@ def test_hierarchy_latency_ordering_enforced():
 
 def test_cold_miss_then_hit():
     c = SetAssociativeCache(DEFAULT_L1)
-    assert not c.hit_check(0x40)
-    assert c.hit_check(0x40)
-    assert c.hit_check(0x5F)  # same 32-byte line
-    assert not c.hit_check(0x60)  # next line
+    # 0x40 misses, then hits, as does 0x5F on its 32-byte line; 0x60, the
+    # next line, misses.
+    assert c.misses([0x40, 0x40, 0x5F, 0x60]) == [0, 3]
 
 
 def test_ninth_line_evicts_lru_way():
     c = SetAssociativeCache(DEFAULT_L1)
     stride = DEFAULT_L1.set_count * DEFAULT_L1.line_bytes  # same-set stride
-    for i in range(8):
-        assert not c.hit_check(i * stride)
-    assert not c.hit_check(8 * stride)  # evicts line 0
-    assert not c.hit_check(0)  # line 0 gone; this in turn evicts line 1
+    # Nine lines of one set miss, the ninth evicting line 0; line 0 then
+    # misses again and in turn evicts line 1.
+    assert c.misses([*(i * stride for i in range(9)), 0]) == list(range(10))
     # Line 2 still hits; line 1 is gone and misses.
     assert c.misses([2 * stride, stride]) == [1]
 
@@ -90,10 +68,8 @@ def test_ninth_line_evicts_lru_way():
 def test_hit_promotes_to_mru():
     c = SetAssociativeCache(DEFAULT_L1)
     stride = DEFAULT_L1.set_count * DEFAULT_L1.line_bytes
-    for i in range(8):
-        c.hit_check(i * stride)
-    c.hit_check(0)  # promote the oldest line
-    c.hit_check(8 * stride)  # now evicts line 1 instead
+    # Promote the oldest line, so the ninth line evicts line 1 instead.
+    c.misses([*(i * stride for i in range(8)), 0, 8 * stride])
     assert c.misses([0, stride]) == [1]
 
 
@@ -111,15 +87,14 @@ def test_matches_reference_lru(config):
     for trial in range(100):
         fast = SetAssociativeCache(config)
         ref = ReferenceLRU(config)
-        for _ in range(400):
-            a = rng.randrange(0, 16 * config.total_bytes)
-            assert fast.hit_check(a) == ref.hit_check(a)
+        addrs = [rng.randrange(0, 16 * config.total_bytes) for _ in range(400)]
+        assert fast.misses(addrs) == [i for i, a in enumerate(addrs) if not ref.hit_check(a)]
 
 
 def test_fingerprint_tracks_state():
     c = SetAssociativeCache(DEFAULT_L1)
     f0 = c.fingerprint()
-    c.hit_check(0x40)
+    c.misses([0x40])
     f1 = c.fingerprint()
     assert f0 != f1
     assert c.fingerprint() == f1  # fingerprint() does not mutate

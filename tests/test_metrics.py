@@ -11,33 +11,13 @@ from swapsim.metrics import (
     per_phase_accuracy,
     percent_change,
 )
-
-
-def quadratic_reuse_distances(stream):
-    """O(n^2) oracle: distinct lines between consecutive uses of a line."""
-    out = []
-    last = {}
-    for t, line in enumerate(stream):
-        if line in last:
-            out.append(len(set(stream[last[line] + 1 : t])))
-        else:
-            out.append(None)
-        last[line] = t
-    return out
+from oracles import quadratic_reuse_distances
 
 
 def test_simple_sequences():
-    t = ReuseDistanceTracker()
-    assert t.observe(10) is None
-    assert t.observe(11) is None
-    assert t.observe(10) == 1  # A B A
-    t2 = ReuseDistanceTracker()
-    assert t2.observe(5) is None
-    assert t2.observe(5) == 0  # A A
-    t3 = ReuseDistanceTracker()
-    for line in (1, 2, 3, 1):
-        d = t3.observe(line)
-    assert d == 2
+    assert ReuseDistanceTracker().observe_all([10, 11, 10]) == [None, None, 1]  # A B A
+    assert ReuseDistanceTracker().observe_all([5, 5]) == [None, 0]  # A A
+    assert ReuseDistanceTracker().observe_all([1, 2, 3, 1])[-1] == 2
 
 
 def test_matches_quadratic_oracle():
@@ -46,16 +26,13 @@ def test_matches_quadratic_oracle():
         n = rng.randrange(100, 2000)
         universe = rng.randrange(4, 200)
         stream = [rng.randrange(universe) for _ in range(n)]
-        t = ReuseDistanceTracker()
-        assert [t.observe(x) for x in stream] == quadratic_reuse_distances(stream)
+        assert ReuseDistanceTracker().observe_all(stream) == quadratic_reuse_distances(stream)
 
 
 def test_tracker_survives_internal_resize():
     # A stream far longer than the cap over a few lines.
-    t = ReuseDistanceTracker()
     stream = [i % 7 for i in range(5000)]
-    expect = quadratic_reuse_distances(stream)
-    assert [t.observe(x) for x in stream] == expect
+    assert ReuseDistanceTracker().observe_all(stream) == quadratic_reuse_distances(stream)
 
 
 @pytest.mark.parametrize("k", [1, REUSE_CAP - 1, REUSE_CAP, REUSE_CAP + 1, 3000])

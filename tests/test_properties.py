@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from swapsim.cache import DEFAULT_L1, CacheConfig, Hierarchy, HierarchyConfig, SetAssociativeCache
 from swapsim.controller import ControllerConfig, PhaseModelState, SwapController
 from swapsim.metrics import REUSE_CAP, ReuseDistanceTracker
-from swapsim.models import SWAP_KINDS, MarkovModel, ModelKind, contexts
+from swapsim.models import SWAP_KINDS, FixedHitRateModel, MarkovModel, ModelKind, contexts
 from swapsim.phase import (
     SAMPLE_REFS,
     SAMPLE_RUNS,
@@ -33,22 +33,17 @@ from swapsim.trace import (
     generate_intervals,
     generate_trace,
 )
-from test_cache import ReferenceLRU
+from oracles import (
+    FixedU,
+    ReferenceLRU,
+    hit_probability,
+    predict,
+    quadratic_reuse_distances,
+    train,
+)
 
 U_GRID = [k / 8 for k in range(8)] + [0.999]
 ADDR = 0x1040  # 64-byte line 0x41
-
-
-class CountingU:
-    """Stand-in RNG returning a preset uniform value and counting draws."""
-
-    def __init__(self, u):
-        self.u = u
-        self.draws = 0
-
-    def random(self):
-        self.draws += 1
-        return self.u
 
 
 # Small addresses share 64 B lines often; large ones reach the top of the
@@ -121,8 +116,8 @@ def test_context_is_its_table_column():
 
 def markov(n, counts, zero_rows, zero_pairs):
     m = MarkovModel(n)
-    m.counts = [[0 if r in zero_rows or c // 2 in zero_pairs else counts[r * n + c]
-                 for c in range(n)] for r in range(n)]
+    m.counts = [0 if r in zero_rows or c // 2 in zero_pairs else counts[r * n + c]
+                for r in range(n) for c in range(n)]
     return m
 
 
@@ -142,8 +137,8 @@ def test_compiled_markov_matches_predict(n, counts, zero_rows, zero_pairs):
                     ref = markov(n, counts, zero_rows, zero_pairs)
                     got = markov(n, counts, zero_rows, zero_pairs)
                     ref.last_state = got.last_state = row
-                    ref_rng, got_rng = CountingU(u), CountingU(u)
-                    hit = ref.predict(is_write << 1 | (not near), ref_rng)
+                    ref_rng, got_rng = FixedU(u), FixedU(u)
+                    hit = predict(ref, is_write << 1 | (not near), ref_rng)
                     prev_address = ADDR if near else -1
                     misses = got.predict_interval([is_write], [ADDR], prev_address, got_rng)
                     assert (misses == []) == hit
@@ -168,12 +163,37 @@ def test_compiled_markov_matches_predict_over_a_stream(n, counts, zero_rows, zer
     ref_rng, got_rng = random.Random(seed), random.Random(seed)
     want, prev = [], -1
     for i, (w, a) in enumerate(zip(ops, addrs)):
-        if not ref.predict(w << 1 | (a >> 6 != prev), ref_rng):
+        if not predict(ref, w << 1 | (a >> 6 != prev), ref_rng):
             want.append(i)
         prev = a >> 6
     assert got.predict_interval(ops, addrs, -1, got_rng) == want
     assert got.last_state == ref.last_state
     assert got_rng.random() == ref_rng.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       ops=st.lists(st.integers(0, 1), max_size=60),
+       seed=st.integers(0, 2**32 - 1))
+@example(counts=(0, 0), ops=[0, 1] * 10, seed=0)  # untrained: every reference misses
+@example(counts=(3, 0), ops=[1, 0] * 10, seed=0)  # certain hit
+def test_fixed_rate_predict_interval_matches_predict(counts, ops, seed):
+    addrs = [ADDR + 32 * i for i in range(len(ops))]
+    ref, got = FixedHitRateModel(), FixedHitRateModel()
+    ref.counts, got.counts = list(counts), list(counts)
+    ref_rng, got_rng = random.Random(seed), random.Random(seed)
+    want = [i for i, w in enumerate(ops) if not predict(ref, w << 1, ref_rng)]
+    assert got.predict_interval(ops, addrs, -1, got_rng) == want
+    assert got_rng.random() == ref_rng.random()
+    assert got.counts == list(counts)
+    if not counts[0]:
+        assert want == list(range(len(ops)))
+    elif not counts[1]:
+        assert want == []
+    # One draw per reference, whatever the rate.
+    u = FixedU(0.5)
+    got.predict_interval(ops, addrs, -1, u)
+    assert u.draws == len(ops)
 
 
 def per_reference_inputs(ops, addresses, misses, prev_address):
@@ -190,17 +210,6 @@ def per_reference_inputs(ops, addresses, misses, prev_address):
     return out
 
 
-def hit_probability(model, ctx):
-    """The probability that `predict` draws against: fixed-rate's rate, or
-    a Markov chain's `_p_hit` from its last state, 0 for an unseen
-    context, where `predict` returns miss without a draw."""
-    if isinstance(model, MarkovModel):
-        h = model._hits[ctx]
-        row = h if model.last_state is None else model.last_state
-        return max(model._p_hit(row, h), 0.0)
-    return model.hit_rate
-
-
 def shadow_train_per_reference(st_, refs):
     """Shadow training one reference at a time: the phase counts every
     reference and every detailed near miss once, and each candidate in
@@ -213,11 +222,12 @@ def shadow_train_per_reference(st_, refs):
     for kind, model in st_.models.items():
         correct = near_misses = 0.0
         for ctx, hit, near in refs:
-            p = hit_probability(model, ctx)
+            # 0 at an unseen context, where `predict` draws nothing.
+            p = hit_probability(model, ctx) or 0.0
             correct += p if hit else 1.0 - p
             if near:
                 near_misses += 1.0 - p
-            model.train(ctx, hit)
+            train(model, ctx, hit)
         total = st_.shadow[kind]
         st_.shadow[kind] = (total[0] + correct, total[1] + near_misses)
 
@@ -225,7 +235,7 @@ def shadow_train_per_reference(st_, refs):
 def model_state(model):
     if isinstance(model, MarkovModel):
         return model.counts, model.last_state
-    return model.hit_count, model.total_count, model.hit_rate
+    return model.counts
 
 
 @st.composite
@@ -400,13 +410,13 @@ def test_mru_shortcut_matches_reference_lru(geometry, steps, cuts):
     ref = ReferenceLRU(config)
     want = [i for i, a in enumerate(addrs) if not ref.hit_check(a)]
     # Split the stream into misses calls; every other piece runs through
-    # hit_check one reference at a time.
+    # misses one reference at a time.
     cache = SetAssociativeCache(config)
     bounds = [0, *sorted(min(c, len(addrs)) for c in cuts), len(addrs)]
     got = []
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if j % 2:
-            got += [i for i in range(lo, hi) if not cache.hit_check(addrs[i])]
+            got += [i for i in range(lo, hi) if cache.misses((addrs[i],))]
         else:
             got += [lo + i for i in cache.misses(addrs[lo:hi])]
         assert_mru_is_last_key(cache)
@@ -442,7 +452,7 @@ def test_detailed_l1_advances_across_base_interval(addrs):
     ctrl = SwapController(Hierarchy(), ControllerConfig(), rng=random.Random(0))
     fp = ctrl.hierarchy.l1.fingerprint()
     ref = SetAssociativeCache(DEFAULT_L1)
-    want = [i for i, a in enumerate(addrs) if not ref.hit_check(a)]
+    want = ref.misses(addrs)
     assert ctrl.run_interval(bytes(len(addrs)), addrs) == want
     assert ctrl.hierarchy.l1.fingerprint() == ref.fingerprint() != fp
 
@@ -457,16 +467,6 @@ def observe_in_chunks(stream, rng, max_chunk):
         got += tracker.observe_all(stream[start:start + size])
         start += size
     return got
-
-
-def quadratic_reuse_distances(stream):
-    """O(n^2) oracle: distinct lines between consecutive uses of a line."""
-    out = []
-    last = {}
-    for t, line in enumerate(stream):
-        out.append(len(set(stream[last[line] + 1:t])) if line in last else None)
-        last[line] = t
-    return out
 
 
 @settings(max_examples=100, deadline=None)
