@@ -220,7 +220,7 @@ def _cmd_run(args) -> int:
                 file_cfg = json.load(f)
         cfg = _section(file_cfg, _ConfigFile(), flags)
         ctrl_cfg = _controller_config(args)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise UsageError(f"config file {args.config} is not valid JSON: {e}") from None
     except ValueError as e:
         # A config value or flag the configuration rejects is a usage error.
@@ -258,7 +258,10 @@ def _cmd_trace_gen(args) -> int:
 def _cmd_report(args) -> int:
     run_dir = Path(args.run)
     with open(run_dir / "report.json", "r", encoding="utf-8") as f:
-        report = json.load(f)
+        try:
+            report = json.load(f)
+        except (ValueError, RecursionError) as e:
+            raise ValueError(f"malformed report.json: {e}") from None
     _check_report(report)
     _write_csvs(report, run_dir)
     print(f"re-rendered CSV files in {run_dir}")

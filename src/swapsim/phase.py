@@ -133,21 +133,23 @@ class PhaseDetector:
         self._interval_index = 0
         self._threshold = self.config.threshold
 
+    def _similar(self, a: int, b: int) -> bool:
+        return signature_diff(a, b) < self._threshold
+
     def observe_interval(self, addresses) -> PhaseEvent:
         """Close one full interval given its addresses."""
         sig = interval_signature(addresses, self.config)
-        if signature_diff(sig, self._last_sig) < self._threshold:
+        if self._similar(sig, self._last_sig):
             self._stable += 1
             if self._stable >= self.config.stable_min and self._phase == -1:
                 self.table.append(sig)
                 self._phase = len(self.table) - 1
         else:
             self._stable = 0
-            self._phase = -1
-            diffs = [signature_diff(sig, known) for known in self.table]
-            # The closest cataloged phase, the lowest id on ties, if close enough.
-            if diffs and min(diffs) < self._threshold:
-                self._phase = diffs.index(min(diffs))
+            # The closest similar cataloged phase, the lowest id on ties, or -1.
+            similar = [pid for pid, known in enumerate(self.table) if self._similar(sig, known)]
+            self._phase = min(similar, key=lambda pid: signature_diff(sig, self.table[pid]),
+                              default=-1)
         self._last_sig = sig
         event = PhaseEvent(self._interval_index, self._phase)
         self._interval_index += 1

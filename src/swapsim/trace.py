@@ -12,6 +12,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 
@@ -330,89 +331,68 @@ def _draw(rng: random.Random, n_lines: int, count: int, p_write: float) -> tuple
 # most `_BLOCK` references at a time, and yields after each block.
 
 
-def _emit_marker(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random):
-    # Tiny sequential read loop; essentially all L1 hits after warmup.
-    words = max(1, spec.resolved_working_set // 8)
-    for start in range(0, spec.length, _BLOCK):
-        n = min(_BLOCK, spec.length - start)
-        trace.addresses += _sweep(base, start, n, words)
-        trace.ops.frombytes(bytes(n))
-        yield
-
-
-def _emit_high_locality(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random):
-    # Bursts of 4 sequential words within a random 32-byte chunk of a small
-    # working set. Chunks alias into a handful of L1 sets so the far
-    # accesses see conflict misses while near accesses always hit. A last
-    # burst cut short still draws its chunk and op.
+def _emit_draws(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random,
+                burst: int, group: int, p_write: float):
+    # Bursts of `burst` consecutive words on a drawn 32-byte line of the
+    # working set, with a drawn op. Lines alias `group` to a 4 KiB way, so
+    # a small footprint still sees conflict misses. A last burst cut short
+    # still draws its line and op.
     n_lines = max(1, spec.resolved_working_set // 32)
-    spread = min(4, n_lines)
-    # words[k][j]: address of the k-th word of a burst in chunk j.
-    words = [[base + (j // spread) * _ALIAS_STRIDE + (j % spread) * 32 + 8 * k
-              for j in range(n_lines)] for k in range(4)]
-    for start in range(0, spec.length, _BLOCK):  # _BLOCK is a multiple of 4
-        n = min(_BLOCK, spec.length - start)
-        bursts = -(-n // 4)
-        lines, writes = _draw(rng, n_lines, bursts, 0.25)
-        addresses = array("Q", bytes(32 * bursts))
-        ops = bytearray(4 * bursts)
-        for k in range(4):
-            addresses[k::4] = array("Q", map(words[k].__getitem__, lines))
-            ops[k::4] = writes
+    group = min(group, n_lines)
+    # words[k][j]: address of the k-th word of a burst on line j.
+    words = [[base + (j // group) * _ALIAS_STRIDE + (j % group) * 32 + 8 * k
+              for j in range(n_lines)] for k in range(burst)]
+    block = _BLOCK - _BLOCK % burst
+    for start in range(0, spec.length, block):
+        n = min(block, spec.length - start)
+        bursts = -(-n // burst)
+        lines, writes = _draw(rng, n_lines, bursts, p_write)
+        addresses = array("Q", bytes(8 * burst * bursts))
+        ops = bytearray(burst * bursts)
+        for k in range(burst):
+            addresses[k::burst] = array("Q", map(words[k].__getitem__, lines))
+            ops[k::burst] = writes
         del addresses[n:], ops[n:]
         trace.addresses += addresses
         trace.ops.frombytes(ops)
         yield
 
 
-# Ops of one unrolled vector-add group: 8 reads of a, 8 of b, 8 writes of c.
-_VECTOR_GROUP_OPS = b"\0" * 16 + b"\1" * 8
-
-
-def _emit_vector_add(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random):
-    # c[i] = a[i] + b[i] over three disjoint arrays, unrolled by 8 so each
-    # 64-byte group is one read/write run: two read streams, one write
-    # stream. Restarts from element 0 on every occurrence. `elems` is a
-    # multiple of 8, so no group wraps: each stream is one cyclic sweep of
-    # its array, and the three sweeps interleave 8 by 8.
-    arr_bytes = max(64, (spec.resolved_working_set // 3) & ~63)
-    elems = arr_bytes // 8
-    stride = (arr_bytes + _ALIAS_STRIDE) & ~(_ALIAS_STRIDE - 1)
-    block = _BLOCK - _BLOCK % 24
+def _emit_sweeps(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random,
+                 group_ops: bytes, run: int):
+    # One cyclic sweep of 8-byte words per array, from word 0 on every
+    # occurrence, interleaved `run` words at a time; each group of
+    # `len(group_ops)` references takes those ops. Each array holds a
+    # multiple of `run` words, so no run wraps, and starts on a 4 KiB boundary.
+    size = len(group_ops)
+    streams = size // run
+    words = max(run, spec.resolved_working_set // streams // (8 * run) * run)
+    stride = (8 * words + _ALIAS_STRIDE) & ~(_ALIAS_STRIDE - 1)
+    block = _BLOCK - _BLOCK % size
     for start in range(0, spec.length, block):
         n = min(block, spec.length - start)
-        groups = -(-n // 24)
-        addresses = array("Q", bytes(8 * 24 * groups))
-        for s in range(3):
-            sweep = _sweep(base + s * stride, start // 3, 8 * groups, elems)
-            for k in range(8):
-                addresses[8 * s + k::24] = sweep[k::8]
+        groups = -(-n // size)
+        addresses = array("Q", bytes(8 * size * groups))
+        for s in range(streams):
+            sweep = _sweep(base + s * stride, start // size * run, run * groups, words)
+            for k in range(run):
+                addresses[run * s + k::size] = sweep[k::run]
         del addresses[n:]
         trace.addresses += addresses
-        trace.ops.frombytes((_VECTOR_GROUP_OPS * groups)[:n])
-        yield
-
-
-def _emit_random_access(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random):
-    # Uniform line-granularity draws over a fixed set of lines. The lines
-    # alias into a fraction of the L1 sets so roughly half the accesses
-    # miss despite the small footprint.
-    n_lines = max(1, spec.resolved_working_set // 32)
-    per_group = min(32, n_lines)
-    addresses = [base + (j // per_group) * _ALIAS_STRIDE + (j % per_group) * 32
-                 for j in range(n_lines)]
-    for start in range(0, spec.length, _BLOCK):
-        lines, writes = _draw(rng, n_lines, min(_BLOCK, spec.length - start), 0.1)
-        trace.addresses.extend(map(addresses.__getitem__, lines))
-        trace.ops.frombytes(writes)
+        trace.ops.frombytes((group_ops * groups)[:n])
         yield
 
 
 _EMITTERS = {
-    PhaseKind.MARKER: _emit_marker,
-    PhaseKind.HIGH_LOCALITY: _emit_high_locality,
-    PhaseKind.VECTOR_ADD: _emit_vector_add,
-    PhaseKind.RANDOM_ACCESS: _emit_random_access,
+    # Bursts of 4 words on a line of a small working set, 4 lines to a way.
+    PhaseKind.HIGH_LOCALITY: partial(_emit_draws, burst=4, group=4, p_write=0.25),
+    # Single references to lines drawn uniformly, 32 lines to a way:
+    # roughly half of them miss despite the small footprint.
+    PhaseKind.RANDOM_ACCESS: partial(_emit_draws, burst=1, group=32, p_write=0.1),
+    # c[i] = a[i] + b[i] unrolled by 8: 8 reads of a, 8 of b, 8 writes of c.
+    PhaseKind.VECTOR_ADD: partial(_emit_sweeps, group_ops=bytes(16) + b"\1" * 8, run=8),
+    # A tiny sequential read loop: nearly all L1 hits after warmup.
+    PhaseKind.MARKER: partial(_emit_sweeps, group_ops=bytes(1), run=1),
 }
 
 
@@ -452,21 +432,16 @@ def _generate_into(trace: Trace, phases, iterations: int, marker_spec):
         raise ValueError("at least one phase spec is required")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    occurrences: dict[int, int] = {}
-
-    def emit(spec: SyntheticPhaseSpec, region_index: int):
-        occ = occurrences.get(region_index, 0)
-        occurrences[region_index] = occ + 1
-        rng = _occurrence_rng(spec, occ)
-        base = (region_index + 1) * _REGION_STRIDE
-        return _EMITTERS[spec.kind](trace, spec, base, rng)
-
-    marker_region = len(phases)
-    for _ in range(iterations):
+    # Phase i runs in region i + 1, the marker in region len(phases) + 1;
+    # the n-th run of a region, from 0, is its occurrence n.
+    for it in range(iterations):
         for i, spec in enumerate(phases):
-            yield from emit(spec, i)
+            yield from _EMITTERS[spec.kind](trace, spec, (i + 1) * _REGION_STRIDE,
+                                            _occurrence_rng(spec, it))
             if marker_spec is not None:
-                yield from emit(marker_spec, marker_region)
+                yield from _EMITTERS[marker_spec.kind](
+                    trace, marker_spec, (len(phases) + 1) * _REGION_STRIDE,
+                    _occurrence_rng(marker_spec, it * len(phases) + i))
 
 
 # --- presets ------------------------------------------------------------

@@ -8,8 +8,15 @@ They compute the restricted pair on their own, so a test that compares
 them with `predict_interval` or `shadow_interval` also checks
 `models._pair_p`. A reference's access context is its column
 `(is_write << 1) | far`.
+
+The synthetic phase generators define each phase kind one reference at a
+time, with `rng.randrange` and `rng.random` for every draw; `generate`
+holds `trace.generate_trace` to them.
 """
+import random
+
 from swapsim.models import MarkovModel
+from swapsim.trace import PhaseKind
 
 
 class FixedU:
@@ -109,3 +116,79 @@ def quadratic_reuse_distances(stream):
         out.append(len(set(stream[last[line] + 1:t])) if line in last else None)
         last[line] = t
     return out
+
+
+def _phase_rng(spec, occurrence):
+    return random.Random((spec.seed * 1_000_003) ^ occurrence)
+
+
+def high_locality_refs(spec, base, occurrence):
+    """`(op, address)` of each reference: bursts of 4 consecutive words on
+    a 32-byte line drawn from the working set, 4 lines to a 4 KiB way, a
+    write with probability 0.25. A last burst cut short still draws."""
+    rng = _phase_rng(spec, occurrence)
+    n_lines = max(1, spec.resolved_working_set // 32)
+    group = min(4, n_lines)
+    for i in range(spec.length):
+        if i % 4 == 0:
+            line = rng.randrange(n_lines)
+            op = int(rng.random() < 0.25)
+        yield op, base + line // group * 4096 + line % group * 32 + 8 * (i % 4)
+
+
+def random_access_refs(spec, base, occurrence):
+    """One reference per drawn 32-byte line, 32 lines to a 4 KiB way, a
+    write with probability 0.1."""
+    rng = _phase_rng(spec, occurrence)
+    n_lines = max(1, spec.resolved_working_set // 32)
+    group = min(32, n_lines)
+    for _ in range(spec.length):
+        line = rng.randrange(n_lines)
+        yield int(rng.random() < 0.1), base + line // group * 4096 + line % group * 32
+
+
+def vector_add_refs(spec, base, occurrence):
+    """c[e] = a[e] + b[e] from element 0, in groups of 8 reads of a, 8 of
+    b and 8 writes of c. Each array holds the largest multiple of 8
+    elements in a third of the working set, at least 8, and starts on
+    the 4 KiB boundary after the one before it; element e of a group
+    past the end is element e mod that."""
+    elems = max(8, spec.resolved_working_set // 3 // 64 * 8)
+    stride = (8 * elems // 4096 + 1) * 4096
+    for i in range(spec.length):
+        group, k = divmod(i, 24)
+        array_index, word = divmod(k, 8)
+        yield (int(array_index == 2),
+               base + array_index * stride + 8 * ((8 * group + word) % elems))
+
+
+def marker_refs(spec, base, occurrence):
+    """Reads of a loop over the working set's words, from word 0."""
+    words = max(1, spec.resolved_working_set // 8)
+    for i in range(spec.length):
+        yield 0, base + 8 * (i % words)
+
+
+PHASE_REFS = {
+    PhaseKind.HIGH_LOCALITY: high_locality_refs,
+    PhaseKind.RANDOM_ACCESS: random_access_refs,
+    PhaseKind.VECTOR_ADD: vector_add_refs,
+    PhaseKind.MARKER: marker_refs,
+}
+
+
+def generate(phases, iterations, marker_spec):
+    """`(op, address)` of each reference of `iterations` passes over the
+    phases, the marker after each. Phase i runs in the 256 MiB region
+    i + 1 and the marker in region len(phases) + 1; the n-th run of a
+    region is its occurrence n, from 0."""
+    refs = []
+    marker_runs = 0
+    for it in range(iterations):
+        for i, spec in enumerate(phases):
+            refs += PHASE_REFS[spec.kind](spec, (i + 1) << 28, it)
+            if marker_spec is not None:
+                refs += PHASE_REFS[marker_spec.kind](
+                    marker_spec, (len(phases) + 1) << 28, marker_runs)
+                marker_runs += 1
+    return refs

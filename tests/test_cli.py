@@ -303,7 +303,9 @@ def test_validate_help_says_lockstep(capsys):
     assert "in lockstep" in help_text and "parallel" not in help_text
 
 
-@pytest.mark.parametrize("text", [b'{"detector": ', b"\xff{}"])
+# Deep nesting makes the JSON decoder raise RecursionError.
+@pytest.mark.parametrize("text", [b'{"detector": ', b"\xff{}", pytest.param(
+    b"[" * 100_000 + b"]" * 100_000, id="deeply-nested")])
 def test_usage_error_on_invalid_json_config(trace_file, tmp_path, capsys, text):
     path = tmp_path / "cfg.json"
     path.write_bytes(text)
@@ -349,4 +351,13 @@ def test_runtime_error_on_malformed_report(tmp_path, capsys, report):
     (tmp_path / "report.json").write_text(json.dumps(report))
     assert run_cli("report", "--run", str(tmp_path)) == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "intervals.csv").exists()
+
+
+def test_runtime_error_on_deeply_nested_report(tmp_path, capsys):
+    # Raw text: json.dumps cannot build nesting this deep.
+    (tmp_path / "report.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert run_cli("report", "--run", str(tmp_path)) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed report.json") and "Traceback" not in err
     assert not (tmp_path / "intervals.csv").exists()

@@ -36,6 +36,7 @@ from swapsim.trace import (
 from oracles import (
     FixedU,
     ReferenceLRU,
+    generate as oracle_generate,
     hit_probability,
     predict,
     quadratic_reuse_distances,
@@ -574,6 +575,20 @@ def test_draw_matches_randrange(n, count, p_write, seed):
     assert list(zip(lines, map(bool, writes))) == [
         (ref.randrange(n), ref.random() < p_write) for _ in range(count)]
     assert rng.getstate() == ref.getstate()
+
+
+PHASE_SPECS = st.builds(
+    SyntheticPhaseSpec, kind=st.sampled_from(PhaseKind), length=st.integers(1, 20_000),
+    seed=st.integers(0, 2**32),
+    working_set_bytes=st.one_of(st.just(0), st.integers(1, 2 * 1024 * 1024)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=st.lists(PHASE_SPECS, min_size=1, max_size=3), iterations=st.integers(1, 3),
+       marker_spec=st.none() | PHASE_SPECS)
+def test_generated_trace_matches_per_reference_oracle(specs, iterations, marker_spec):
+    t = generate_trace(specs, iterations, marker_spec)
+    assert list(zip(t.ops, t.addresses)) == oracle_generate(specs, iterations, marker_spec)
 
 
 @settings(max_examples=30, deadline=None)
