@@ -253,25 +253,67 @@ def _parse_lines(text: str, lineno: int, trace: Trace) -> None:
 
 # The line of a read and of a write; `%#x` writes an address as `hex` does.
 _LINE_FORMATS = ("R %#x\n", "W %#x\n")
+_OP_LETTERS = bytes.maketrans(b"\0\1", b"RW")
+# The lowercase hex digit of a byte's low and of its high nibble.
+_LOW_DIGITS = bytes(b"0123456789abcdef"[b & 15] for b in range(256))
+_HIGH_DIGITS = bytes(b"0123456789abcdef"[b >> 4] for b in range(256))
 
 
 def write_trace(trace: Trace, path) -> None:
-    """Write `trace` as a trace file, one `_BLOCK` of lines at a time."""
-    _write_blocks(((trace.ops[start:start + _BLOCK], trace.addresses[start:start + _BLOCK])
-                   for start in range(0, len(trace), _BLOCK)), path)
+    """Write `trace` as a trace file, one `_BLOCK` of lines at a time. A
+    trace whose ops and addresses differ in length, or with an op other
+    than 0 or 1, raises ValueError before the file is opened."""
+    ops, addresses = trace.ops, trace.addresses
+    if len(ops) != len(addresses):
+        raise ValueError(f"{len(ops)} ops for {len(addresses)} addresses")
+    if bad := bytes(ops).translate(None, b"\0\1"):
+        at = ops.index(bad[0])
+        raise ValueError(f"op {bad[0]} at reference {at} is not 0 (read) or 1 (write)")
+    _write_blocks(((ops[start:start + _BLOCK], addresses[start:start + _BLOCK])
+                   for start in range(0, len(ops), _BLOCK)), path)
 
 
 def _write_blocks(blocks, path) -> int:
-    """Write the `(ops, addresses)` blocks, in order, as a trace file, each
-    with one C-level `%` format; return the number of references written.
-    The file is opened before the first block is taken, so a bad path
-    fails before any is made."""
+    """Write the `(ops, addresses)` blocks, in order, as a trace file;
+    return the number of references written. A block whose addresses all
+    have one hex width is built by column, any other with one C-level `%`
+    format; both write `%#x`'s bytes. The file is opened before the first
+    block is taken, so a bad path fails before any is made."""
     n = 0
     with open(path, "w", encoding="utf-8") as f:
         for ops, addresses in blocks:
-            f.write("".join(map(_LINE_FORMATS.__getitem__, ops)) % tuple(addresses))
+            f.write(_format_columns(ops, addresses)
+                    or "".join(map(_LINE_FORMATS.__getitem__, ops)) % tuple(addresses))
             n += len(ops)
     return n
+
+
+def _format_columns(ops, addresses) -> str:
+    """The lines of a nonempty block whose addresses all have as many hex
+    digits as the first, built as `_parse_columns` reads them: a template
+    of `R 0x` lines gets the op column by one `translate`, and each digit
+    column, the low or high nibbles of one byte plane of the addresses, by
+    one strided slice assignment. Return "" for a block of mixed widths,
+    having built at most two digit columns."""
+    n = len(ops)
+    digits = len("%x" % addresses[0])
+    planes = addresses.tobytes()
+
+    def column(k):  # digit k of every address, least significant first
+        return planes[_BYTE_AT[k // 2]::8].translate(_HIGH_DIGITS if k % 2 else _LOW_DIGITS)
+
+    # No address has a digit above the first's leading one, nor a 0 there.
+    zeros = bytes(n)
+    if (any(planes[_BYTE_AT[j]::8] != zeros for j in range((digits + 1) // 2, 8))
+            or digits % 2 and column(digits).count(b"0") != n
+            or digits > 1 and b"0" in column(digits - 1)):
+        return ""
+    width = digits + 5
+    lines = bytearray(b"R 0x" + b"0" * digits + b"\n") * n
+    lines[0::width] = bytes(ops).translate(_OP_LETTERS)
+    for k in range(digits):
+        lines[width - 2 - k::width] = column(k)
+    return lines.decode("ascii")
 
 
 # --- synthetic workload generation -------------------------------------

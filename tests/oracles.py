@@ -11,7 +11,8 @@ them with `predict_interval` or `shadow_interval` also checks
 
 The synthetic phase generators define each phase kind one reference at a
 time, with `rng.randrange` and `rng.random` for every draw; `generate`
-holds `trace.generate_trace` to them.
+holds `trace.generate_trace` to them. `trace_text` defines the trace
+file format that `trace.write_trace` writes, one line at a time.
 """
 import random
 
@@ -192,3 +193,9 @@ def generate(phases, iterations, marker_spec):
                     marker_spec, (len(phases) + 1) << 28, marker_runs)
                 marker_runs += 1
     return refs
+
+
+def trace_text(ops, addresses):
+    """The text of a trace file holding these references: `R` or `W`, a
+    space, the address as `%#x` writes it, and a line break per reference."""
+    return "".join(("R %#x\n", "W %#x\n")[op] % address for op, address in zip(ops, addresses))

@@ -1,5 +1,6 @@
 """Trace parsing, serialization and synthetic generation."""
 import hashlib
+import random
 import sys
 import tracemalloc
 from array import array
@@ -27,6 +28,7 @@ from swapsim.trace import (
     read_intervals,
     write_trace,
 )
+from oracles import trace_text
 
 
 def parsed(path, interval_len=7):
@@ -432,12 +434,71 @@ def test_write_trace_extreme_and_empty(tmp_path):
     assert p.read_bytes() == b""
 
 
+@st.composite
+def written_traces(draw):
+    """Traces of `digits`-digit hex addresses, 1 to 16, a drawn share of
+    them one digit wider, with random ops, over lengths around a block;
+    the share may leave some blocks or all of one width."""
+    block = swapsim.trace._BLOCK
+    n = draw(st.sampled_from([1, 2, block - 1, block, block + 1, 3 * block + 5]))
+    digits = draw(st.integers(1, 16))
+    wide_share = draw(st.sampled_from([0, 0, 1e-4, 0.5]))
+    narrow = (16 ** (digits - 1) if digits > 1 else 0, 16 ** digits - 1)
+    wide = (16 ** digits, min(16 ** (digits + 1), 2**64) - 1) if digits < 16 else narrow
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    addresses = array("Q", (rng.randint(*wide if rng.random() < wide_share else narrow)
+                            for _ in range(n)))
+    # The ends of each width: 0x0, 0xf, 0x10, ..., 0xffffffffffffffff.
+    for _ in range(draw(st.integers(0, 3))):
+        addresses[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            narrow + (wide if wide_share else ())))
+    ops = array("B", (rng.getrandbits(1) for _ in range(n)))
+    return Trace(ops, addresses)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(t=written_traces())
+@example(t=Trace(array("B", [0, 1]), array("Q", [0xF, 0x10])))
+@example(t=Trace(array("B", [1, 0, 1]), array("Q", [0x0, 0x1, 0xF])))
+@example(t=Trace(array("B", [1, 0]), array("Q", [2**64 - 1, 2**63])))
+@example(t=Trace(array("B", [0, 0]), array("Q", [2**60, 2**64 - 1])))
+def test_write_trace_matches_per_line_writer(tmp_path, t):
+    p = tmp_path / "t.txt"
+    write_trace(t, p)
+    assert p.read_bytes() == trace_text(t.ops, t.addresses).encode()
+    assert parsed(p, 4096) == (list(t.ops), list(t.addresses))
+
+
+@pytest.mark.parametrize("ops, addresses, message", [
+    ([0, 2, 1], [1, 2, 3], "op 2 at reference 1 is not 0 (read) or 1 (write)"),
+    ([0, 1, 255], [1, 2, 3], "op 255 at reference 2 is not 0 (read) or 1 (write)"),
+    ([0, 1, 0], [1, 2], "3 ops for 2 addresses"),
+    ([0], [1, 2], "1 ops for 2 addresses"),
+])
+def test_write_trace_rejects_malformed_trace(tmp_path, ops, addresses, message):
+    # Before the file is opened, so no file is left behind.
+    p = tmp_path / "t.txt"
+    with pytest.raises(ValueError) as e:
+        write_trace(Trace(array("B", ops), array("Q", addresses)), p)
+    assert str(e.value) == message
+    assert not p.exists()
+
+
 def test_trace_gen_file_pinned(tmp_path):
     # The locality preset's vector-add phase wraps its sweep.
     p = tmp_path / "locality.txt"
     assert main(["trace-gen", "--synthetic", "locality", "--seed", "1", "--out", str(p)]) == 0
     assert hashlib.sha256(p.read_bytes()).hexdigest() == (
         "2596b56d65aa45b1cf0a8d283a874dac6d83bd836a174920a562e54ab6aacebc")
+
+
+def test_trace_gen_random_access_file_pinned(tmp_path):
+    # meabo3-small holds all four phase kinds, random access included.
+    p = tmp_path / "meabo3-small.txt"
+    assert main(["trace-gen", "--synthetic", "meabo3-small", "--seed", "1", "--out", str(p)]) == 0
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "4a18be773fb0cfd44f856c624ecf5a134123a93f546ffd9f4b0dc6113d58a7a3")
 
 
 def trace_digest(t):
