@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--models", default="all",
                      help="comma-separated candidate models, or 'all'")
-    run.add_argument("--train-intervals", type=int, default=2)
+    run.add_argument("--train-intervals", type=int, default=ControllerConfig.train_intervals)
     run.add_argument("--validate", action="store_true",
                      help="run a detailed hierarchy in lockstep, in the same thread, as ground truth")
     run.add_argument("--out", default="swapsim-out", help="output directory")

@@ -24,6 +24,9 @@ class ControllerConfig:
             raise ValueError("need at least one candidate model kind")
         if len(set(self.candidate_kinds)) != len(self.candidate_kinds):
             raise ValueError("candidate model kinds must be distinct")
+        for kind in self.candidate_kinds:
+            if kind not in SWAP_KINDS:
+                raise ValueError(f"no swappable model for {kind}")
 
 
 class PhaseModelState:
@@ -56,38 +59,23 @@ class Directive:
         return self.phase_id >= 0 and self.swapped_kind is None
 
 
-_BASE_DIRECTIVE = Directive(phase_id=-1, swapped_kind=None)
-
-
 class SwapController:
     """Owns the L1D slot of a hierarchy. For each interval, pass the
-    detector's label to start_interval, the references to run_interval,
-    and the same label to on_interval_end."""
+    detector's label and the references to run_interval, then the label
+    to on_interval_end."""
 
     def __init__(self, hierarchy: Hierarchy, config: ControllerConfig | None = None, *, rng):
         self.hierarchy = hierarchy
         self.config = config or ControllerConfig()
         self.rng = rng
         self.phases: dict[int, PhaseModelState] = {}
-        self.directive: Directive = _BASE_DIRECTIVE
+        self.directive = Directive(phase_id=-1, swapped_kind=None)
         self._prev_address = -1  # previous reference, for near/far; -1 for none
 
-    def start_interval(self, event: PhaseEvent) -> Directive:
-        """Set the directive of the interval labeled `event`, before it runs."""
-        pid = event.phase_id
-        if pid < 0:
-            self.directive = _BASE_DIRECTIVE
-        else:
-            st = self.phases.get(pid)
-            if st is None:
-                st = self.phases[pid] = PhaseModelState(self.config.candidate_kinds)
-            self.directive = Directive(pid, st.chosen)
-        return self.directive
-
-    def on_interval_end(self, event: PhaseEvent) -> Directive:
+    def on_interval_end(self, event: PhaseEvent) -> None:
         """Count the closing interval if it trained its phase, then score and
-        swap once the budget is met. A trailing partial interval runs under
-        the directive of `event`'s label."""
+        swap once the budget is met. The directive stays the closing
+        interval's."""
         if self.directive.training:
             st = self.phases[self.directive.phase_id]
             st.intervals_trained += 1
@@ -97,19 +85,23 @@ class SwapController:
                                     for k in self.config.candidate_kinds}
                 st.chosen = select_best({k: vec.distance_from_ideal()
                                          for k, vec in st.score_vectors.items()})
-        return self.start_interval(event)
 
-    def run_interval(self, ops, addresses) -> list[int]:
-        """Run one interval's references under the current directive and
-        account them in the hierarchy. Returns the positions where the L1
-        slot (the detailed cache or the swapped model) missed."""
-        d = self.directive
+    def run_interval(self, phase_id: int, ops, addresses) -> list[int]:
+        """Set the directive of an interval labeled `phase_id` (-1 for
+        none), cataloging a phase labeled for the first time, then run its
+        references under it and account them in the hierarchy. Returns the
+        positions where the L1 slot (the detailed cache or the swapped
+        model) missed."""
+        st = self.phases.get(phase_id)
+        if st is None and phase_id >= 0:
+            st = self.phases[phase_id] = PhaseModelState(self.config.candidate_kinds)
+        d = self.directive = Directive(phase_id, st.chosen if st else None)
         if d.swapped_kind is None:
             misses = self.hierarchy.run_detailed(addresses)
             if d.training:
-                self._shadow_train(self.phases[d.phase_id], ops, addresses, misses)
+                self._shadow_train(st, ops, addresses, misses)
         else:
-            model = self.phases[d.phase_id].models[d.swapped_kind]
+            model = st.models[d.swapped_kind]
             misses = model.predict_interval(ops, addresses, self._prev_address, self.rng)
             self.hierarchy.serve_misses(addresses, misses)
         if addresses:

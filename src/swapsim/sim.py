@@ -7,9 +7,8 @@ A Runner takes the trace one interval at a time: run_simulation slices
 an in-memory Trace, and `swapsim run --trace` feeds it from
 trace.read_intervals, so a trace file is never held whole. The detector
 labels each interval before it runs (the paper decides at its end), and
-the label sets the interval's directive. Each interval runs as one loop
-chosen by its directive, and its L1 misses then go through L2/L3 and
-the reuse tracker in order.
+the interval runs under the directive its label sets: one loop chosen by
+it, whose L1 misses then go through L2/L3 and the reuse tracker in order.
 """
 from __future__ import annotations
 
@@ -19,8 +18,8 @@ from dataclasses import dataclass, field
 from .cache import Hierarchy, HierarchyConfig
 from .controller import ControllerConfig, SwapController
 from .metrics import IntervalRecord, ReuseDistanceTracker, ReuseHistogram
-from .phase import PhaseDetector, PhaseDetectorConfig
-from .trace import Trace
+from .phase import PhaseDetector, PhaseDetectorConfig, PhaseEvent
+from .trace import Trace, check_references
 
 
 @dataclass
@@ -81,6 +80,7 @@ class Runner:
         self.base_tracker = ReuseDistanceTracker() if self.base_reuse is not None else None
         self._l2_line_shift = hcfg.l2.line_bytes.bit_length() - 1
         self._snapshot = self.hierarchy.totals()
+        self._event = PhaseEvent(-1, -1)  # the label of the last full interval
         self._ended = False  # a partial interval was stepped
 
     def step(self, ops, addresses) -> IntervalRecord | None:
@@ -94,15 +94,16 @@ class Runner:
             raise ValueError("a partial interval must be the last one stepped")
         if len(addresses) > interval_len:
             raise ValueError(f"an interval holds at most {interval_len} references")
-        if len(ops) != len(addresses):
-            raise ValueError(f"{len(ops)} ops for {len(addresses)} addresses")
+        check_references(ops, addresses)
         controller = self.controller
         full = len(addresses) == interval_len
         if full:
-            event = self.detector.observe_interval(addresses)
-            controller.start_interval(event)
+            self._event = self.detector.observe_interval(addresses)
+        # A trailing partial interval, which the detector does not label,
+        # runs under the label of the last full one.
+        event = self._event
+        misses = controller.run_interval(event.phase_id, ops, addresses)
         swapped = controller.directive.swapped_kind
-        misses = controller.run_interval(ops, addresses)
         if self.val_hier is not None:
             val_misses = self.val_hier.run_detailed(addresses)
         if not full:

@@ -259,16 +259,22 @@ _LOW_DIGITS = bytes(b"0123456789abcdef"[b & 15] for b in range(256))
 _HIGH_DIGITS = bytes(b"0123456789abcdef"[b >> 4] for b in range(256))
 
 
-def write_trace(trace: Trace, path) -> None:
-    """Write `trace` as a trace file, one `_BLOCK` of lines at a time. A
-    trace whose ops and addresses differ in length, or with an op other
-    than 0 or 1, raises ValueError before the file is opened."""
-    ops, addresses = trace.ops, trace.addresses
+def check_references(ops, addresses) -> None:
+    """Raise ValueError if `ops` and `addresses` differ in length, or if an
+    op is other than 0 (read) or 1 (write)."""
     if len(ops) != len(addresses):
         raise ValueError(f"{len(ops)} ops for {len(addresses)} addresses")
     if bad := bytes(ops).translate(None, b"\0\1"):
         at = ops.index(bad[0])
         raise ValueError(f"op {bad[0]} at reference {at} is not 0 (read) or 1 (write)")
+
+
+def write_trace(trace: Trace, path) -> None:
+    """Write `trace` as a trace file, one `_BLOCK` of lines at a time. A
+    trace that check_references rejects raises ValueError before the file
+    is opened."""
+    ops, addresses = trace.ops, trace.addresses
+    check_references(ops, addresses)
     _write_blocks(((ops[start:start + _BLOCK], addresses[start:start + _BLOCK])
                    for start in range(0, len(ops), _BLOCK)), path)
 

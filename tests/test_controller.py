@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from swapsim.cache import Hierarchy
-from swapsim.controller import ControllerConfig, Directive, SwapController
+from swapsim.controller import ControllerConfig, Directive, PhaseModelState, SwapController
 from swapsim.models import ModelKind, contexts, make_model
 from swapsim.phase import PhaseEvent
 
@@ -15,17 +15,18 @@ def make_controller(**kwargs):
     return SwapController(Hierarchy(), ControllerConfig(**kwargs), rng=random.Random(0))
 
 
-def train_accesses(ctrl, n=50, base=0x1000):
-    return ctrl.run_interval(bytes(n), [base + (i % 16) * 8 for i in range(n)])
+def train_accesses(ctrl, phase_id, n=50, base=0x1000):
+    return ctrl.run_interval(phase_id, bytes(n), [base + (i % 16) * 8 for i in range(n)])
 
 
 def run_labeled(ctrl, event, n=50, base=0x1000):
-    """One interval in the order Runner.step takes: label it, run it, close
-    it. Returns the directive it ran under."""
-    d = ctrl.start_interval(event)
-    train_accesses(ctrl, n, base)
+    """One interval in the order Runner.step takes: run it under its label,
+    then close it. Returns the directive it ran under, which closing it
+    leaves in place."""
+    train_accesses(ctrl, event.phase_id, n, base)
+    d = ctrl.directive
+    assert ctrl.on_interval_end(event) is None
     assert ctrl.directive is d
-    ctrl.on_interval_end(event)
     return d
 
 
@@ -56,6 +57,14 @@ def test_duplicate_candidate_kinds_rejected():
             ControllerConfig(candidate_kinds=kinds)
 
 
+def test_candidate_kinds_without_a_model_rejected():
+    # At construction, not when the first phase is cataloged after
+    # intervals have already run.
+    for kinds in ((ModelKind.BASE,), (ModelKind.MARKOV8, "markov8")):
+        with pytest.raises(ValueError, match="no swappable model"):
+            ControllerConfig(candidate_kinds=kinds)
+
+
 def test_initial_directive_is_base():
     ctrl = make_controller()
     assert ctrl.directive.swapped_kind is None
@@ -65,11 +74,8 @@ def test_initial_directive_is_base():
 
 def test_unstable_interval_keeps_base():
     ctrl = make_controller()
-    e = PhaseEvent(0, -1)
-    d = ctrl.start_interval(e)
-    assert d.swapped_kind is None and not d.training
-    train_accesses(ctrl)
-    assert ctrl.on_interval_end(e) == d
+    d = run_labeled(ctrl, PhaseEvent(0, -1))
+    assert d == Directive(-1, None) and not d.training
     assert not ctrl.phases
 
 
@@ -79,32 +85,30 @@ def test_training_then_swap_on_schedule():
     d = run_labeled(ctrl, PhaseEvent(0, 0))
     assert d == Directive(0, None) and d.training
     assert ctrl.phases[0].intervals_trained == 1
-    e = PhaseEvent(1, 0)
-    d = ctrl.start_interval(e)
+    d = run_labeled(ctrl, PhaseEvent(1, 0))  # 2nd trained interval done: swap
     assert d.training and d.swapped_kind is None and d.phase_id == 0
-    train_accesses(ctrl)
-    d = ctrl.on_interval_end(e)  # 2nd trained interval done: swap
-    assert d.swapped_kind is not None and not d.training
-    assert ctrl.phases[0].chosen is d.swapped_kind
+    chosen = ctrl.phases[0].chosen
+    assert chosen is not None
     assert set(ctrl.phases[0].score_vectors) == set(ctrl.config.candidate_kinds)
-    assert ctrl.start_interval(PhaseEvent(2, 0)) == d
+    d = run_labeled(ctrl, PhaseEvent(2, 0))
+    assert d == Directive(0, chosen) and not d.training
 
 
 def test_swap_persists_on_reentry():
     ctrl = make_controller(train_intervals=1)
     run_labeled(ctrl, PhaseEvent(0, 0))
     run_labeled(ctrl, PhaseEvent(1, -1))
-    d = ctrl.start_interval(PhaseEvent(2, 0))
+    d = run_labeled(ctrl, PhaseEvent(2, 0))
     assert d.swapped_kind is not None  # no retraining on re-entry
 
 
 def test_base_cache_frozen_while_swapped():
     ctrl = make_controller(train_intervals=1)
     run_labeled(ctrl, PhaseEvent(0, 0))
-    assert ctrl.start_interval(PhaseEvent(1, 0)).swapped_kind is not None
     fp = ctrl.hierarchy.l1.fingerprint()
     mru = list(ctrl.hierarchy.l1._mru)
-    misses = ctrl.run_interval(bytes(200), [0x1000 + i * 8 for i in range(200)])
+    misses = ctrl.run_interval(0, bytes(200), [0x1000 + i * 8 for i in range(200)])
+    assert ctrl.directive.swapped_kind is not None
     assert all(0 <= i < 200 for i in misses)
     assert served(ctrl.hierarchy.totals()) == 250
     assert ctrl.hierarchy.l1.fingerprint() == fp
@@ -114,16 +118,16 @@ def test_base_cache_frozen_while_swapped():
 def test_base_cache_updates_when_not_swapped():
     ctrl = make_controller()
     fp = ctrl.hierarchy.l1.fingerprint()
-    assert ctrl.run_interval(bytes(1), [0x1000]) == [0]
+    assert ctrl.run_interval(-1, bytes(1), [0x1000]) == [0]
     assert ctrl.hierarchy.l1.fingerprint() != fp
 
 
 def test_counters_advance_under_swap():
     ctrl = make_controller(train_intervals=1, candidate_kinds=(ModelKind.FIXED_RATE,))
     run_labeled(ctrl, PhaseEvent(0, 0))  # high-hit training stream
-    assert ctrl.start_interval(PhaseEvent(1, 0)).swapped_kind is not None
     before = ctrl.hierarchy.totals()
-    misses = train_accesses(ctrl, n=100)
+    misses = train_accesses(ctrl, 0, n=100)
+    assert ctrl.directive.swapped_kind is not None
     after = ctrl.hierarchy.totals()
     assert after["cycles"] > before["cycles"]
     assert served(after) - served(before) == 100
@@ -141,13 +145,13 @@ def test_long_training_budget_swaps_on_its_last_interval():
     assert not ctrl.phases[0].score_vectors
     assert run_labeled(ctrl, PhaseEvent(58, 0)).training
     assert ctrl.phases[0].chosen is not None
-    assert ctrl.start_interval(PhaseEvent(59, 0)).swapped_kind is ctrl.phases[0].chosen
+    assert run_labeled(ctrl, PhaseEvent(59, 0)).swapped_kind is ctrl.phases[0].chosen
 
 
 def test_single_candidate_is_the_only_model_trained_and_swapped():
     ctrl = make_controller(train_intervals=1, candidate_kinds=(ModelKind.MARKOV4,))
     run_labeled(ctrl, PhaseEvent(0, 0))
-    d = ctrl.start_interval(PhaseEvent(1, 0))
+    d = run_labeled(ctrl, PhaseEvent(1, 0))
     assert d.swapped_kind is ModelKind.MARKOV4
     assert list(ctrl.phases[0].models) == [ModelKind.MARKOV4]
 
@@ -166,8 +170,7 @@ def test_independent_phases_get_independent_models():
 
 def test_shadow_train_counts_the_detailed_side_once_per_phase():
     ctrl = make_controller()
-    ctrl.start_interval(PhaseEvent(0, 0))
-    st = ctrl.phases[0]
+    st = PhaseModelState(ctrl.config.candidate_kinds)
     ctrl._prev_address = 0x1000
     # Near, near, near, far; the last two miss. The detailed L1's near
     # misses are the near references that missed: only the third here.
@@ -183,8 +186,7 @@ def test_shadow_train_counts_the_detailed_side_once_per_phase():
 def test_shadow_train_sums_over_intervals():
     rng = random.Random(11)
     ctrl = make_controller()
-    ctrl.start_interval(PhaseEvent(0, 0))
-    st = ctrl.phases[0]
+    st = PhaseModelState(ctrl.config.candidate_kinds)
     twins = {kind: make_model(kind) for kind in st.models}
     want = {kind: (0.0, 0.0) for kind in st.models}
     want_refs = want_near_misses = 0
@@ -227,8 +229,7 @@ def test_shadow_interval_transient_memory_is_bounded():
     n = 10_000
     rng = random.Random(5)
     ctrl = make_controller()
-    ctrl.start_interval(PhaseEvent(0, 0))
-    st = ctrl.phases[0]
+    st = PhaseModelState(ctrl.config.candidate_kinds)
     assert len(st.models) == 3
     intervals = []
     for _ in range(2):

@@ -292,8 +292,7 @@ def shadow_train_in_intervals(run, prev_address, seed):
     ctrl = SwapController(Hierarchy(), ControllerConfig(candidate_kinds=kinds),
                           rng=random.Random(seed))
     rng_state = ctrl.rng.getstate()
-    ctrl.start_interval(PhaseEvent(0, 0))
-    got = ctrl.phases[0]
+    got = PhaseModelState(kinds)
     want = PhaseModelState(kinds)
     ctrl._prev_address = prev = prev_address
     for lo, hi in zip(bounds, bounds[1:]):
@@ -434,15 +433,13 @@ def test_detailed_l1_frozen_across_swapped_interval(addrs, kind, seed):
     ctrl = SwapController(Hierarchy(), ControllerConfig(train_intervals=1,
                                                         candidate_kinds=(kind,)),
                           rng=random.Random(seed))
-    e = PhaseEvent(0, 0)
-    ctrl.start_interval(e)
-    ctrl.run_interval(bytes(64), [0x1000 + (i % 24) * 8 for i in range(64)])
-    ctrl.on_interval_end(e)
+    ctrl.run_interval(0, bytes(64), [0x1000 + (i % 24) * 8 for i in range(64)])
+    ctrl.on_interval_end(PhaseEvent(0, 0))
     assert ctrl.phases[0].chosen is kind
-    assert ctrl.start_interval(PhaseEvent(1, 0)).swapped_kind is kind
     fp = ctrl.hierarchy.l1.fingerprint()
     l1_hits = ctrl.hierarchy.l1_hits
-    misses = ctrl.run_interval(bytes(a & 1 for a in addrs), addrs)
+    misses = ctrl.run_interval(0, bytes(a & 1 for a in addrs), addrs)
+    assert ctrl.directive.swapped_kind is kind
     assert ctrl.hierarchy.l1.fingerprint() == fp
     assert ctrl.hierarchy.l1_hits - l1_hits == len(addrs) - len(misses)
 
@@ -454,7 +451,7 @@ def test_detailed_l1_advances_across_base_interval(addrs):
     fp = ctrl.hierarchy.l1.fingerprint()
     ref = SetAssociativeCache(DEFAULT_L1)
     want = ref.misses(addrs)
-    assert ctrl.run_interval(bytes(len(addrs)), addrs) == want
+    assert ctrl.run_interval(-1, bytes(len(addrs)), addrs) == want
     assert ctrl.hierarchy.l1.fingerprint() == ref.fingerprint() != fp
 
 

@@ -9,10 +9,10 @@ import pytest
 import swapsim.trace
 from swapsim.cache import DEFAULT_L1, CacheConfig, HierarchyConfig, SetAssociativeCache
 from swapsim.cli import EXIT_OK, _result_to_report, main
-from swapsim.controller import ControllerConfig
+from swapsim.controller import ControllerConfig, Directive
 from swapsim.metrics import IntervalRecord, ReuseDistanceTracker, ReuseHistogram
 from swapsim.models import ModelKind
-from swapsim.phase import PhaseDetectorConfig
+from swapsim.phase import PhaseDetector, PhaseDetectorConfig
 from swapsim.sim import Runner, run_simulation
 from swapsim.trace import (
     PhaseKind,
@@ -185,9 +185,9 @@ def test_per_phase_cycle_error_is_small():
 
 def test_directive_holds_through_on_interval_end(monkeypatch):
     # A wrapper of on_interval_end reads the directive the closing
-    # interval ran under, and after it the one a trailing partial
-    # interval would run under. It classifies the directive as the
-    # benchmark's tracer does: swapped_kind first, then training.
+    # interval ran under, and the call leaves it in place. It classifies
+    # the directive as the benchmark's tracer does: swapped_kind first,
+    # then training.
     runner = Runner(detector_config=FAST, seed=5)
     seen = []
     kinds = Counter()
@@ -198,10 +198,8 @@ def test_directive_holds_through_on_interval_end(monkeypatch):
         seen.append("base" if d.swapped_kind is None else d.swapped_kind.value)
         kinds["swapped" if d.swapped_kind is not None else
               "training" if d.training else "base"] += 1
-        after = close(event)
-        assert after is runner.controller.directive
-        assert after == runner.controller.start_interval(event)
-        return after
+        assert close(event) is None
+        assert runner.controller.directive is d
 
     monkeypatch.setattr(runner.controller, "on_interval_end", wrapped)
     tr, n = small_trace(), FAST.interval_len
@@ -213,6 +211,46 @@ def test_directive_holds_through_on_interval_end(monkeypatch):
     # Every base interval of a cataloged phase trained it.
     assert kinds["training"] == sum(r.directive == "base" and r.phase_id >= 0 for r in records)
     assert kinds["training"] > 0 and kinds["base"] > 0
+
+
+def test_trailing_partial_interval_runs_under_the_last_label():
+    # The detector does not label a trailing partial interval, so it runs
+    # under the label of the last full one. Here that interval completed
+    # its phase's training budget: the partial one runs the chosen model,
+    # and the detailed L1 stays frozen through it.
+    runner = Runner(detector_config=FAST, seed=5)
+    tr, n = small_trace(), FAST.interval_len
+    phases = runner.controller.phases
+    for start in range(0, len(tr) - n, n):
+        record = runner.step(tr.ops[start:start + n], tr.addresses[start:start + n])
+        if record.directive == "base" and record.phase_id >= 0 \
+                and phases[record.phase_id].chosen is not None:
+            break
+    else:
+        pytest.fail("no interval completed a phase's training budget")
+    fp = runner.hierarchy.l1.fingerprint()
+    end = start + n + n // 2
+    assert runner.step(tr.ops[start + n:end], tr.addresses[start + n:end]) is None
+    assert runner.controller.directive == Directive(record.phase_id,
+                                                    phases[record.phase_id].chosen)
+    assert runner.hierarchy.l1.fingerprint() == fp
+
+
+def test_op_other_than_read_or_write_rejected_before_any_cache(monkeypatch):
+    # models.contexts maps only op 1 to the write bit: an op of 2 would
+    # pass through as the write bit, and one of 3 as the write and far
+    # bits. The check comes before the detector or any cache sees the
+    # interval.
+    def touched(self, addresses):
+        raise AssertionError(f"{type(self).__name__} saw the interval")
+
+    monkeypatch.setattr(SetAssociativeCache, "misses", touched)
+    monkeypatch.setattr(PhaseDetector, "observe_interval", touched)
+    tr = small_trace()
+    ops = array("B", tr.ops)
+    ops[5] = 2
+    with pytest.raises(ValueError, match=r"^op 2 at reference 5 is not 0 \(read\) or 1 \(write\)$"):
+        run_simulation(Trace(ops, tr.addresses), detector_config=FAST, seed=1, validate=True)
 
 
 def _streamed(path, **settings):
