@@ -1,5 +1,5 @@
-"""Per-interval statistics, reuse-distance histograms of the L2-bound
-stream, and run-to-run comparison helpers.
+"""Per-interval statistics, per-phase accuracy, and reuse-distance
+histograms of the L2-bound stream.
 """
 from __future__ import annotations
 
@@ -116,16 +116,4 @@ def per_phase_accuracy(records: list[IntervalRecord]) -> dict[int, tuple[float, 
         mean = math.fsum(vals) / len(vals)
         var = math.fsum((v - mean) ** 2 for v in vals) / len(vals)
         out[pid] = (mean, math.sqrt(var))
-    return out
-
-
-def percent_change(model_totals: dict, base_totals: dict) -> dict[str, float | None]:
-    """(model - base)/base for each shared statistic; None where the base
-    value is zero."""
-    out: dict[str, float | None] = {}
-    for key in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses", "cycles"):
-        base = base_totals.get(key)
-        if base is None:
-            continue
-        out[key] = None if base == 0 else (model_totals[key] - base) / base
     return out

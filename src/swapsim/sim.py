@@ -19,6 +19,7 @@ from .cache import Hierarchy, HierarchyConfig
 from .controller import ControllerConfig, SwapController
 from .metrics import IntervalRecord, ReuseDistanceTracker, ReuseHistogram
 from .phase import PhaseDetector, PhaseDetectorConfig, PhaseEvent
+from .scoring import ScoreVector
 from .trace import Trace, check_references
 
 
@@ -31,10 +32,15 @@ class RunResult:
     base_totals: dict | None
     phase_count: int
     chosen: dict[int, str]  # phase id -> chosen model kind value
-    scores: dict[int, dict[str, float]]
-    score_vectors: dict[int, dict[str, tuple[float, float, float, float]]]
+    score_vectors: dict[int, dict[str, ScoreVector]]
     reuse: dict[int, ReuseHistogram] = field(default_factory=dict)
     base_reuse: dict[int, ReuseHistogram] | None = None
+
+    @property
+    def scores(self) -> dict[int, dict[str, float]]:
+        """Each score vector's scalar score, its distance from the ideal."""
+        return {pid: {kind: vec.distance_from_ideal() for kind, vec in vectors.items()}
+                for pid, vectors in self.score_vectors.items()}
 
     @property
     def swapped_fraction(self) -> float:
@@ -94,7 +100,8 @@ class Runner:
             raise ValueError("a partial interval must be the last one stepped")
         if len(addresses) > interval_len:
             raise ValueError(f"an interval holds at most {interval_len} references")
-        check_references(ops, addresses)
+        # Only the last interval may be partial, so every earlier one is full.
+        check_references(ops, addresses, len(self.intervals) * interval_len)
         controller = self.controller
         full = len(addresses) == interval_len
         if full:
@@ -144,13 +151,11 @@ class Runner:
     def finish(self) -> RunResult:
         """The result of the intervals stepped so far."""
         chosen = {}
-        scores = {}
         score_vectors = {}
         for pid, st in sorted(self.controller.phases.items()):
             if st.chosen is not None:
                 chosen[pid] = st.chosen.value
             score_vectors[pid] = {k.value: vec for k, vec in st.score_vectors.items()}
-            scores[pid] = {k: vec.distance_from_ideal() for k, vec in score_vectors[pid].items()}
 
         return RunResult(
             seed=self.seed,
@@ -160,7 +165,6 @@ class Runner:
             base_totals=self.val_hier.totals() if self.val_hier is not None else None,
             phase_count=len(self.detector.table),
             chosen=chosen,
-            scores=scores,
             score_vectors=score_vectors,
             reuse=self.reuse,
             base_reuse=self.base_reuse,

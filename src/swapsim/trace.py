@@ -121,9 +121,13 @@ def _intervals(interval_len: int, fill, *args):
 
 def _parse_into(trace: Trace, path):
     """Append the references of the trace file at `path` to `trace`, one
-    chunk of whole lines at a time, yielding after each chunk."""
+    chunk of whole lines at a time, yielding after each chunk. A chunk of
+    fixed-width lines is parsed by column, any other line by line. The
+    per-line parser defines the accepted syntax and names a bad line; the
+    column parser takes only chunks that it would parse to the same values."""
     for lineno, text in _line_chunks(path):
-        _parse_chunk(text, lineno, trace)
+        if not _parse_columns(text, trace):
+            _parse_lines(text, lineno, trace)
         yield
 
 
@@ -147,16 +151,6 @@ def _line_chunks(path):
             lineno += text.count("\n")
     if carry:
         yield lineno, carry + "\n"
-
-
-def _parse_chunk(text: str, lineno: int, trace: Trace) -> None:
-    """Append the references of whole lines `text`, the first of which is
-    line `lineno`, to `trace`, through the first parser that takes them:
-    by column, by token, then line by line. The per-line parser defines
-    the accepted syntax and names a bad line; the other two take only
-    chunks that it would parse to the same values."""
-    if not (_parse_columns(text, trace) or _parse_tokens(text, trace)):
-        _parse_lines(text, lineno, trace)
 
 
 _HEX_DIGITS = b"0123456789abcdefABCDEF"
@@ -191,35 +185,6 @@ def _parse_columns(text: str, trace: Trace) -> bool:
         addresses[_BYTE_AT[j // 2]::8] = (nibbles[j] | nibbles[j + 1] << 4).to_bytes(n, "little")
     trace.addresses.frombytes(addresses)
     trace.ops.frombytes(ops.translate(_OP_BYTES))
-    return True
-
-
-def _parse_tokens(text: str, trace: Trace) -> bool:
-    """Parse a chunk of only `<R|W> <address>` lines in a few C-level
-    passes; return whether the chunk was one.
-
-    Every line then starts with its op token, and `R` and `W` are not hex
-    digits, so a line with an odd token count would put the next line's op
-    where `int` fails; with two tokens per line on average, every line has
-    exactly two, and the even tokens are the ops. `int` also takes a sign,
-    "_" and non-ASCII digits, so a chunk that holds any of them is not
-    parsed here.
-    """
-    lines = text.count("\n")
-    if not (text[:2] in ("R ", "W ") and text.isascii() and not any(c in text for c in "+-_")
-            and text.count("\nR ") + text.count("\nW ") == lines - 1):
-        return False
-    tokens = text.split()
-    if len(tokens) != 2 * lines:
-        return False
-    try:
-        # Straight into the trace: a per-chunk array in between
-        # fragments the heap as the trace grows, which raised the
-        # peak RSS of `swapsim run --trace` by about 6 MiB.
-        trace.addresses.extend(map(int, tokens[1::2], repeat(16)))
-    except (ValueError, OverflowError):
-        return False  # a malformed line, which the per-line parser names
-    trace.ops.frombytes("".join(tokens[0::2]).encode().translate(_OP_BYTES))
     return True
 
 
@@ -259,13 +224,14 @@ _LOW_DIGITS = bytes(b"0123456789abcdef"[b & 15] for b in range(256))
 _HIGH_DIGITS = bytes(b"0123456789abcdef"[b >> 4] for b in range(256))
 
 
-def check_references(ops, addresses) -> None:
+def check_references(ops, addresses, offset: int = 0) -> None:
     """Raise ValueError if `ops` and `addresses` differ in length, or if an
-    op is other than 0 (read) or 1 (write)."""
+    op is other than 0 (read) or 1 (write). `offset` is the position of
+    `ops[0]` in the trace, which the message names a bad op by."""
     if len(ops) != len(addresses):
         raise ValueError(f"{len(ops)} ops for {len(addresses)} addresses")
     if bad := bytes(ops).translate(None, b"\0\1"):
-        at = ops.index(bad[0])
+        at = offset + ops.index(bad[0])
         raise ValueError(f"op {bad[0]} at reference {at} is not 0 (read) or 1 (write)")
 
 

@@ -13,6 +13,9 @@ The synthetic phase generators define each phase kind one reference at a
 time, with `rng.randrange` and `rng.random` for every draw; `generate`
 holds `trace.generate_trace` to them. `trace_text` defines the trace
 file format that `trace.write_trace` writes, one line at a time.
+
+`percent_change` compares a swapped run's totals with the detailed run's,
+as the acceptance criteria read them.
 """
 import random
 
@@ -199,3 +202,15 @@ def trace_text(ops, addresses):
     """The text of a trace file holding these references: `R` or `W`, a
     space, the address as `%#x` writes it, and a line break per reference."""
     return "".join(("R %#x\n", "W %#x\n")[op] % address for op, address in zip(ops, addresses))
+
+
+def percent_change(model_totals: dict, base_totals: dict) -> dict[str, float | None]:
+    """(model - base)/base for each shared statistic; None where the base
+    value is zero."""
+    out: dict[str, float | None] = {}
+    for key in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses", "cycles"):
+        base = base_totals.get(key)
+        if base is None:
+            continue
+        out[key] = None if base == 0 else (model_totals[key] - base) / base
+    return out

@@ -14,11 +14,11 @@ import pytest
 from swapsim.cache import DEFAULT_L1, CacheConfig, SetAssociativeCache
 from swapsim.cli import main as cli_main
 from swapsim.controller import ControllerConfig
-from swapsim.metrics import per_phase_accuracy, percent_change
+from swapsim.metrics import per_phase_accuracy
 from swapsim.models import MarkovModel, ModelKind
 from swapsim.sim import run_simulation
 from swapsim.trace import build_preset
-from oracles import FixedU
+from oracles import FixedU, percent_change
 
 SEEDS = list(range(10))
 CONFIGS = {

@@ -9,9 +9,8 @@ from swapsim.metrics import (
     ReuseDistanceTracker,
     ReuseHistogram,
     per_phase_accuracy,
-    percent_change,
 )
-from oracles import quadratic_reuse_distances
+from oracles import percent_change, quadratic_reuse_distances
 
 
 def test_simple_sequences():

@@ -253,6 +253,13 @@ def test_op_other_than_read_or_write_rejected_before_any_cache(monkeypatch):
         run_simulation(Trace(ops, tr.addresses), detector_config=FAST, seed=1, validate=True)
 
 
+def test_op_check_names_the_reference_by_its_position_in_the_trace():
+    tr = build_preset("locality", 1)
+    tr.ops[10_005] = 2
+    with pytest.raises(ValueError, match=r"^op 2 at reference 10005 is not 0 \(read\) or 1 \(write\)$"):
+        run_simulation(tr, seed=1)
+
+
 def _streamed(path, **settings):
     runner = Runner(**settings)
     for ops, addresses in read_intervals(path, runner.interval_len):

@@ -26,6 +26,7 @@ from swapsim.trace import (
     generate_trace,
     preset_specs,
     read_intervals,
+    write_preset,
     write_trace,
 )
 from oracles import trace_text
@@ -256,46 +257,63 @@ def fixed_width_text(digits, n, prefix="0x"):
 
 @pytest.mark.parametrize("chunk", [4, 7, swapsim.trace._CHUNK_CHARS])
 def test_canonical_lines_parse_in_bulk(tmp_path, monkeypatch, chunk):
-    # No final newline: the last reference is kept. No line of a
-    # canonical file reaches the per-line parser.
+    # A file of one `0x` address width of 1 to 16 digits never reaches the
+    # per-line parser. No final newline: the last reference is kept.
     monkeypatch.setattr(swapsim.trace, "_CHUNK_CHARS", chunk)
+    parse_lines = swapsim.trace._parse_lines
     monkeypatch.setattr(swapsim.trace, "_parse_lines",
-                        lambda *a: pytest.fail("a canonical line reached the per-line parser"))
+                        lambda *a: pytest.fail("a fixed-width chunk reached the per-line parser"))
     p = tmp_path / "t.txt"
-    p.write_text("R 0x40\nW 0xdeadbeef\nR 0X7f")
-    assert parsed(p) == ([0, 1, 0], [0x40, 0xDEADBEEF, 0x7F])
-    # Nor does a line write_trace wrote, through either entry point.
+    p.write_text("R 0x40\nW 0xde\nR 0x7f")
+    assert parsed(p) == ([0, 1, 0], [0x40, 0xDE, 0x7F])
+    for digits in (1, 2, 8, 15, 16):
+        p.write_text(fixed_width_text(digits, 300))
+        assert parsed(p) == per_line_load(p)
+    # Nor does a trace of one width that write_trace wrote.
     t = Trace(array("B", [i % 3 == 0 for i in range(500)]),
-              array("Q", [0, 2**64 - 1, *(i * 0x9E3779B97F4A7C15 % 2**64 for i in range(498))]))
+              array("Q", [2**64 - 1, 1 << 63,
+                          *(1 << 63 | i * 0x9E3779B97F4A7C15 % 2**63 for i in range(498))]))
     write_trace(t, p)
     assert parsed(p) == (list(t.ops), list(t.addresses))
     streamed = list(read_intervals(p, 64))
     assert [a for _, addrs in streamed for a in addrs] == list(t.addresses)
     assert [o for ops, _ in streamed for o in ops] == list(t.ops)
-    # A file of one address width of 1 to 16 digits reaches neither the
-    # token parser nor the per-line one.
-    parse_tokens = swapsim.trace._parse_tokens
-    monkeypatch.setattr(swapsim.trace, "_parse_tokens",
-                        lambda *a: pytest.fail("a fixed-width chunk reached the token parser"))
-    for digits in (1, 2, 8, 15, 16):
-        p.write_text(fixed_width_text(digits, 300))
-        assert parsed(p) == per_line_load(p)
-    # Every chunk of 17 digits (leading zeros, below 2**64) or of "0X"
+    # Every chunk of "0X" or of 17 digits (leading zeros, below 2**64)
     # does.
-    token_chunks = []
-    monkeypatch.setattr(swapsim.trace, "_parse_tokens",
-                        lambda text, trace: token_chunks.append(text) or parse_tokens(text, trace))
+    line_chunks = []
+    monkeypatch.setattr(swapsim.trace, "_parse_lines",
+                        lambda text, *a: line_chunks.append(text) or parse_lines(text, *a))
     for text in (fixed_width_text(17, 300), fixed_width_text(16, 300, prefix="0X")):
-        token_chunks.clear()
+        line_chunks.clear()
         p.write_text(text)
         assert parsed(p) == per_line_load(p)
-        assert "".join(token_chunks) == text
-    # So does a chunk of mixed widths. At 4 or 7 characters a read holds
-    # at most one line break, so there each chunk is one line.
-    token_chunks.clear()
-    p.write_text(canonical_text(300))
-    assert parsed(p) == per_line_load(p)
-    assert bool(token_chunks) == (chunk > 7)
+        assert "".join(line_chunks) == text
+    line_chunks.clear()
+    p.write_text("R 0x40\nW 0xdeadbeef\nR 0X7f")
+    assert parsed(p) == ([0, 1, 0], [0x40, 0xDEADBEEF, 0x7F])
+    assert line_chunks[-1].endswith("R 0X7f\n")
+    # So does a chunk of mixed widths, from a file or from write_trace. At
+    # 4 or 7 characters a read holds at most one line break, so there each
+    # chunk is one line, of one width.
+    t.addresses[2:] = array("Q", [0, *(i * 0x9E3779B97F4A7C15 % 2**64 for i in range(497))])
+    for write in (lambda: p.write_text(canonical_text(300)), lambda: write_trace(t, p)):
+        line_chunks.clear()
+        write()
+        assert parsed(p) == per_line_load(p)
+        assert bool(line_chunks) == (chunk > 7)
+    assert parsed(p) == (list(t.ops), list(t.addresses))
+
+
+def test_trace_gen_files_parse_by_column(tmp_path, monkeypatch):
+    # Every chunk of the files `trace-gen` writes for the benchmark's
+    # `validate-file` input and for CI's meabo3-small run takes the column
+    # parser: their reading cost rests on it.
+    monkeypatch.setattr(swapsim.trace, "_parse_lines",
+                        lambda *a: pytest.fail("a trace-gen chunk reached the per-line parser"))
+    for name, seed in (("locality", 9973), ("meabo3-small", 1)):
+        p = tmp_path / f"{name}.txt"
+        n = write_preset(name, seed, p)
+        assert sum(len(ops) for ops, _ in read_intervals(p, 10_000)) == n
 
 
 # Spellings `int(s, 16)` takes that are not a hex address.
