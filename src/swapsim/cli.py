@@ -225,6 +225,11 @@ def _cmd_run(args) -> int:
     except ValueError as e:
         # A config value or flag the configuration rejects is a usage error.
         raise UsageError(str(e)) from None
+    out = Path(args.out)
+    # A file at --out or above it would fail mkdir after the whole run.
+    for p in (out, *out.parents):
+        if p.exists() and not p.is_dir():
+            raise NotADirectoryError(f"--out {out}: {p} is not a directory")
 
     runner = Runner(hierarchy_config=cfg.hierarchy, detector_config=cfg.detector,
                     controller_config=ctrl_cfg, seed=args.seed, validate=args.validate)
@@ -237,7 +242,6 @@ def _cmd_run(args) -> int:
     for ops, addresses in intervals:
         runner.step(ops, addresses)
     result = runner.finish()
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = _result_to_report(result)
     with open(out / "report.json", "w", encoding="utf-8") as f:

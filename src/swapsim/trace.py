@@ -121,36 +121,24 @@ def _intervals(interval_len: int, fill, *args):
 
 def _parse_into(trace: Trace, path):
     """Append the references of the trace file at `path` to `trace`, one
-    chunk of whole lines at a time, yielding after each chunk. A chunk of
-    fixed-width lines is parsed by column, any other line by line. The
-    per-line parser defines the accepted syntax and names a bad line; the
-    column parser takes only chunks that it would parse to the same values."""
-    for lineno, text in _line_chunks(path):
-        if not _parse_columns(text, trace):
-            _parse_lines(text, lineno, trace)
-        yield
-
-
-def _line_chunks(path):
-    """Yield (number of its first line, text) for consecutive pieces of the
-    text file at `path`. Each piece is whole lines and ends with "\\n"; a
-    last line without one gets it added."""
+    chunk at a time, yielding after each chunk. A chunk is one read of
+    `_CHUNK_CHARS` characters finished by `readline`, so it is whole lines;
+    a last line without "\\n" gets one. A chunk of fixed-width lines is
+    parsed by column, any other line by line. The per-line parser defines
+    the accepted syntax and names a bad line; the column parser takes only
+    chunks that it would parse to the same values."""
     lineno = 1
-    carry = ""
     # A byte that is not UTF-8 decodes to a lone surrogate, which then fails
     # the op or address check of its line.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        while block := f.read(_CHUNK_CHARS):
-            cut = block.rfind("\n") + 1
-            if not cut:
-                carry += block
-                continue
-            text = carry + block[:cut]
-            carry = block[cut:]
-            yield lineno, text
+        while text := f.read(_CHUNK_CHARS):
+            text += f.readline()
+            if text[-1] != "\n":
+                text += "\n"
+            if not _parse_columns(text, trace):
+                _parse_lines(text, lineno, trace)
             lineno += text.count("\n")
-    if carry:
-        yield lineno, carry + "\n"
+            yield
 
 
 _HEX_DIGITS = b"0123456789abcdefABCDEF"

@@ -90,6 +90,19 @@ def test_late_malformed_line_writes_nothing(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["a-file", "a-file/sub"])
+def test_out_under_a_file_fails_before_the_run(tmp_path, monkeypatch, capsys, out):
+    # mkdir would fail after the whole run; the run fails before its first step.
+    monkeypatch.setattr(swapsim.sim.Runner, "step",
+                        lambda *a: pytest.fail("the run started"))
+    (tmp_path / "a-file").write_text("")
+    assert run_cli("run", "--synthetic", "meabo3", "--seed", "1", "--validate",
+                   "--out", str(tmp_path / out)) == EXIT_RUNTIME
+    assert capsys.readouterr().err == \
+        f"error: --out {tmp_path / out}: {tmp_path / 'a-file'} is not a directory\n"
+    assert (tmp_path / "a-file").read_text() == ""
+
+
 def test_trace_gen_reproducible(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert run_cli("trace-gen", "--synthetic", "locality", "--seed", "3", "--out", str(a)) == EXIT_OK

@@ -28,14 +28,14 @@ def test_matches_quadratic_oracle():
         assert ReuseDistanceTracker().observe_all(stream) == quadratic_reuse_distances(stream)
 
 
-def test_tracker_survives_internal_resize():
+def test_tracker_matches_oracle_over_few_lines():
     # A stream far longer than the cap over a few lines.
     stream = [i % 7 for i in range(5000)]
     assert ReuseDistanceTracker().observe_all(stream) == quadratic_reuse_distances(stream)
 
 
 @pytest.mark.parametrize("k", [1, REUSE_CAP - 1, REUSE_CAP, REUSE_CAP + 1, 3000])
-def test_tracker_tree_bounded_by_distinct_lines(k):
+def test_tracker_stack_bounded_by_cap(k):
     # 200 000 accesses over k lines: the stack never holds more than the
     # cap, however many lines or accesses there are.
     rng = random.Random(k)
