@@ -72,6 +72,7 @@ class SwapController:
         self.directive = Directive(phase_id=-1, swapped_kind=None)
         self._prev_address = -1  # previous reference, for near/far; -1 for none
 
+    # `event` and `directive` stay while bench/tracer.py reads them (ROADMAP item 5).
     def on_interval_end(self, event: PhaseEvent) -> None:
         """Count the closing interval if it trained its phase, then score and
         swap once the budget is met. The directive stays the closing

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
+from functools import partial
 
 from .cache import CacheConfig
 
@@ -41,10 +42,6 @@ class ModelKind(enum.Enum):
     FIXED_RATE = "fixed-rate"
     MARKOV4 = "markov4"
     MARKOV8 = "markov8"
-
-
-# Smallest model first: `scoring.select_best` breaks score ties in this order.
-SWAP_KINDS = (ModelKind.FIXED_RATE, ModelKind.MARKOV4, ModelKind.MARKOV8)
 
 
 def contexts(ops, addresses, prev_address: int) -> bytes:
@@ -240,36 +237,35 @@ class MarkovModel:
         return correct, near_misses
 
 
+# Per swappable kind, smallest first (`scoring.select_best` breaks score
+# ties in this order): constructor, the paper's storage bytes (hit count
+# and rate; three NxN matrices of 8 B values) and comparisons per hit check.
+_SWAPPABLE = {
+    ModelKind.FIXED_RATE: (FixedHitRateModel, 16, 1),
+    ModelKind.MARKOV4: (partial(MarkovModel, 4), 3 * 4 * 4 * 8, 1),
+    ModelKind.MARKOV8: (partial(MarkovModel, 8), 3 * 8 * 8 * 8, 2),
+}
+SWAP_KINDS = tuple(_SWAPPABLE)
+
+
 def make_model(kind: ModelKind):
-    if kind is ModelKind.FIXED_RATE:
-        return FixedHitRateModel()
-    if kind is ModelKind.MARKOV4:
-        return MarkovModel(4)
-    if kind is ModelKind.MARKOV8:
-        return MarkovModel(8)
-    raise ValueError(f"no swappable model for {kind}")
+    if kind not in _SWAPPABLE:
+        raise ValueError(f"no swappable model for {kind}")
+    return _SWAPPABLE[kind][0]()
 
 
 def model_size_bytes(kind: ModelKind, base_config: CacheConfig) -> int:
-    """Storage cost of a model. The base cache's cost is its tag array of
-    8-byte tags. A Markov chain counts as three NxN matrices of 8-byte
-    values: the paper's storage accounting, which criterion 1 of the
-    acceptance suite pins, not the memory this code uses."""
+    """Storage cost of a model: the base cache's tag array of 8-byte tags,
+    or its `_SWAPPABLE` row. The paper's accounting, which criterion 1 of
+    the acceptance suite pins, not the memory this code uses."""
     if kind is ModelKind.BASE:
         return base_config.set_count * base_config.associativity * 8
-    if kind is ModelKind.FIXED_RATE:
-        return 16  # 8 B hit count + 8 B hit rate
-    n = 4 if kind is ModelKind.MARKOV4 else 8
-    return 3 * n * n * 8
+    return _SWAPPABLE[kind][1]
 
 
 def model_hit_check_comparisons(kind: ModelKind, base_config: CacheConfig) -> int:
     """Comparisons per hit check: the base cache scans its ways twice
-    (search + eviction), the restricted Markov prediction needs one draw
-    comparison, plus a near/far check for the 8-state model."""
+    (search + eviction); a swapped model one draw, plus near/far for 8 states."""
     if kind is ModelKind.BASE:
         return 2 * base_config.associativity
-    if kind is ModelKind.MARKOV8:
-        return 2
-    return 1
-
+    return _SWAPPABLE[kind][2]

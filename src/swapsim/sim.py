@@ -92,7 +92,7 @@ class Runner:
     def step(self, ops, addresses) -> IntervalRecord | None:
         """Run the next interval and return its record. An interval shorter
         than `interval_len` must be the trace's last: it is counted in the
-        totals only and returns None."""
+        totals and reuse histograms, gets no record and returns None."""
         interval_len = self.interval_len
         if self._ended:
             # The partial interval reached the caches but not the detector,
@@ -113,12 +113,18 @@ class Runner:
         swapped = controller.directive.swapped_kind
         if self.val_hier is not None:
             val_misses = self.val_hier.run_detailed(addresses)
+        # The L2-bound stream's reuse distances in L2 lines, under the interval's label.
+        shift = self._l2_line_shift
+        if self.tracker is not None:
+            _add_distances(self.reuse, event.phase_id, self.tracker, addresses, misses, shift)
+        if self.base_tracker is not None:
+            _add_distances(self.base_reuse, event.phase_id, self.base_tracker, addresses,
+                           val_misses, shift)
         if not full:
             self._ended = True
             return None
 
         now = self.hierarchy.totals()
-        snapshot = self._snapshot
         accuracy = None
         if self.val_hier is not None:
             # The L1 outcomes differ exactly where one run missed and the other hit.
@@ -129,22 +135,10 @@ class Runner:
             phase_id=event.phase_id,
             directive="base" if swapped is None else swapped.value,
             accuracy=accuracy,
-            l1_hits=now["l1_hits"] - snapshot["l1_hits"],
-            l2_hits=now["l2_hits"] - snapshot["l2_hits"],
-            l3_hits=now["l3_hits"] - snapshot["l3_hits"],
-            mem_accesses=now["mem_accesses"] - snapshot["mem_accesses"],
-            cycles=now["cycles"] - snapshot["cycles"],
+            **{k: now[k] - self._snapshot[k] for k in now},
         )
         self.intervals.append(record)
         self._snapshot = now
-        # Reuse distances of the L2-bound stream in L2 lines, filed under
-        # the phase the detector gave the interval.
-        shift = self._l2_line_shift
-        if self.tracker is not None:
-            _add_distances(self.reuse, event.phase_id, self.tracker, addresses, misses, shift)
-        if self.base_tracker is not None:
-            _add_distances(self.base_reuse, event.phase_id, self.base_tracker, addresses,
-                           val_misses, shift)
         controller.on_interval_end(event)
         return record
 

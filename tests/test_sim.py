@@ -84,11 +84,19 @@ def test_swapped_fraction_and_phase_grouping():
 
 
 def test_reuse_histograms_track_l1_miss_stream():
-    tr = small_trace()
-    r = run_simulation(tr, detector_config=FAST, seed=5, validate=True)
-    assert r.reuse and r.base_reuse is not None
-    model_misses = sum(rec.l2_hits + rec.l3_hits + rec.mem_accesses for rec in r.intervals)
-    assert sum(h.total for h in r.reuse.values()) == model_misses
+    full = small_trace()
+    # Cut to 75 000 references, the trace ends in a 1 000-reference tail of
+    # a random-access phase, whose L2-bound lines the histograms count too.
+    cut = Trace(full.ops[:75_000], full.addresses[:75_000])
+    for tr in (full, cut):
+        r = run_simulation(tr, detector_config=FAST, seed=5, validate=True)
+        assert r.reuse and r.base_reuse is not None
+        if tr is full:
+            model_misses = sum(rec.l2_hits + rec.l3_hits + rec.mem_accesses for rec in r.intervals)
+            assert sum(h.total for h in r.reuse.values()) == model_misses
+        for hists, totals in ((r.reuse, r.totals), (r.base_reuse, r.base_totals)):
+            to_l2 = totals["l2_hits"] + totals["l3_hits"] + totals["mem_accesses"]
+            assert sum(h.total for h in hists.values()) == to_l2
 
 
 @pytest.mark.parametrize("l2_line_bytes", [32, 128])
