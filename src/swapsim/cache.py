@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .metrics import ReuseDistanceTracker, ReuseHistogram
+
 
 # Sets are allocated up front, one dict each: 2**20 sets (a 1 GiB 16-way
 # cache of 64 B lines) take about 80 MiB, and 2**30 would take 80 GiB.
@@ -117,9 +119,11 @@ class SetAssociativeCache:
 
 class Hierarchy:
     """Three-level inclusive-allocation hierarchy with per-level hit
-    counters; cycles follow from the counts. Single-threaded per instance."""
+    counters; cycles follow from the counts. `reuse` (None unless
+    `collect_reuse`) maps each interval label to the reuse distances, in
+    L2 lines, of the lines sent to L2 under it. Single-threaded per instance."""
 
-    def __init__(self, config: HierarchyConfig | None = None):
+    def __init__(self, config: HierarchyConfig | None = None, collect_reuse: bool = False):
         self.config = config or HierarchyConfig()
         self.l1 = SetAssociativeCache(self.config.l1)
         self.l2 = SetAssociativeCache(self.config.l2)
@@ -128,6 +132,8 @@ class Hierarchy:
         self.l2_hits = 0
         self.l3_hits = 0
         self.mem_accesses = 0
+        self.reuse: dict[int, ReuseHistogram] | None = {} if collect_reuse else None
+        self._tracker = ReuseDistanceTracker() if collect_reuse else None
 
     @property
     def cycles(self) -> int:
@@ -135,20 +141,25 @@ class Hierarchy:
         return (self.l1_hits * c.l1.hit_latency + self.l2_hits * c.l2.hit_latency
                 + self.l3_hits * c.l3.hit_latency + self.mem_accesses * c.memory_latency)
 
-    def run_detailed(self, addresses) -> list[int]:
-        """Run an interval through the detailed L1 and the miss path;
-        returns the positions that missed L1."""
+    def run_detailed(self, addresses, label: int) -> list[int]:
+        """Run an interval labeled `label` through the detailed L1 and the
+        miss path; returns the positions that missed L1."""
         misses = self.l1.misses(addresses)
-        self.serve_misses(addresses, misses)
+        self.serve_misses(addresses, misses, label)
         return misses
 
-    def serve_misses(self, addresses, misses: list[int]) -> None:
+    def serve_misses(self, addresses, misses: list[int], label: int) -> None:
         """Count an interval's L1 hits, and send the references at the
         missed positions, in order, through L2, L3 and memory, allocating
-        at every level that missed. L2 sees only the L1 miss stream and L3
-        only the L2 miss stream, so each level runs as one batch."""
+        at every level that missed, and file their reuse distances under
+        `label`. L2 sees only the L1 miss stream and L3 only the L2 miss
+        stream, so each level runs as one batch."""
         self.l1_hits += len(addresses) - len(misses)
         to_l2 = [addresses[i] for i in misses]
+        if self.reuse is not None:
+            shift = self.l2._line_shift
+            self.reuse.setdefault(label, ReuseHistogram()).add_all(
+                self._tracker.observe_all([a >> shift for a in to_l2]))
         to_l3 = [to_l2[i] for i in self.l2.misses(to_l2)]
         to_mem = self.l3.misses(to_l3)
         self.l2_hits += len(to_l2) - len(to_l3)

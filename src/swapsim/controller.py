@@ -98,13 +98,13 @@ class SwapController:
             st = self.phases[phase_id] = PhaseModelState(self.config.candidate_kinds)
         d = self.directive = Directive(phase_id, st.chosen if st else None)
         if d.swapped_kind is None:
-            misses = self.hierarchy.run_detailed(addresses)
+            misses = self.hierarchy.run_detailed(addresses, phase_id)
             if d.training:
                 self._shadow_train(st, ops, addresses, misses)
         else:
             model = st.models[d.swapped_kind]
             misses = model.predict_interval(ops, addresses, self._prev_address, self.rng)
-            self.hierarchy.serve_misses(addresses, misses)
+            self.hierarchy.serve_misses(addresses, misses, phase_id)
         if addresses:
             self._prev_address = addresses[-1]
         return misses

@@ -8,7 +8,8 @@ an in-memory Trace, and `swapsim run --trace` feeds it from
 trace.read_intervals, so a trace file is never held whole. The detector
 labels each interval before it runs (the paper decides at its end), and
 the interval runs under the directive its label sets: one loop chosen by
-it, whose L1 misses then go through L2/L3 and the reuse tracker in order.
+it, whose L1 misses then go through L2 and L3 in order; each hierarchy
+files the reuse distances of the lines it sends to L2 under that label.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .cache import Hierarchy, HierarchyConfig
 from .controller import ControllerConfig, SwapController
-from .metrics import IntervalRecord, ReuseDistanceTracker, ReuseHistogram
+from .metrics import IntervalRecord, ReuseHistogram
 from .phase import PhaseDetector, PhaseDetectorConfig, PhaseEvent
 from .scoring import ScoreVector
 from .trace import Trace, check_references
@@ -50,12 +51,6 @@ class RunResult:
         return swapped / len(self.intervals)
 
 
-def _add_distances(hists: dict[int, ReuseHistogram], phase_id: int,
-                   tracker: ReuseDistanceTracker, addrs, misses: list[int], shift: int) -> None:
-    hists.setdefault(phase_id, ReuseHistogram()).add_all(
-        tracker.observe_all([addrs[i] >> shift for i in misses]))
-
-
 class Runner:
     """One simulation, fed one interval at a time: `step` each interval's
     references in trace order, then `finish`. Pure function of (the
@@ -74,17 +69,12 @@ class Runner:
         dcfg = detector_config or PhaseDetectorConfig()
         self.seed = seed
         self.interval_len = dcfg.interval_len
-        self.hierarchy = Hierarchy(hcfg)
+        self.hierarchy = Hierarchy(hcfg, collect_reuse)
         self.detector = PhaseDetector(dcfg)
         self.controller = SwapController(self.hierarchy, controller_config,
                                          rng=random.Random(seed))
-        self.val_hier = Hierarchy(hcfg) if validate else None
+        self.val_hier = Hierarchy(hcfg, collect_reuse) if validate else None
         self.intervals: list[IntervalRecord] = []
-        self.reuse: dict[int, ReuseHistogram] = {}
-        self.base_reuse = {} if validate and collect_reuse else None
-        self.tracker = ReuseDistanceTracker() if collect_reuse else None
-        self.base_tracker = ReuseDistanceTracker() if self.base_reuse is not None else None
-        self._l2_line_shift = hcfg.l2.line_bytes.bit_length() - 1
         self._snapshot = self.hierarchy.totals()
         self._event = PhaseEvent(-1, -1)  # the label of the last full interval
         self._ended = False  # a partial interval was stepped
@@ -112,14 +102,7 @@ class Runner:
         misses = controller.run_interval(event.phase_id, ops, addresses)
         swapped = controller.directive.swapped_kind
         if self.val_hier is not None:
-            val_misses = self.val_hier.run_detailed(addresses)
-        # The L2-bound stream's reuse distances in L2 lines, under the interval's label.
-        shift = self._l2_line_shift
-        if self.tracker is not None:
-            _add_distances(self.reuse, event.phase_id, self.tracker, addresses, misses, shift)
-        if self.base_tracker is not None:
-            _add_distances(self.base_reuse, event.phase_id, self.base_tracker, addresses,
-                           val_misses, shift)
+            val_misses = self.val_hier.run_detailed(addresses, event.phase_id)
         if not full:
             self._ended = True
             return None
@@ -160,8 +143,8 @@ class Runner:
             phase_count=len(self.detector.table),
             chosen=chosen,
             score_vectors=score_vectors,
-            reuse=self.reuse,
-            base_reuse=self.base_reuse,
+            reuse=self.hierarchy.reuse or {},
+            base_reuse=self.val_hier.reuse if self.val_hier is not None else None,
         )
 
 

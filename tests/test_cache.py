@@ -13,6 +13,7 @@ from swapsim.cache import (
     HierarchyConfig,
     SetAssociativeCache,
 )
+from swapsim.metrics import ReuseDistanceTracker, ReuseHistogram
 from oracles import ReferenceLRU
 
 LEVELS = ("l1_hits", "l2_hits", "l3_hits", "mem_accesses")
@@ -104,7 +105,7 @@ def serve(h, address):
     """Run one reference through the hierarchy; returns the counter it
     advanced and the cycles it added."""
     before = h.totals()
-    h.run_detailed([address])
+    h.run_detailed([address], -1)
     after = h.totals()
     level = next(k for k in LEVELS if after[k] != before[k])
     return level, after["cycles"] - before["cycles"]
@@ -132,7 +133,7 @@ def test_l3_hit_after_l2_eviction():
     # Evict the line from L2 (512 sets, 8 ways) without evicting it from
     # L3 (2048 sets, 16 ways): walk same-L2-set lines spread over L3 sets.
     l2_stride = 512 * 64
-    h.run_detailed([0x40 + i * l2_stride for i in range(1, 9)])
+    h.run_detailed([0x40 + i * l2_stride for i in range(1, 9)], -1)
     assert serve(h, 0x40) == ("l3_hits", 40)
 
 
@@ -140,11 +141,11 @@ def test_cycles_recompute_from_counts():
     h = Hierarchy()
     rng = random.Random(1)
     addrs = [rng.randrange(0, 1 << 22) for _ in range(5000)]
-    misses = h.run_detailed(addrs)
+    misses = h.run_detailed(addrs, -1)
     t = h.totals()
     # One batch per level gives what one reference at a time gives.
     one = Hierarchy()
-    assert [i for i, a in enumerate(addrs) if one.run_detailed([a])] == misses
+    assert [i for i, a in enumerate(addrs) if one.run_detailed([a], -1)] == misses
     assert one.totals() == t
     assert t["cycles"] == (
         4 * t["l1_hits"] + 12 * t["l2_hits"] + 40 * t["l3_hits"] + 200 * t["mem_accesses"]
@@ -157,9 +158,33 @@ def test_serve_misses_leaves_l1_untouched():
     # the detailed L1; its predicted misses still allocate in L2 and L3.
     h = Hierarchy()
     f = h.l1.fingerprint()
-    h.serve_misses([0x40, 0x80], [1])
+    h.serve_misses([0x40, 0x80], [1], -1)
     assert h.l1.fingerprint() == f
     assert h.totals() == {"l1_hits": 1, "l2_hits": 0, "l3_hits": 0, "mem_accesses": 1,
                           "cycles": 4 + 200}
     assert h.l2.misses([0x80, 0x40]) == [1]
     assert h.l3.misses([0x80]) == []
+
+
+def test_hierarchy_records_reuse_of_lines_sent_to_l2():
+    # Distances are filed under each call's label, from one tracker that
+    # runs across the calls, over L2 lines (64 B), not L1 lines (32 B).
+    assert Hierarchy().reuse is None
+    rng = random.Random(3)
+    addrs = [rng.randrange(1 << 17) for _ in range(3000)]
+    addrs2 = [rng.randrange(1 << 17) for _ in range(3000)]
+    misses2 = sorted(rng.sample(range(3000), 900))
+    h = Hierarchy(collect_reuse=True)
+    misses = h.run_detailed(addrs, 3)
+    h.serve_misses(addrs2, misses2, 5)
+    sent = [addrs[i] >> 6 for i in misses], [addrs2[i] >> 6 for i in misses2]
+    distances = ReuseDistanceTracker().observe_all(sent[0] + sent[1])
+    want = ReuseHistogram(), ReuseHistogram()
+    want[0].add_all(distances[:len(sent[0])])
+    want[1].add_all(distances[len(sent[0]):])
+    assert list(h.reuse) == [3, 5]
+    for got, w in zip((h.reuse[3], h.reuse[5]), want):
+        assert (got.cold_count, got.buckets) == (w.cold_count, w.buckets)
+    assert h.reuse[3].total == len(misses) and h.reuse[5].total == len(misses2)
+    # Some distances cross from the second call's lines back to the first's.
+    assert h.reuse[5].cold_count < len(set(sent[1]))

@@ -84,19 +84,31 @@ def test_swapped_fraction_and_phase_grouping():
 
 
 def test_reuse_histograms_track_l1_miss_stream():
+    # Each histogram counts the lines its hierarchy sent to L2 under the
+    # label each interval ran under.
     full = small_trace()
     # Cut to 75 000 references, the trace ends in a 1 000-reference tail of
-    # a random-access phase, whose L2-bound lines the histograms count too.
+    # a random-access phase, which runs under the last record's label and
+    # whose L2-bound lines the histograms count too.
     cut = Trace(full.ops[:75_000], full.addresses[:75_000])
+    to_l2 = ("l2_hits", "l3_hits", "mem_accesses")
+    n = FAST.interval_len
     for tr in (full, cut):
-        r = run_simulation(tr, detector_config=FAST, seed=5, validate=True)
-        assert r.reuse and r.base_reuse is not None
-        if tr is full:
-            model_misses = sum(rec.l2_hits + rec.l3_hits + rec.mem_accesses for rec in r.intervals)
-            assert sum(h.total for h in r.reuse.values()) == model_misses
-        for hists, totals in ((r.reuse, r.totals), (r.base_reuse, r.base_totals)):
-            to_l2 = totals["l2_hits"] + totals["l3_hits"] + totals["mem_accesses"]
-            assert sum(h.total for h in hists.values()) == to_l2
+        runner = Runner(detector_config=FAST, seed=5, validate=True)
+        base_sent = defaultdict(int)  # label -> lines the detailed run sent to L2
+        for start in range(0, len(tr), n):
+            before = runner.val_hier.totals()
+            runner.step(tr.ops[start:start + n], tr.addresses[start:start + n])
+            after = runner.val_hier.totals()
+            base_sent[runner.intervals[-1].phase_id] += sum(after[k] - before[k] for k in to_l2)
+        r = runner.finish()
+        sent = defaultdict(int)
+        for rec in r.intervals:
+            sent[rec.phase_id] += sum(getattr(rec, k) for k in to_l2)
+        sent[r.intervals[-1].phase_id] += sum(r.totals[k] for k in to_l2) - sum(sent.values())
+        assert len(sent) > 1
+        assert {p: h.total for p, h in r.reuse.items()} == sent
+        assert {p: h.total for p, h in r.base_reuse.items()} == base_sent
 
 
 @pytest.mark.parametrize("l2_line_bytes", [32, 128])

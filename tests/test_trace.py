@@ -649,7 +649,7 @@ def test_marker_phase_is_nearly_all_hits():
     spec = SyntheticPhaseSpec(PhaseKind.MARKER, 10_000, seed=3)
     t = generate_trace([spec])
     h = Hierarchy()
-    h.run_detailed(t.addresses)
+    h.run_detailed(t.addresses, -1)
     assert h.l1_hits / len(t) > 0.99
 
 
