@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cache import Hierarchy
+from .metrics import IntervalRecord
 from .models import NEAR, SWAP_KINDS, ModelKind, contexts, make_model
-from .phase import PhaseEvent
 from .scoring import ScoreVector, score, select_best
 
 
@@ -61,8 +61,8 @@ class Directive:
 
 class SwapController:
     """Owns the L1D slot of a hierarchy. For each interval, pass the
-    detector's label and the references to run_interval, then the label
-    to on_interval_end."""
+    detector's label and the references to run_interval, then the
+    interval's record to on_interval_end."""
 
     def __init__(self, hierarchy: Hierarchy, config: ControllerConfig | None = None, *, rng):
         self.hierarchy = hierarchy
@@ -72,8 +72,8 @@ class SwapController:
         self.directive = Directive(phase_id=-1, swapped_kind=None)
         self._prev_address = -1  # previous reference, for near/far; -1 for none
 
-    # `event` and `directive` stay while bench/tracer.py reads them (ROADMAP item 5).
-    def on_interval_end(self, event: PhaseEvent) -> None:
+    # bench/tracer.py reads `record` and `directive` around this call (ROADMAP item 5).
+    def on_interval_end(self, record: IntervalRecord) -> None:
         """Count the closing interval if it trained its phase, then score and
         swap once the budget is met. The directive stays the closing
         interval's."""

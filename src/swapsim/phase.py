@@ -56,12 +56,6 @@ class PhaseDetectorConfig:
             raise ValueError("stable_min must be >= 1")
 
 
-@dataclass(frozen=True)
-class PhaseEvent:
-    interval_index: int
-    phase_id: int  # -1 means unstable / unclassified
-
-
 def _sample(addresses) -> set:
     """The distinct addresses of the interval's sample: all of them up to
     2 * SAMPLE_REFS references, else those of the runs that start every
@@ -122,7 +116,7 @@ def signature_diff(a: int, b: int) -> float:
 
 class PhaseDetector:
     """Single-threaded interval classifier; feed it the addresses of each
-    full interval and it emits that interval's PhaseEvent."""
+    full interval and it returns that interval's phase id."""
 
     def __init__(self, config: PhaseDetectorConfig | None = None):
         self.config = config or PhaseDetectorConfig()
@@ -130,14 +124,13 @@ class PhaseDetector:
         self._last_sig = 0
         self._stable = 0
         self._phase = -1
-        self._interval_index = 0
-        self._threshold = self.config.threshold
 
     def _similar(self, a: int, b: int) -> bool:
-        return signature_diff(a, b) < self._threshold
+        return signature_diff(a, b) < self.config.threshold
 
-    def observe_interval(self, addresses) -> PhaseEvent:
-        """Close one full interval given its addresses."""
+    def observe_interval(self, addresses) -> int:
+        """Close one full interval given its addresses; returns its phase
+        id, -1 for an unstable, unclassified interval."""
         sig = interval_signature(addresses, self.config)
         if self._similar(sig, self._last_sig):
             self._stable += 1
@@ -151,6 +144,4 @@ class PhaseDetector:
             self._phase = min(similar, key=lambda pid: signature_diff(sig, self.table[pid]),
                               default=-1)
         self._last_sig = sig
-        event = PhaseEvent(self._interval_index, self._phase)
-        self._interval_index += 1
-        return event
+        return self._phase

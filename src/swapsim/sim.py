@@ -14,12 +14,12 @@ files the reuse distances of the lines it sends to L2 under that label.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cache import Hierarchy, HierarchyConfig
 from .controller import ControllerConfig, SwapController
 from .metrics import IntervalRecord, ReuseHistogram
-from .phase import PhaseDetector, PhaseDetectorConfig, PhaseEvent
+from .phase import PhaseDetector, PhaseDetectorConfig
 from .scoring import ScoreVector
 from .trace import Trace, check_references
 
@@ -34,8 +34,8 @@ class RunResult:
     phase_count: int
     chosen: dict[int, str]  # phase id -> chosen model kind value
     score_vectors: dict[int, dict[str, ScoreVector]]
-    reuse: dict[int, ReuseHistogram] = field(default_factory=dict)
-    base_reuse: dict[int, ReuseHistogram] | None = None
+    reuse: dict[int, ReuseHistogram]
+    base_reuse: dict[int, ReuseHistogram] | None
 
     @property
     def scores(self) -> dict[int, dict[str, float]]:
@@ -76,7 +76,6 @@ class Runner:
         self.val_hier = Hierarchy(hcfg, collect_reuse) if validate else None
         self.intervals: list[IntervalRecord] = []
         self._snapshot = self.hierarchy.totals()
-        self._event = PhaseEvent(-1, -1)  # the label of the last full interval
         self._ended = False  # a partial interval was stepped
 
     def step(self, ops, addresses) -> IntervalRecord | None:
@@ -94,15 +93,14 @@ class Runner:
         check_references(ops, addresses, len(self.intervals) * interval_len)
         controller = self.controller
         full = len(addresses) == interval_len
-        if full:
-            self._event = self.detector.observe_interval(addresses)
         # A trailing partial interval, which the detector does not label,
-        # runs under the label of the last full one.
-        event = self._event
-        misses = controller.run_interval(event.phase_id, ops, addresses)
+        # runs under the last full one's label, still the directive's (-1 if none).
+        phase_id = (self.detector.observe_interval(addresses) if full
+                    else controller.directive.phase_id)
+        misses = controller.run_interval(phase_id, ops, addresses)
         swapped = controller.directive.swapped_kind
         if self.val_hier is not None:
-            val_misses = self.val_hier.run_detailed(addresses, event.phase_id)
+            val_misses = self.val_hier.run_detailed(addresses, phase_id)
         if not full:
             self._ended = True
             return None
@@ -114,15 +112,15 @@ class Runner:
             wrong = len(set(misses).symmetric_difference(val_misses))
             accuracy = (interval_len - wrong) / interval_len
         record = IntervalRecord(
-            interval_index=event.interval_index,
-            phase_id=event.phase_id,
+            interval_index=len(self.intervals),
+            phase_id=phase_id,
             directive="base" if swapped is None else swapped.value,
             accuracy=accuracy,
             **{k: now[k] - self._snapshot[k] for k in now},
         )
         self.intervals.append(record)
         self._snapshot = now
-        controller.on_interval_end(event)
+        controller.on_interval_end(record)
         return record
 
     def finish(self) -> RunResult:

@@ -7,8 +7,8 @@ import pytest
 
 from swapsim.cache import Hierarchy
 from swapsim.controller import ControllerConfig, Directive, PhaseModelState, SwapController
+from swapsim.metrics import IntervalRecord
 from swapsim.models import ModelKind, contexts, make_model
-from swapsim.phase import PhaseEvent
 
 
 def make_controller(**kwargs):
@@ -19,13 +19,14 @@ def train_accesses(ctrl, phase_id, n=50, base=0x1000):
     return ctrl.run_interval(phase_id, bytes(n), [base + (i % 16) * 8 for i in range(n)])
 
 
-def run_labeled(ctrl, event, n=50, base=0x1000):
+def run_labeled(ctrl, phase_id, n=50, base=0x1000):
     """One interval in the order Runner.step takes: run it under its label,
-    then close it. Returns the directive it ran under, which closing it
-    leaves in place."""
-    train_accesses(ctrl, event.phase_id, n, base)
+    then close it with its record (counters zero: the controller reads
+    none). Returns the directive it ran under, which closing it leaves in
+    place."""
+    train_accesses(ctrl, phase_id, n, base)
     d = ctrl.directive
-    assert ctrl.on_interval_end(event) is None
+    assert ctrl.on_interval_end(IntervalRecord(0, phase_id, "base", None, 0, 0, 0, 0, 0)) is None
     assert ctrl.directive is d
     return d
 
@@ -74,7 +75,7 @@ def test_initial_directive_is_base():
 
 def test_unstable_interval_keeps_base():
     ctrl = make_controller()
-    d = run_labeled(ctrl, PhaseEvent(0, -1))
+    d = run_labeled(ctrl, -1)
     assert d == Directive(-1, None) and not d.training
     assert not ctrl.phases
 
@@ -82,29 +83,29 @@ def test_unstable_interval_keeps_base():
 def test_training_then_swap_on_schedule():
     ctrl = make_controller(train_intervals=2)
     # Phase 0's first labeled interval is its first trained one.
-    d = run_labeled(ctrl, PhaseEvent(0, 0))
+    d = run_labeled(ctrl, 0)
     assert d == Directive(0, None) and d.training
     assert ctrl.phases[0].intervals_trained == 1
-    d = run_labeled(ctrl, PhaseEvent(1, 0))  # 2nd trained interval done: swap
+    d = run_labeled(ctrl, 0)  # 2nd trained interval done: swap
     assert d.training and d.swapped_kind is None and d.phase_id == 0
     chosen = ctrl.phases[0].chosen
     assert chosen is not None
     assert set(ctrl.phases[0].score_vectors) == set(ctrl.config.candidate_kinds)
-    d = run_labeled(ctrl, PhaseEvent(2, 0))
+    d = run_labeled(ctrl, 0)
     assert d == Directive(0, chosen) and not d.training
 
 
 def test_swap_persists_on_reentry():
     ctrl = make_controller(train_intervals=1)
-    run_labeled(ctrl, PhaseEvent(0, 0))
-    run_labeled(ctrl, PhaseEvent(1, -1))
-    d = run_labeled(ctrl, PhaseEvent(2, 0))
+    run_labeled(ctrl, 0)
+    run_labeled(ctrl, -1)
+    d = run_labeled(ctrl, 0)
     assert d.swapped_kind is not None  # no retraining on re-entry
 
 
 def test_base_cache_frozen_while_swapped():
     ctrl = make_controller(train_intervals=1)
-    run_labeled(ctrl, PhaseEvent(0, 0))
+    run_labeled(ctrl, 0)
     fp = ctrl.hierarchy.l1.fingerprint()
     mru = list(ctrl.hierarchy.l1._mru)
     misses = ctrl.run_interval(0, bytes(200), [0x1000 + i * 8 for i in range(200)])
@@ -124,7 +125,7 @@ def test_base_cache_updates_when_not_swapped():
 
 def test_counters_advance_under_swap():
     ctrl = make_controller(train_intervals=1, candidate_kinds=(ModelKind.FIXED_RATE,))
-    run_labeled(ctrl, PhaseEvent(0, 0))  # high-hit training stream
+    run_labeled(ctrl, 0)  # high-hit training stream
     before = ctrl.hierarchy.totals()
     misses = train_accesses(ctrl, 0, n=100)
     assert ctrl.directive.swapped_kind is not None
@@ -139,28 +140,28 @@ def test_long_training_budget_swaps_on_its_last_interval():
     # own do not count, and nothing ends its training early.
     ctrl = make_controller(train_intervals=30)
     for i in range(29):
-        assert run_labeled(ctrl, PhaseEvent(2 * i, 0)).training
-        run_labeled(ctrl, PhaseEvent(2 * i + 1, -1))
+        assert run_labeled(ctrl, 0).training
+        run_labeled(ctrl, -1)
     assert ctrl.phases[0].chosen is None and ctrl.phases[0].intervals_trained == 29
     assert not ctrl.phases[0].score_vectors
-    assert run_labeled(ctrl, PhaseEvent(58, 0)).training
+    assert run_labeled(ctrl, 0).training
     assert ctrl.phases[0].chosen is not None
-    assert run_labeled(ctrl, PhaseEvent(59, 0)).swapped_kind is ctrl.phases[0].chosen
+    assert run_labeled(ctrl, 0).swapped_kind is ctrl.phases[0].chosen
 
 
 def test_single_candidate_is_the_only_model_trained_and_swapped():
     ctrl = make_controller(train_intervals=1, candidate_kinds=(ModelKind.MARKOV4,))
-    run_labeled(ctrl, PhaseEvent(0, 0))
-    d = run_labeled(ctrl, PhaseEvent(1, 0))
+    run_labeled(ctrl, 0)
+    d = run_labeled(ctrl, 0)
     assert d.swapped_kind is ModelKind.MARKOV4
     assert list(ctrl.phases[0].models) == [ModelKind.MARKOV4]
 
 
 def test_independent_phases_get_independent_models():
     ctrl = make_controller(train_intervals=2)
-    run_labeled(ctrl, PhaseEvent(0, 0), base=0x1000)
-    run_labeled(ctrl, PhaseEvent(1, 1), base=0x900000)
-    run_labeled(ctrl, PhaseEvent(2, 1), base=0x900000)
+    run_labeled(ctrl, 0, base=0x1000)
+    run_labeled(ctrl, 1, base=0x900000)
+    run_labeled(ctrl, 1, base=0x900000)
     assert ctrl.phases[0].chosen is None
     assert ctrl.phases[0].intervals_trained == 1
     assert ctrl.phases[0].refs == 50

@@ -10,7 +10,6 @@ from swapsim.phase import (
     SAMPLE_REFS,
     PhaseDetector,
     PhaseDetectorConfig,
-    PhaseEvent,
     interval_signature,
     signature_diff,
 )
@@ -101,7 +100,7 @@ def loop_addresses(n, base=0x1000, words=64):
 
 
 def feed(det, addrs):
-    """Observe every full interval of addrs; returns the events."""
+    """Observe every full interval of addrs; returns their labels."""
     n = det.config.interval_len
     return [det.observe_interval(addrs[k:k + n]) for k in range(0, len(addrs) - n + 1, n)]
 
@@ -112,19 +111,16 @@ def test_tight_loop_phase_lifecycle():
     # consecutive similar intervals.
     cfg = PhaseDetectorConfig(interval_len=1000, stable_min=5)
     det = PhaseDetector(cfg)
-    events = feed(det, loop_addresses(8000))
-    assert [e.interval_index for e in events] == list(range(8))
-    assert [e.phase_id for e in events] == [-1, -1, -1, -1, -1, 0, 0, 0]
+    assert feed(det, loop_addresses(8000)) == [-1, -1, -1, -1, -1, 0, 0, 0]
     assert len(det.table) == 1
 
 
 def test_reentry_reuses_id():
     cfg = PhaseDetectorConfig(interval_len=1000, stable_min=2)
     det = PhaseDetector(cfg)
-    events = []
+    labels = []
     for base in (0x10000, 0x900000, 0x10000):
-        events += feed(det, loop_addresses(4000, base=base))
-    labels = [e.phase_id for e in events]
+        labels += feed(det, loop_addresses(4000, base=base))
     assert 0 in labels and 1 in labels
     # the second visit to the first loop reuses id 0 immediately: its
     # signature matches the catalog even at the unstable boundary
@@ -142,7 +138,7 @@ def test_unstable_interval_takes_the_closest_cataloged_phase():
     ):
         det = PhaseDetector()
         det.table = list(table)
-        assert det.observe_interval(addrs).phase_id == want
+        assert det.observe_interval(addrs) == want
 
 
 def test_alternating_content_never_stabilizes():
@@ -151,7 +147,7 @@ def test_alternating_content_never_stabilizes():
     labels = []
     for i in range(10):
         base = 0x10000 if i % 2 == 0 else 0x900000
-        labels += [e.phase_id for e in feed(det, loop_addresses(1000, base=base))]
+        labels += feed(det, loop_addresses(1000, base=base))
     assert labels == [-1] * 10
     assert det.table == []
 
@@ -172,8 +168,7 @@ def test_observe_matches_hash_address():
     cfg = PhaseDetectorConfig(interval_len=4)
     det = PhaseDetector(cfg)
     addrs = [0x7FFF0040, 0xDEADBEEF, 0x8, 0x0]
-    ev = det.observe_interval(addrs)
-    assert ev == PhaseEvent(0, -1)
+    assert det.observe_interval(addrs) == -1
     # the closed interval's signature, the golden bits of its addresses,
     # becomes the comparison baseline
     assert det._last_sig == bits(165, 167, 346, 0)
@@ -196,7 +191,7 @@ def detect(trace, signature, monkeypatch):
     intervals = [a[k:k + n] for k in range(0, len(a) - n + 1, n)]
     with monkeypatch.context() as m:
         m.setattr(phase, "interval_signature", signature)
-        labels = [det.observe_interval(i).phase_id for i in intervals]
+        labels = [det.observe_interval(i) for i in intervals]
     return labels, [signature(i, det.config) for i in intervals], len(det.table)
 
 

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 
 from swapsim.cache import DEFAULT_L1, CacheConfig, Hierarchy, HierarchyConfig, SetAssociativeCache
 from swapsim.controller import ControllerConfig, PhaseModelState, SwapController
-from swapsim.metrics import REUSE_CAP, ReuseDistanceTracker
+from swapsim.metrics import REUSE_CAP, IntervalRecord, ReuseDistanceTracker
 from swapsim.models import SWAP_KINDS, FixedHitRateModel, MarkovModel, ModelKind, contexts
 from swapsim.phase import (
     SAMPLE_REFS,
     SAMPLE_RUNS,
     PhaseDetector,
     PhaseDetectorConfig,
-    PhaseEvent,
     interval_signature,
 )
 from swapsim.sim import run_simulation
@@ -434,7 +433,7 @@ def test_detailed_l1_frozen_across_swapped_interval(addrs, kind, seed):
                                                         candidate_kinds=(kind,)),
                           rng=random.Random(seed))
     ctrl.run_interval(0, bytes(64), [0x1000 + (i % 24) * 8 for i in range(64)])
-    ctrl.on_interval_end(PhaseEvent(0, 0))
+    ctrl.on_interval_end(IntervalRecord(0, 0, "base", None, 0, 0, 0, 0, 0))
     assert ctrl.phases[0].chosen is kind
     fp = ctrl.hierarchy.l1.fingerprint()
     l1_hits = ctrl.hierarchy.l1_hits

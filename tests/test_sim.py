@@ -204,28 +204,33 @@ def test_per_phase_cycle_error_is_small():
 
 
 def test_directive_holds_through_on_interval_end(monkeypatch):
-    # A wrapper of on_interval_end reads the directive the closing
-    # interval ran under, and the call leaves it in place. It classifies
-    # the directive as the benchmark's tracer does: swapped_kind first,
-    # then training.
+    # A wrapper of on_interval_end gets the record step returns, whose
+    # interval_index and phase_id the benchmark's tracer reads, and reads
+    # the directive the closing interval ran under, which the call leaves
+    # in place. It classifies the directive as the tracer does:
+    # swapped_kind first, then training.
     runner = Runner(detector_config=FAST, seed=5)
     seen = []
+    args = []
     kinds = Counter()
     close = runner.controller.on_interval_end
 
-    def wrapped(event):
+    def wrapped(record):
+        args.append(record)
         d = runner.controller.directive
         seen.append("base" if d.swapped_kind is None else d.swapped_kind.value)
         kinds["swapped" if d.swapped_kind is not None else
               "training" if d.training else "base"] += 1
-        assert close(event) is None
+        assert close(record) is None
         assert runner.controller.directive is d
 
     monkeypatch.setattr(runner.controller, "on_interval_end", wrapped)
     tr, n = small_trace(), FAST.interval_len
-    for start in range(0, len(tr), n):
-        runner.step(tr.ops[start:start + n], tr.addresses[start:start + n])
+    returned = [runner.step(tr.ops[start:start + n], tr.addresses[start:start + n])
+                for start in range(0, len(tr), n)]
     records = runner.finish().intervals
+    assert len(args) == len(returned) == len(records)
+    assert all(a is r is rec for a, r, rec in zip(args, returned, records))
     assert seen == [r.directive for r in records]
     assert "base" in seen and len(set(seen)) > 1
     # Every base interval of a cataloged phase trained it.
@@ -235,9 +240,9 @@ def test_directive_holds_through_on_interval_end(monkeypatch):
 
 def test_trailing_partial_interval_runs_under_the_last_label():
     # The detector does not label a trailing partial interval, so it runs
-    # under the label of the last full one. Here that interval completed
-    # its phase's training budget: the partial one runs the chosen model,
-    # and the detailed L1 stays frozen through it.
+    # under the label of the last full one. In the first case that
+    # interval completed its phase's training budget: the partial one runs
+    # the chosen model, and the detailed L1 stays frozen through it.
     runner = Runner(detector_config=FAST, seed=5)
     tr, n = small_trace(), FAST.interval_len
     phases = runner.controller.phases
@@ -254,6 +259,19 @@ def test_trailing_partial_interval_runs_under_the_last_label():
     assert runner.controller.directive == Directive(record.phase_id,
                                                     phases[record.phase_id].chosen)
     assert runner.hierarchy.l1.fingerprint() == fp
+
+    # A trace shorter than one interval has no full interval: it runs
+    # under the initial directive's label, -1, and catalogs no phase.
+    runner = Runner(detector_config=FAST, seed=5, validate=True)
+    assert runner.step(tr.ops[:n // 2], tr.addresses[:n // 2]) is None
+    assert runner.controller.directive == Directive(-1, None)
+    assert not runner.detector.table and not runner.controller.phases
+    r = runner.finish()
+    assert r.intervals == [] and r.phase_count == 0
+    assert list(r.reuse) == list(r.base_reuse) == [-1]
+    for totals in (r.totals, r.base_totals):
+        assert totals["l1_hits"] + totals["l2_hits"] + totals["l3_hits"] \
+            + totals["mem_accesses"] == n // 2
 
 
 def test_op_other_than_read_or_write_rejected_before_any_cache(monkeypatch):
