@@ -118,10 +118,10 @@ class SetAssociativeCache:
 
 
 class Hierarchy:
-    """Three-level inclusive-allocation hierarchy with per-level hit
-    counters; cycles follow from the counts. `reuse` (None unless
-    `collect_reuse`) maps each interval label to the reuse distances, in
-    L2 lines, of the lines sent to L2 under it. Single-threaded per instance."""
+    """Three-level inclusive-allocation hierarchy with per-level hit counters;
+    cycles follow from the counts. `reuse` (None unless `collect_reuse`) maps
+    each interval label to the reuse distances, in L2 lines, of the lines sent
+    to L2 under it, an empty histogram if none. Single-threaded per instance."""
 
     def __init__(self, config: HierarchyConfig | None = None, collect_reuse: bool = False):
         self.config = config or HierarchyConfig()

@@ -14,7 +14,7 @@ from pathlib import Path
 from .cache import HierarchyConfig
 from .controller import ControllerConfig
 from .metrics import IntervalRecord, per_phase_accuracy
-from .models import SWAP_KINDS
+from .models import SWAP_KINDS, ModelKind
 from .phase import PhaseDetectorConfig
 from .sim import Runner, RunResult
 from .trace import (PRESET_NAMES, generate_intervals, preset_specs, read_intervals,
@@ -33,8 +33,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
-
-_MODELS = {k.value: k for k in SWAP_KINDS}
 
 # How a numeric config field is read, keyed by its annotation (a string,
 # under `from __future__ import annotations`): its flag type, the JSON
@@ -116,13 +114,8 @@ def _section(value, default, flags: dict, prefix: str = ""):
 
 
 def _controller_config(args) -> ControllerConfig:
-    if args.models == "all":
-        kinds = SWAP_KINDS
-    else:
-        try:
-            kinds = tuple(_MODELS[m.strip()] for m in args.models.split(","))
-        except KeyError as e:
-            raise UsageError(f"unknown model {e.args[0]!r}") from None
+    kinds = (SWAP_KINDS if args.models == "all"
+             else tuple(ModelKind(m.strip()) for m in args.models.split(",")))
     return ControllerConfig(train_intervals=args.train_intervals, candidate_kinds=kinds)
 
 

@@ -26,7 +26,7 @@ class ControllerConfig:
             raise ValueError("candidate model kinds must be distinct")
         for kind in self.candidate_kinds:
             if kind not in SWAP_KINDS:
-                raise ValueError(f"no swappable model for {kind}")
+                raise ValueError(f"no swappable model for {kind!r}")
 
 
 class PhaseModelState:
@@ -84,8 +84,7 @@ class SwapController:
                 l1 = self.hierarchy.config.l1
                 st.score_vectors = {k: score(st.refs, st.base_near_misses, st.shadow[k], k, l1)
                                     for k in self.config.candidate_kinds}
-                st.chosen = select_best({k: vec.distance_from_ideal()
-                                         for k, vec in st.score_vectors.items()})
+                st.chosen = select_best(st.score_vectors)
 
     def run_interval(self, phase_id: int, ops, addresses) -> list[int]:
         """Set the directive of an interval labeled `phase_id` (-1 for

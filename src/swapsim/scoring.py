@@ -1,5 +1,5 @@
 """Model-quality scoring: the 4-element score vector and its L2 distance
-from the ideal [1, 1, 0, 0]. Lower scalar scores are better.
+from the ideal [1, 1, 0, 0]. Lower distances are better.
 """
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ from .cache import CacheConfig
 from .models import SWAP_KINDS, ModelKind, model_hit_check_comparisons, model_size_bytes
 
 IDEAL_VECTOR = (1.0, 1.0, 0.0, 0.0)
+# A candidate competes on distance only if its accuracy is within this of
+# the best candidate's (a departure from the paper; see the README).
+ACCURACY_GATE = 0.02
 
 
 class ScoreVector(NamedTuple):
@@ -52,9 +55,11 @@ def score(refs: int, base_near_misses: int, sums: tuple[float, float], kind: Mod
     )
 
 
-def select_best(scores: dict[ModelKind, float]) -> ModelKind:
-    """Argmin over scalar scores; exact ties go to the smaller model, the
-    earlier one in `SWAP_KINDS`."""
-    if not scores:
+def select_best(vectors: dict[ModelKind, ScoreVector]) -> ModelKind:
+    """The kind nearest the ideal among those within ACCURACY_GATE of the best
+    accuracy; exact ties go to the smaller model, the earlier in `SWAP_KINDS`."""
+    if not vectors:
         raise ValueError("no scored models to select from")
-    return min(scores, key=lambda k: (scores[k], SWAP_KINDS.index(k)))
+    best = max(v.accuracy for v in vectors.values())
+    return min((k for k, v in vectors.items() if best - v.accuracy <= ACCURACY_GATE),
+               key=lambda k: (vectors[k].distance_from_ideal(), SWAP_KINDS.index(k)))

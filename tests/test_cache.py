@@ -188,3 +188,11 @@ def test_hierarchy_records_reuse_of_lines_sent_to_l2():
     assert h.reuse[3].total == len(misses) and h.reuse[5].total == len(misses2)
     # Some distances cross from the second call's lines back to the first's.
     assert h.reuse[5].cold_count < len(set(sent[1]))
+
+
+def test_label_that_sends_no_line_to_l2_gets_an_empty_histogram():
+    # A swapped phase whose model never misses still has its key in `reuse`.
+    h = Hierarchy(collect_reuse=True)
+    h.serve_misses([0x40, 0x80, 0xc0], [], 7)
+    assert list(h.reuse) == [7]
+    assert h.reuse[7].total == 0 and h.reuse[7].to_rows() == []

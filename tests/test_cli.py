@@ -43,7 +43,14 @@ def test_usage_error_on_missing_source(capsys):
 
 
 def test_usage_error_on_bad_model(trace_file, capsys):
-    assert run_cli("run", "--trace", trace_file, "--models", "bogus") == EXIT_USAGE
+    # Each value names the model it rejects: no model, the detailed base
+    # (not swappable), an empty name and `all` inside a list.
+    for models, named in [("bogus", "'bogus'"), ("base", "'base'"), ("markov8,", "''"),
+                          ("all,markov8", "'all'")]:
+        assert run_cli("run", "--trace", trace_file, "--models", models) == EXIT_USAGE, models
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and named in err, (models, err)
+        assert "Traceback" not in err
 
 
 def test_usage_error_on_duplicate_model(trace_file, capsys):
@@ -169,12 +176,16 @@ def test_run_twice_byte_identical(trace_file, tmp_path):
 
 
 def test_force_model_flows_to_report(trace_file, tmp_path):
-    out = tmp_path / "out"
-    code = run_cli("run", "--trace", trace_file, "--seed", "1",
-                   "--models", "fixed-rate", "--out", str(out), *FAST)
-    assert code == EXIT_OK
-    report = json.loads((out / "report.json").read_text())
-    assert set(report["chosen_models"].values()) <= {"fixed-rate"}
+    # Spaces around a name are ignored.
+    for n, (models, allowed) in enumerate([("fixed-rate", {"fixed-rate"}),
+                                           (" markov8 , fixed-rate", {"markov8", "fixed-rate"})]):
+        out = tmp_path / f"out{n}"
+        code = run_cli("run", "--trace", trace_file, "--seed", "1",
+                       "--models", models, "--out", str(out), *FAST)
+        assert code == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["chosen_models"]
+        assert set(report["chosen_models"].values()) <= allowed
 
 
 def test_report_rerender_matches(trace_file, tmp_path):

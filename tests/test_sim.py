@@ -183,11 +183,23 @@ def test_step_rejects_ops_and_addresses_of_different_lengths():
 # interval ran under the previous interval's label, phase -1 was off by
 # -12.2 % and phase 1 by +3.7 %.
 PHASE_CYCLES_BOUND = 0.02
+L1_64B = CacheConfig(32 * 1024, 8, 64, 4)
+L1_16K_4WAY = CacheConfig(16 * 1024, 4, 32, 4)
 
 
-def test_per_phase_cycle_error_is_small():
-    runner = Runner(seed=1, validate=True, collect_reuse=False)
-    trace = build_preset("meabo3-small", seed=1)
+# At the other L1 geometries the score alone picked markov4 over a
+# markov8 several points more accurate; with the accuracy gate the worst
+# phase reads at most 0.62 % (it read 16.30 % on locality at 64 B lines).
+@pytest.mark.parametrize("preset, l1", [
+    pytest.param("meabo3-small", DEFAULT_L1, id="meabo3-small-default"),
+    pytest.param("locality", L1_64B, id="locality-64B"),
+    pytest.param("locality", L1_16K_4WAY, id="locality-16K-4way"),
+    pytest.param("meabo3-small", L1_64B, id="meabo3-small-64B"),
+    pytest.param("meabo3-small", L1_16K_4WAY, id="meabo3-small-16K-4way"),
+])
+def test_per_phase_cycle_error_is_small(preset, l1):
+    runner = Runner(HierarchyConfig(l1=l1), seed=1, validate=True, collect_reuse=False)
+    trace = build_preset(preset, seed=1)
     n = runner.interval_len
     cycles = defaultdict(lambda: [0, 0])  # phase -> [swapped run, detailed run]
     for start in range(0, len(trace), n):
