@@ -39,7 +39,10 @@ class RunResult:
 
     @property
     def scores(self) -> dict[int, dict[str, float]]:
-        """Each score vector's scalar score, its distance from the ideal."""
+        """Each score vector's distance from the ideal, and only that: the
+        choice first drops any kind more than `scoring.ACCURACY_GATE` below
+        the best accuracy (on `locality` seed 1 at a 64 B L1, markov4 scores
+        0.222 and 0.142, yet markov8, at 0.413 and 0.395, is chosen)."""
         return {pid: {kind: vec.distance_from_ideal() for kind, vec in vectors.items()}
                 for pid, vectors in self.score_vectors.items()}
 

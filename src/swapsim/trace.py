@@ -2,8 +2,9 @@
 
 Trace files are plain text, one reference per line: `R 0x7fff0040` or
 `W 0x10`. Lines starting with `#` are comments, blank lines are skipped.
-A file is parsed, and a synthetic trace generated, one bounded block at a
-time, so either can be streamed an interval at a time.
+The parser and the generator yield bounded `(ops, addresses)` blocks, a
+bytes-like of ops as in `Trace` and an `array("Q")`, which are regrouped
+into intervals, concatenated or written, so no stage holds a whole trace.
 """
 from __future__ import annotations
 
@@ -97,19 +98,19 @@ def read_intervals(path, interval_len: int):
     A malformed line raises TraceFormatError, naming its line number, once
     the intervals before it have been yielded.
     """
-    return _intervals(interval_len, _parse_into, path)
+    return _intervals(interval_len, _parse_blocks(path))
 
 
-def _intervals(interval_len: int, fill, *args):
-    """Yield the references that the generator `fill(buf, *args)` appends
-    to a buffer `buf`, one bounded block per step, as `(ops, addresses)`
-    arrays of `interval_len` references each, then any shorter rest. It
-    holds one block plus less than one interval; the yielded arrays are
-    the caller's."""
+def _intervals(interval_len: int, blocks):
+    """Yield the references of the `(ops, addresses)` blocks as arrays of
+    `interval_len` references each, then any shorter rest, holding one block
+    plus less than one interval; the yielded arrays are the caller's."""
     if interval_len <= 0:
         raise ValueError(f"interval_len must be positive, got {interval_len}")
     buf = Trace()
-    for _ in fill(buf, *args):
+    for ops, addresses in blocks:
+        buf.ops.frombytes(ops)
+        buf.addresses += addresses
         full = len(buf) - len(buf) % interval_len
         for start in range(0, full, interval_len):
             yield (buf.ops[start:start + interval_len],
@@ -119,14 +120,14 @@ def _intervals(interval_len: int, fill, *args):
         yield buf.ops, buf.addresses
 
 
-def _parse_into(trace: Trace, path):
-    """Append the references of the trace file at `path` to `trace`, one
-    chunk at a time, yielding after each chunk. A chunk is one read of
-    `_CHUNK_CHARS` characters finished by `readline`, so it is whole lines;
-    a last line without "\\n" gets one. A chunk of fixed-width lines is
-    parsed by column, any other line by line. The per-line parser defines
-    the accepted syntax and names a bad line; the column parser takes only
-    chunks that it would parse to the same values."""
+def _parse_blocks(path):
+    """Yield the references of the trace file at `path`, one block per
+    chunk. A chunk is one read of `_CHUNK_CHARS` characters finished by
+    `readline`, so it is whole lines; a last line without "\\n" gets one.
+    A chunk of fixed-width lines is parsed by column, any other line by
+    line. The per-line parser defines the accepted syntax and names a bad
+    line; the column parser takes only chunks that it would parse to the
+    same values."""
     lineno = 1
     # A byte that is not UTF-8 decodes to a lone surrogate, which then fails
     # the op or address check of its line.
@@ -135,10 +136,8 @@ def _parse_into(trace: Trace, path):
             text += f.readline()
             if text[-1] != "\n":
                 text += "\n"
-            if not _parse_columns(text, trace):
-                _parse_lines(text, lineno, trace)
+            yield _parse_columns(text) or _parse_lines(text, lineno)
             lineno += text.count("\n")
-            yield
 
 
 _HEX_DIGITS = b"0123456789abcdefABCDEF"
@@ -147,39 +146,37 @@ _NIBBLES = bytes.maketrans(_HEX_DIGITS, bytes(range(16)) + bytes(range(10, 16)))
 _BYTE_AT = range(8) if sys.byteorder == "little" else range(7, -1, -1)
 
 
-def _parse_columns(text: str, trace: Trace) -> bool:
+def _parse_columns(text: str) -> tuple[bytes, array] | None:
     """Parse a chunk of lines of one width that each read `R 0x` or `W 0x`,
     1 to 16 hex digits and a line break, one strided slice per column:
     each digit column becomes a whole-column int of nibbles, and each pair
-    of them one byte of every address. Return whether the chunk was one;
-    every column is checked before `trace` is touched."""
+    of them one byte of every address. Return the chunk's `(ops,
+    addresses)`, or None when it is not one."""
     width = text.find("\n") + 1
     digits = width - 5
     if not (0 < digits <= 16 and len(text) % width == 0 and text.isascii()):
-        return False
+        return None
     n = len(text) // width
     chars = text.encode()
     ops = chars[0::width]
     if (ops.translate(None, b"RW") or chars[width - 1::width].count(b"\n") != n
             or chars[1::width].count(b" ") != n or chars[2::width].count(b"0") != n
             or chars[3::width].count(b"x") != n):
-        return False
+        return None
     columns = [chars[k::width] for k in range(width - 2, 3, -1)]  # least significant first
     if any(c.translate(None, _HEX_DIGITS) for c in columns):
-        return False
+        return None
     nibbles = [int.from_bytes(c.translate(_NIBBLES), "little") for c in columns] + [0]
     addresses = bytearray(8 * n)
     for j in range(0, digits, 2):
         addresses[_BYTE_AT[j // 2]::8] = (nibbles[j] | nibbles[j + 1] << 4).to_bytes(n, "little")
-    trace.addresses.frombytes(addresses)
-    trace.ops.frombytes(ops.translate(_OP_BYTES))
-    return True
+    return ops.translate(_OP_BYTES), array("Q", addresses)
 
 
-def _parse_lines(text: str, lineno: int, trace: Trace) -> None:
-    """Append the references of `text`, line `lineno` on, one line at a time."""
-    ops = trace.ops
-    addresses = trace.addresses
+def _parse_lines(text: str, lineno: int) -> tuple[array, array]:
+    """The `(ops, addresses)` of `text`, line `lineno` on, one line at a time."""
+    ops = array("B")
+    addresses = array("Q")
     for lineno, line in enumerate(text.split("\n"), start=lineno):
         parts = line.split()
         if not parts or parts[0][0] == "#":
@@ -202,6 +199,7 @@ def _parse_lines(text: str, lineno: int, trace: Trace) -> None:
             raise TraceFormatError(f"line {lineno}: address out of 64-bit range")
         ops.append(op)
         addresses.append(addr)
+    return ops, addresses
 
 
 # The line of a read and of a write; `%#x` writes an address as `hex` does.
@@ -237,8 +235,9 @@ def _write_blocks(blocks, path) -> int:
     """Write the `(ops, addresses)` blocks, in order, as a trace file;
     return the number of references written. A block whose addresses all
     have one hex width is built by column, any other with one C-level `%`
-    format; both write `%#x`'s bytes. The file is opened before the first
-    block is taken, so a bad path fails before any is made."""
+    format; both write `%#x`'s bytes, so the text does not depend on where
+    the blocks end. The file is opened before the first block is taken, so
+    a bad path fails before a generator makes any."""
     n = 0
     with open(path, "w", encoding="utf-8") as f:
         for ops, addresses in blocks:
@@ -329,11 +328,10 @@ def _draw(rng: random.Random, n_lines: int, count: int, p_write: float) -> tuple
     return lines, writes
 
 
-# Each emitter appends its phase occurrence to `trace` one block of at
-# most `_BLOCK` references at a time, and yields after each block.
+# Each emitter yields its phase occurrence in blocks of at most `_BLOCK` references.
 
 
-def _emit_draws(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random,
+def _emit_draws(spec: SyntheticPhaseSpec, base: int, rng: random.Random,
                 burst: int, group: int, p_write: float):
     # Bursts of `burst` consecutive words on a drawn 32-byte line of the
     # working set, with a drawn op. Lines alias `group` to a 4 KiB way, so
@@ -355,12 +353,10 @@ def _emit_draws(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.R
             addresses[k::burst] = array("Q", map(words[k].__getitem__, lines))
             ops[k::burst] = writes
         del addresses[n:], ops[n:]
-        trace.addresses += addresses
-        trace.ops.frombytes(ops)
-        yield
+        yield ops, addresses
 
 
-def _emit_sweeps(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.Random,
+def _emit_sweeps(spec: SyntheticPhaseSpec, base: int, rng: random.Random,
                  group_ops: bytes, run: int):
     # One cyclic sweep of 8-byte words per array, from word 0 on every
     # occurrence, interleaved `run` words at a time; each group of
@@ -380,9 +376,7 @@ def _emit_sweeps(trace: Trace, spec: SyntheticPhaseSpec, base: int, rng: random.
             for k in range(run):
                 addresses[run * s + k::size] = sweep[k::run]
         del addresses[n:]
-        trace.addresses += addresses
-        trace.ops.frombytes((group_ops * groups)[:n])
-        yield
+        yield (group_ops * groups)[:n], addresses
 
 
 _EMITTERS = {
@@ -409,8 +403,9 @@ def generate_trace(
     phase. Output is a pure function of the specs and seeds.
     """
     trace = Trace()
-    for _ in _generate_into(trace, phases, iterations, marker_spec):
-        pass
+    for ops, addresses in _generate_blocks(phases, iterations, marker_spec):
+        trace.ops.frombytes(ops)
+        trace.addresses += addresses
     return trace
 
 
@@ -424,12 +419,12 @@ def generate_intervals(
     yields a file's: `(ops, addresses)` arrays of `interval_len`
     references, then any shorter rest. It holds one generated block plus
     less than one interval."""
-    return _intervals(interval_len, _generate_into, phases, iterations, marker_spec)
+    return _intervals(interval_len, _generate_blocks(phases, iterations, marker_spec))
 
 
-def _generate_into(trace: Trace, phases, iterations: int, marker_spec):
-    """Append the references of `iterations` repetitions of the phase list
-    to `trace`, one bounded block at a time, yielding after each block."""
+def _generate_blocks(phases, iterations: int, marker_spec):
+    """Yield the references of `iterations` repetitions of the phase list
+    as blocks of at most `_BLOCK` references."""
     if not phases:
         raise ValueError("at least one phase spec is required")
     if iterations < 1:
@@ -438,11 +433,11 @@ def _generate_into(trace: Trace, phases, iterations: int, marker_spec):
     # the n-th run of a region, from 0, is its occurrence n.
     for it in range(iterations):
         for i, spec in enumerate(phases):
-            yield from _EMITTERS[spec.kind](trace, spec, (i + 1) * _REGION_STRIDE,
+            yield from _EMITTERS[spec.kind](spec, (i + 1) * _REGION_STRIDE,
                                             _occurrence_rng(spec, it))
             if marker_spec is not None:
                 yield from _EMITTERS[marker_spec.kind](
-                    trace, marker_spec, (len(phases) + 1) * _REGION_STRIDE,
+                    marker_spec, (len(phases) + 1) * _REGION_STRIDE,
                     _occurrence_rng(marker_spec, it * len(phases) + i))
 
 
@@ -490,4 +485,4 @@ def write_preset(name: str, seed: int, path) -> int:
     and return the number of references; it holds one block, not the
     trace. A bad path fails before anything is generated."""
     phases, iterations, marker = preset_specs(name, seed)
-    return _write_blocks(generate_intervals(phases, _BLOCK, iterations, marker), path)
+    return _write_blocks(_generate_blocks(phases, iterations, marker), path)

@@ -190,12 +190,15 @@ L1_16K_4WAY = CacheConfig(16 * 1024, 4, 32, 4)
 # At the other L1 geometries the score alone picked markov4 over a
 # markov8 several points more accurate; with the accuracy gate the worst
 # phase reads at most 0.62 % (it read 16.30 % on locality at 64 B lines).
+# meabo3's worst phase reads 0.52 % at 64 B lines, 0.35 % at 16 KiB 4-way.
 @pytest.mark.parametrize("preset, l1", [
     pytest.param("meabo3-small", DEFAULT_L1, id="meabo3-small-default"),
     pytest.param("locality", L1_64B, id="locality-64B"),
     pytest.param("locality", L1_16K_4WAY, id="locality-16K-4way"),
     pytest.param("meabo3-small", L1_64B, id="meabo3-small-64B"),
     pytest.param("meabo3-small", L1_16K_4WAY, id="meabo3-small-16K-4way"),
+    pytest.param("meabo3", L1_64B, id="meabo3-64B"),
+    pytest.param("meabo3", L1_16K_4WAY, id="meabo3-16K-4way"),
 ])
 def test_per_phase_cycle_error_is_small(preset, l1):
     runner = Runner(HierarchyConfig(l1=l1), seed=1, validate=True, collect_reuse=False)

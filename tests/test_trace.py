@@ -375,8 +375,9 @@ def test_run_memory_flat_in_trace_length(tmp_path):
 
 
 def test_generation_holds_no_more_than_a_few_blocks():
-    # Each emitter appends one bounded block at a time: beyond the trace
-    # it returns, generation holds no per-phase temporaries.
+    # Each emitter yields one bounded block at a time, which generate_trace
+    # appends: beyond the trace it returns, generation holds no per-phase
+    # temporaries.
     tracemalloc.start()
     try:
         t = build_preset("meabo3-small", 1)
