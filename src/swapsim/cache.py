@@ -71,37 +71,33 @@ class HierarchyConfig:
 
 class SetAssociativeCache:
     """Detailed LRU cache. Misses allocate (write-allocate), hits promote
-    to MRU. Each set is an insertion-ordered dict keyed by line id, oldest
-    first; `_mru[k]` is the line set `k` touched last (its last key), or
-    -1, which no line equals, before the set's first reference."""
+    to MRU. Each set is an insertion-ordered dict of line ids, oldest first."""
 
-    __slots__ = ("config", "_sets", "_mru", "_line_shift", "_set_mask")
+    __slots__ = ("config", "_sets", "_line_shift", "_set_mask")
 
     def __init__(self, config: CacheConfig):
         self.config = config
         self._sets = [dict() for _ in range(config.set_count)]
-        self._mru = [-1] * config.set_count
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.set_count - 1
 
     def misses(self, addresses) -> list[int]:
         """Look up each address in turn; returns the positions that missed.
         A hit promotes its line to MRU, a miss allocates it and evicts the
-        LRU way of a full set. A reference to the line its set touched
-        last is a hit that moves nothing, so it skips the dict."""
+        LRU way of a full set. A reference to the line of the reference
+        just before it is a hit that moves nothing, so it skips the dict."""
         sets = self._sets
-        mru = self._mru
         shift = self._line_shift
         mask = self._set_mask
         ways = self.config.associativity
         out = []
+        prev = -1
         for i, address in enumerate(addresses):
             line = address >> shift
-            k = line & mask
-            if mru[k] == line:
+            if line == prev:
                 continue
-            mru[k] = line
-            s = sets[k]
+            prev = line
+            s = sets[line & mask]
             if line in s:
                 del s[line]
             else:
@@ -112,8 +108,8 @@ class SetAssociativeCache:
         return out
 
     def fingerprint(self) -> int:
-        """Order-sensitive hash of all set contents; used to assert the
-        detailed model stays frozen during swapped intervals."""
+        """Order-sensitive hash of the sets, the cache's whole state; used to
+        assert the detailed model stays frozen during swapped intervals."""
         return hash(tuple(tuple(s) for s in self._sets))
 
 

@@ -223,9 +223,14 @@ def check_references(ops, addresses, offset: int = 0) -> None:
 
 def write_trace(trace: Trace, path) -> None:
     """Write `trace` as a trace file, one `_BLOCK` of lines at a time. A
-    trace that check_references rejects raises ValueError before the file
-    is opened."""
+    trace that check_references rejects, or with an address outside
+    0..2**64-1, raises ValueError before the file is opened."""
     ops, addresses = trace.ops, trace.addresses
+    if not isinstance(addresses, array) or addresses.typecode != "Q":
+        try:
+            addresses = array("Q", addresses)
+        except OverflowError:
+            raise ValueError("an address is outside 0..2**64-1") from None
     check_references(ops, addresses)
     _write_blocks(((ops[start:start + _BLOCK], addresses[start:start + _BLOCK])
                    for start in range(0, len(ops), _BLOCK)), path)

@@ -484,6 +484,7 @@ def written_traces(draw):
 @example(t=Trace(array("B", [1, 0, 1]), array("Q", [0x0, 0x1, 0xF])))
 @example(t=Trace(array("B", [1, 0]), array("Q", [2**64 - 1, 2**63])))
 @example(t=Trace(array("B", [0, 0]), array("Q", [2**60, 2**64 - 1])))
+@example(t=Trace(bytearray([0, 1]), [0x10, 0x20]))  # a list of addresses
 def test_write_trace_matches_per_line_writer(tmp_path, t):
     p = tmp_path / "t.txt"
     write_trace(t, p)
@@ -504,6 +505,16 @@ def test_write_trace_rejects_malformed_trace(tmp_path, ops, addresses, message):
         write_trace(Trace(array("B", ops), array("Q", addresses)), p)
     assert str(e.value) == message
     assert not p.exists()
+
+
+@pytest.mark.parametrize("address", [-1, 2**64])
+def test_write_trace_rejects_out_of_range_address(tmp_path, address):
+    # Before the file is opened, so an existing file keeps its bytes.
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"R 0x40\n")
+    with pytest.raises(ValueError, match=r"outside 0\.\.2\*\*64-1"):
+        write_trace(Trace(bytearray([0, 1]), [0x10, address]), p)
+    assert p.read_bytes() == b"R 0x40\n"
 
 
 def test_trace_gen_file_pinned(tmp_path):
