@@ -17,8 +17,7 @@ from .metrics import IntervalRecord, per_phase_accuracy
 from .models import SWAP_KINDS, ModelKind
 from .phase import PhaseDetectorConfig
 from .sim import Runner, RunResult
-from .trace import (PRESET_NAMES, generate_intervals, preset_specs, read_intervals,
-                    write_preset)
+from .trace import PRESET_NAMES, generate_blocks, preset_specs, read_blocks, write_preset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -224,17 +223,12 @@ def _cmd_run(args) -> int:
         if p.exists() and not p.is_dir():
             raise NotADirectoryError(f"--out {out}: {p} is not a directory")
 
-    runner = Runner(hierarchy_config=cfg.hierarchy, detector_config=cfg.detector,
-                    controller_config=ctrl_cfg, seed=args.seed, validate=args.validate)
-    if args.trace:
-        intervals = read_intervals(args.trace, runner.interval_len)
-    else:
-        phases, iterations, marker = preset_specs(args.synthetic, args.seed)
-        intervals = generate_intervals(phases, runner.interval_len, iterations, marker)
+    blocks = (read_blocks(args.trace) if args.trace
+              else generate_blocks(*preset_specs(args.synthetic, args.seed)))
     # Streamed: a malformed line stops the run before anything is written.
-    for ops, addresses in intervals:
-        runner.step(ops, addresses)
-    result = runner.finish()
+    result = Runner(hierarchy_config=cfg.hierarchy, detector_config=cfg.detector,
+                    controller_config=ctrl_cfg, seed=args.seed,
+                    validate=args.validate).run(blocks)
     out.mkdir(parents=True, exist_ok=True)
     report = _result_to_report(result)
     with open(out / "report.json", "w", encoding="utf-8") as f:

@@ -3,17 +3,21 @@ metrics out. Validation mode runs a second fully detailed hierarchy in
 lockstep as ground truth; it observes only and never feeds back into the
 swapped run's decisions.
 
-A Runner takes the trace one interval at a time: run_simulation slices
-an in-memory Trace, and `swapsim run --trace` feeds it from
-trace.read_intervals, so a trace file is never held whole. The detector
-labels each interval before it runs (the paper decides at its end), and
-the interval runs under the directive its label sets: one loop chosen by
-it, whose L1 misses then go through L2 and L3 in order; each hierarchy
-files the reuse distances of the lines it sends to L2 under that label.
+A Runner takes the trace as `(ops, addresses)` blocks and cuts them into
+intervals itself, so only it knows the interval length: run_simulation
+passes an in-memory Trace as one block, and `swapsim run` passes
+trace.read_blocks or trace.generate_blocks, so a trace file or preset is
+never held whole. The detector labels each interval before it runs (the
+paper decides at its end), and the interval runs under the directive its
+label sets: one loop chosen by it, whose L1 misses then go through L2 and
+L3 in order; each hierarchy files the reuse distances of the lines it
+sends to L2 under that label. After each full interval the controller's
+on_interval_end gets its record.
 """
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 
 from .cache import Hierarchy, HierarchyConfig
@@ -55,8 +59,8 @@ class RunResult:
 
 
 class Runner:
-    """One simulation, fed one interval at a time: `step` each interval's
-    references in trace order, then `finish`. Pure function of (the
+    """One simulation: `run` takes the trace's `(ops, addresses)` blocks,
+    cut anywhere, and returns its RunResult. Pure function of (the
     references, configs, seed)."""
 
     def __init__(
@@ -79,55 +83,35 @@ class Runner:
         self.val_hier = Hierarchy(hcfg, collect_reuse) if validate else None
         self.intervals: list[IntervalRecord] = []
         self._snapshot = self.hierarchy.totals()
-        self._ended = False  # a partial interval was stepped
 
-    def step(self, ops, addresses) -> IntervalRecord | None:
-        """Run the next interval and return its record. An interval shorter
-        than `interval_len` must be the trace's last: it is counted in the
-        totals and reuse histograms, gets no record and returns None."""
-        interval_len = self.interval_len
-        if self._ended:
-            # The partial interval reached the caches but not the detector,
-            # so the detector's intervals would no longer line up with them.
-            raise ValueError("a partial interval must be the last one stepped")
-        if len(addresses) > interval_len:
-            raise ValueError(f"an interval holds at most {interval_len} references")
-        # Only the last interval may be partial, so every earlier one is full.
-        check_references(ops, addresses, len(self.intervals) * interval_len)
-        controller = self.controller
-        full = len(addresses) == interval_len
-        # A trailing partial interval, which the detector does not label,
-        # runs under the last full one's label, still the directive's (-1 if none).
-        phase_id = (self.detector.observe_interval(addresses) if full
-                    else controller.directive.phase_id)
-        misses = controller.run_interval(phase_id, ops, addresses)
-        swapped = controller.directive.swapped_kind
-        if self.val_hier is not None:
-            val_misses = self.val_hier.run_detailed(addresses, phase_id)
-        if not full:
-            self._ended = True
-            return None
+    def run(self, blocks) -> RunResult:
+        """Check each block of the trace, cut the blocks into intervals of
+        `interval_len` references and run each, then any shorter rest;
+        return the result. An interval within a block is a slice of it;
+        only one that spans blocks is copied, so the run holds one block
+        plus less than one interval."""
+        n = self.interval_len
+        # The start of an interval that the next block completes.
+        rest_ops, rest = array("B"), array("Q")
+        offset = 0
+        for ops, addresses in blocks:
+            addresses = check_references(ops, addresses, offset)
+            offset += len(addresses)
+            start = 0
+            if rest:
+                start = n - len(rest)
+                rest_ops.frombytes(bytes(ops[:start]))
+                rest += addresses[:start]
+                if len(rest) < n:
+                    continue
+                self._step(rest_ops, rest)
+            end = len(addresses) - (len(addresses) - start) % n
+            for i in range(start, end, n):
+                self._step(ops[i:i + n], addresses[i:i + n])
+            rest_ops, rest = array("B", bytes(ops[end:])), addresses[end:]
+        if rest:
+            self._step(rest_ops, rest)
 
-        now = self.hierarchy.totals()
-        accuracy = None
-        if self.val_hier is not None:
-            # The L1 outcomes differ exactly where one run missed and the other hit.
-            wrong = len(set(misses).symmetric_difference(val_misses))
-            accuracy = (interval_len - wrong) / interval_len
-        record = IntervalRecord(
-            interval_index=len(self.intervals),
-            phase_id=phase_id,
-            directive="base" if swapped is None else swapped.value,
-            accuracy=accuracy,
-            **{k: now[k] - self._snapshot[k] for k in now},
-        )
-        self.intervals.append(record)
-        self._snapshot = now
-        controller.on_interval_end(record)
-        return record
-
-    def finish(self) -> RunResult:
-        """The result of the intervals stepped so far."""
         chosen = {}
         score_vectors = {}
         for pid, st in sorted(self.controller.phases.items()):
@@ -148,13 +132,44 @@ class Runner:
             base_reuse=self.val_hier.reuse if self.val_hier is not None else None,
         )
 
+    def _step(self, ops, addresses) -> None:
+        """Run the next interval. One shorter than `interval_len`, the
+        trace's last, is counted in the totals and reuse histograms but
+        gets no record."""
+        interval_len = self.interval_len
+        controller = self.controller
+        full = len(addresses) == interval_len
+        # A trailing partial interval, which the detector does not label,
+        # runs under the last full one's label, still the directive's (-1 if none).
+        phase_id = (self.detector.observe_interval(addresses) if full
+                    else controller.directive.phase_id)
+        misses = controller.run_interval(phase_id, ops, addresses)
+        swapped = controller.directive.swapped_kind
+        if self.val_hier is not None:
+            val_misses = self.val_hier.run_detailed(addresses, phase_id)
+        if not full:
+            return
+
+        now = self.hierarchy.totals()
+        accuracy = None
+        if self.val_hier is not None:
+            # The L1 outcomes differ exactly where one run missed and the other hit.
+            wrong = len(set(misses).symmetric_difference(val_misses))
+            accuracy = (interval_len - wrong) / interval_len
+        record = IntervalRecord(
+            interval_index=len(self.intervals),
+            phase_id=phase_id,
+            directive="base" if swapped is None else swapped.value,
+            accuracy=accuracy,
+            **{k: now[k] - self._snapshot[k] for k in now},
+        )
+        self.intervals.append(record)
+        self._snapshot = now
+        controller.on_interval_end(record)
+
 
 def run_simulation(trace: Trace, *args, **kwargs) -> RunResult:
     """Run the model-swapping simulation over a trace; takes the
     arguments of Runner after the trace. Pure function of (trace,
     configs, seed)."""
-    runner = Runner(*args, **kwargs)
-    n = runner.interval_len
-    for start in range(0, len(trace), n):
-        runner.step(trace.ops[start:start + n], trace.addresses[start:start + n])
-    return runner.finish()
+    return Runner(*args, **kwargs).run([(trace.ops, trace.addresses)])

@@ -2,9 +2,11 @@
 
 Trace files are plain text, one reference per line: `R 0x7fff0040` or
 `W 0x10`. Lines starting with `#` are comments, blank lines are skipped.
-The parser and the generator yield bounded `(ops, addresses)` blocks, a
-bytes-like of ops as in `Trace` and an `array("Q")`, which are regrouped
-into intervals, concatenated or written, so no stage holds a whole trace.
+The parser (read_blocks) and the generator (generate_blocks) yield
+bounded `(ops, addresses)` blocks, a bytes-like of ops as in `Trace` and
+an `array("Q")`. `sim.Runner` cuts them into intervals, generate_trace
+concatenates them and the writer writes them, so no stage holds a whole
+trace.
 """
 from __future__ import annotations
 
@@ -89,45 +91,15 @@ _BLOCK = 8192
 _CHUNK_CHARS = 64 * 1024
 
 
-def read_intervals(path, interval_len: int):
-    """Yield the references of a trace file as `(ops, addresses)` arrays of
-    `interval_len` references each, then any shorter rest, parsing one
-    chunk of whole lines at a time. It holds one chunk's references plus
-    less than one interval; the yielded arrays are the caller's.
-
-    A malformed line raises TraceFormatError, naming its line number, once
-    the intervals before it have been yielded.
-    """
-    return _intervals(interval_len, _parse_blocks(path))
-
-
-def _intervals(interval_len: int, blocks):
-    """Yield the references of the `(ops, addresses)` blocks as arrays of
-    `interval_len` references each, then any shorter rest, holding one block
-    plus less than one interval; the yielded arrays are the caller's."""
-    if interval_len <= 0:
-        raise ValueError(f"interval_len must be positive, got {interval_len}")
-    buf = Trace()
-    for ops, addresses in blocks:
-        buf.ops.frombytes(ops)
-        buf.addresses += addresses
-        full = len(buf) - len(buf) % interval_len
-        for start in range(0, full, interval_len):
-            yield (buf.ops[start:start + interval_len],
-                   buf.addresses[start:start + interval_len])
-        del buf.ops[:full], buf.addresses[:full]
-    if len(buf):
-        yield buf.ops, buf.addresses
-
-
-def _parse_blocks(path):
+def read_blocks(path):
     """Yield the references of the trace file at `path`, one block per
     chunk. A chunk is one read of `_CHUNK_CHARS` characters finished by
     `readline`, so it is whole lines; a last line without "\\n" gets one.
     A chunk of fixed-width lines is parsed by column, any other line by
     line. The per-line parser defines the accepted syntax and names a bad
     line; the column parser takes only chunks that it would parse to the
-    same values."""
+    same values. A malformed line raises TraceFormatError, naming its line
+    number, once the blocks before its chunk have been yielded."""
     lineno = 1
     # A byte that is not UTF-8 decodes to a lone surrogate, which then fails
     # the op or address check of its line.
@@ -210,28 +182,32 @@ _LOW_DIGITS = bytes(b"0123456789abcdef"[b & 15] for b in range(256))
 _HIGH_DIGITS = bytes(b"0123456789abcdef"[b >> 4] for b in range(256))
 
 
-def check_references(ops, addresses, offset: int = 0) -> None:
-    """Raise ValueError if `ops` and `addresses` differ in length, or if an
-    op is other than 0 (read) or 1 (write). `offset` is the position of
-    `ops[0]` in the trace, which the message names a bad op by."""
+def check_references(ops, addresses, offset: int = 0) -> array:
+    """Return `addresses` as an `array("Q")`, itself when it is one. Raise
+    ValueError if `ops` and `addresses` differ in length, if an op is other
+    than 0 (read) or 1 (write), or if an address is outside 0..2**64-1.
+    `offset` is the position of `ops[0]` in the trace, which the message
+    names a bad reference by."""
     if len(ops) != len(addresses):
         raise ValueError(f"{len(ops)} ops for {len(addresses)} addresses")
     if bad := bytes(ops).translate(None, b"\0\1"):
         at = offset + ops.index(bad[0])
         raise ValueError(f"op {bad[0]} at reference {at} is not 0 (read) or 1 (write)")
+    if isinstance(addresses, array) and addresses.typecode == "Q":
+        return addresses
+    try:
+        return array("Q", addresses)
+    except OverflowError:
+        at = offset + next(i for i, a in enumerate(addresses) if not 0 <= a < 1 << 64)
+        raise ValueError(f"address at reference {at} is outside 0..2**64-1") from None
 
 
 def write_trace(trace: Trace, path) -> None:
     """Write `trace` as a trace file, one `_BLOCK` of lines at a time. A
-    trace that check_references rejects, or with an address outside
-    0..2**64-1, raises ValueError before the file is opened."""
-    ops, addresses = trace.ops, trace.addresses
-    if not isinstance(addresses, array) or addresses.typecode != "Q":
-        try:
-            addresses = array("Q", addresses)
-        except OverflowError:
-            raise ValueError("an address is outside 0..2**64-1") from None
-    check_references(ops, addresses)
+    trace that check_references rejects raises ValueError before the file
+    is opened."""
+    ops = trace.ops
+    addresses = check_references(ops, trace.addresses)
     _write_blocks(((ops[start:start + _BLOCK], addresses[start:start + _BLOCK])
                    for start in range(0, len(ops), _BLOCK)), path)
 
@@ -408,28 +384,19 @@ def generate_trace(
     phase. Output is a pure function of the specs and seeds.
     """
     trace = Trace()
-    for ops, addresses in _generate_blocks(phases, iterations, marker_spec):
+    for ops, addresses in generate_blocks(phases, iterations, marker_spec):
         trace.ops.frombytes(ops)
         trace.addresses += addresses
     return trace
 
 
-def generate_intervals(
+def generate_blocks(
     phases: list[SyntheticPhaseSpec],
-    interval_len: int,
     iterations: int = 1,
     marker_spec: SyntheticPhaseSpec | None = None,
 ):
-    """Yield the references generate_trace returns as read_intervals
-    yields a file's: `(ops, addresses)` arrays of `interval_len`
-    references, then any shorter rest. It holds one generated block plus
-    less than one interval."""
-    return _intervals(interval_len, _generate_blocks(phases, iterations, marker_spec))
-
-
-def _generate_blocks(phases, iterations: int, marker_spec):
-    """Yield the references of `iterations` repetitions of the phase list
-    as blocks of at most `_BLOCK` references."""
+    """Yield the references generate_trace returns as blocks of at most
+    `_BLOCK` references."""
     if not phases:
         raise ValueError("at least one phase spec is required")
     if iterations < 1:
@@ -490,4 +457,4 @@ def write_preset(name: str, seed: int, path) -> int:
     and return the number of references; it holds one block, not the
     trace. A bad path fails before anything is generated."""
     phases, iterations, marker = preset_specs(name, seed)
-    return _write_blocks(_generate_blocks(phases, iterations, marker), path)
+    return _write_blocks(generate_blocks(phases, iterations, marker), path)

@@ -11,6 +11,7 @@ import pytest
 
 import swapsim
 import swapsim.cli
+import swapsim.controller
 import swapsim.trace
 from swapsim.cache import DEFAULT_L1, DEFAULT_L2
 from swapsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _build_parser, _ConfigFile, _section, main
@@ -76,15 +77,16 @@ def test_runtime_error_on_malformed_trace(tmp_path):
 
 def test_late_malformed_line_writes_nothing(tmp_path, monkeypatch, capsys):
     # The run streams the file, so the intervals before the bad line have
-    # been simulated when it is read.
-    steps = []
-    step = swapsim.sim.Runner.step
+    # been simulated when it is read. Each closes with on_interval_end,
+    # which the benchmark's tracer wraps too.
+    closed = []
+    close = swapsim.controller.SwapController.on_interval_end
 
-    def counted(self, *args):
-        steps.append(args)
-        return step(self, *args)
+    def counted(self, record):
+        closed.append(record)
+        return close(self, record)
 
-    monkeypatch.setattr(swapsim.sim.Runner, "step", counted)
+    monkeypatch.setattr(swapsim.controller.SwapController, "on_interval_end", counted)
     lines = [f"{'RW'[i % 4 == 0]} 0x{(i % 3000) * 64:x}\n" for i in range(40_000)]
     lines[30_000] = "R 0x40 0x80\n"
     bad = tmp_path / "late.txt"
@@ -93,14 +95,14 @@ def test_late_malformed_line_writes_nothing(tmp_path, monkeypatch, capsys):
     assert run_cli("run", "--trace", str(bad), "--validate", *FAST, "--out", str(out)) == EXIT_RUNTIME
     assert capsys.readouterr().err == \
         "error: line 30001: expected '<op> <address>', got 'R 0x40 0x80'\n"
-    assert len(steps) >= 10
+    assert len(closed) >= 10
     assert not out.exists()
 
 
 @pytest.mark.parametrize("out", ["a-file", "a-file/sub"])
 def test_out_under_a_file_fails_before_the_run(tmp_path, monkeypatch, capsys, out):
-    # mkdir would fail after the whole run; the run fails before its first step.
-    monkeypatch.setattr(swapsim.sim.Runner, "step",
+    # mkdir would fail after the whole run; the run fails before it starts.
+    monkeypatch.setattr(swapsim.sim.Runner, "run",
                         lambda *a: pytest.fail("the run started"))
     (tmp_path / "a-file").write_text("")
     assert run_cli("run", "--synthetic", "meabo3", "--seed", "1", "--validate",

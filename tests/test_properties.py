@@ -23,13 +23,13 @@ from swapsim.phase import (
     PhaseDetectorConfig,
     interval_signature,
 )
-from swapsim.sim import run_simulation
+from swapsim.sim import Runner, run_simulation
 from swapsim.trace import (
     PhaseKind,
     SyntheticPhaseSpec,
     Trace,
     _draw,
-    generate_intervals,
+    generate_blocks,
     generate_trace,
 )
 from oracles import (
@@ -502,8 +502,9 @@ SMALL_HIERARCHY = HierarchyConfig(CacheConfig(256, 2, 32, 4), CacheConfig(1024, 
 @st.composite
 def phased_runs(draw):
     """A trace of intervals that repeat a few short patterns, so phases
-    recur and get swapped, ending in a partial interval; and its
-    detector config."""
+    recur and get swapped, ending in a partial interval; its detector
+    config; and a cut of the trace into blocks, which may be empty, span
+    several intervals, or end inside the partial interval."""
     interval_len = draw(st.sampled_from([8, 16, 40]))
     ref = st.tuples(st.integers(0, 1), st.integers(0, 1 << 14))
     patterns = draw(st.lists(st.lists(ref, min_size=1, max_size=12), min_size=1, max_size=3))
@@ -511,12 +512,15 @@ def phased_runs(draw):
     refs = [patterns[k][i % len(patterns[k])] for k in order for i in range(interval_len)]
     refs += draw(st.lists(ref, min_size=1, max_size=interval_len - 1))
     trace = Trace(array("B", [w for w, _ in refs]), array("Q", [a for _, a in refs]))
+    cuts = sorted(draw(st.lists(st.integers(0, len(refs)), max_size=8)))
+    blocks = [(trace.ops[a:b], trace.addresses[a:b])
+              for a, b in zip([0, *cuts], [*cuts, len(refs)])]
     return trace, PhaseDetectorConfig(interval_len=interval_len,
-                                      stable_min=draw(st.integers(1, 2)))
+                                      stable_min=draw(st.integers(1, 2))), blocks
 
 
 def simulate(run, hierarchy, seed):
-    trace, detector = run
+    trace, detector, _ = run
     return run_simulation(trace, hierarchy, detector, ControllerConfig(train_intervals=1),
                           seed=seed, validate=True)
 
@@ -545,7 +549,12 @@ def comparable(result):
 @given(run=phased_runs(), hierarchy=st.sampled_from([HierarchyConfig(), SMALL_HIERARCHY]),
        seed=st.integers(0, 2**32))
 def test_same_seed_same_result(run, hierarchy, seed):
-    assert comparable(simulate(run, hierarchy, seed)) == comparable(simulate(run, hierarchy, seed))
+    # And the same whatever blocks the trace is cut into.
+    _, detector, blocks = run
+    cut = Runner(hierarchy, detector, ControllerConfig(train_intervals=1), seed=seed,
+                 validate=True).run(blocks)
+    assert comparable(simulate(run, hierarchy, seed)) == comparable(simulate(run, hierarchy, seed)) \
+        == comparable(cut)
 
 
 # Line counts from 1 to past 2**64: powers of two and their neighbours
@@ -588,6 +597,17 @@ def test_generated_trace_matches_per_reference_oracle(specs, iterations, marker_
     assert list(zip(t.ops, t.addresses)) == oracle_generate(specs, iterations, marker_spec)
 
 
+class IntervalRecorder(Runner):
+    """A Runner that keeps the intervals it cuts instead of running them."""
+
+    def __init__(self, interval_len):
+        super().__init__(detector_config=PhaseDetectorConfig(interval_len=interval_len))
+        self.pieces = []
+
+    def _step(self, ops, addresses):
+        self.pieces.append((bytes(ops), array("Q", addresses)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(kinds=st.lists(st.sampled_from(PhaseKind), min_size=1, max_size=3),
        lengths=st.lists(st.integers(1, 20_000), min_size=3, max_size=3),
@@ -596,15 +616,15 @@ def test_generated_trace_matches_per_reference_oracle(specs, iterations, marker_
          interval_len=8192)  # every block fills an interval exactly
 def test_generated_intervals_are_the_generated_trace(kinds, lengths, iterations, marker,
                                                      interval_len):
+    # The intervals a Runner cuts from the generated blocks.
     specs = [SyntheticPhaseSpec(k, n, seed=i) for i, (k, n) in enumerate(zip(kinds, lengths))]
     marker_spec = SyntheticPhaseSpec(PhaseKind.MARKER, 300, seed=9) if marker else None
     whole = generate_trace(specs, iterations, marker_spec)
-    pieces = list(generate_intervals(specs, interval_len, iterations, marker_spec))
+    runner = IntervalRecorder(interval_len)
+    runner.run(generate_blocks(specs, iterations, marker_spec))
+    pieces = runner.pieces
     assert [len(a) for _, a in pieces] == [
         min(interval_len, len(whole) - start) for start in range(0, len(whole), interval_len)]
     assert [len(o) for o, _ in pieces] == [len(a) for _, a in pieces]
-    ops, addresses = array("B"), array("Q")
-    for o, a in pieces:
-        ops += o
-        addresses += a
-    assert ops == whole.ops and addresses == whole.addresses
+    assert b"".join(o for o, _ in pieces) == whole.ops.tobytes()
+    assert array("Q", b"".join(a.tobytes() for _, a in pieces)) == whole.addresses

@@ -10,7 +10,7 @@ import swapsim.trace
 from swapsim.cache import DEFAULT_L1, CacheConfig, HierarchyConfig, SetAssociativeCache
 from swapsim.cli import EXIT_OK, _result_to_report, main
 from swapsim.controller import ControllerConfig, Directive
-from swapsim.metrics import IntervalRecord, ReuseDistanceTracker, ReuseHistogram
+from swapsim.metrics import ReuseDistanceTracker, ReuseHistogram
 from swapsim.models import ModelKind
 from swapsim.phase import PhaseDetector, PhaseDetectorConfig
 from swapsim.sim import Runner, run_simulation
@@ -19,8 +19,10 @@ from swapsim.trace import (
     SyntheticPhaseSpec,
     Trace,
     build_preset,
+    generate_blocks,
     generate_trace,
-    read_intervals,
+    preset_specs,
+    read_blocks,
     write_trace,
 )
 
@@ -34,6 +36,19 @@ def small_trace():
     ]
     return generate_trace(specs, iterations=2,
                           marker_spec=SyntheticPhaseSpec(PhaseKind.MARKER, 16_000, seed=33))
+
+
+def on_each_interval(runner, observe):
+    """Call `observe(record)` as each full interval of `runner` closes,
+    after its controller's on_interval_end, which the hook wraps as the
+    benchmark's tracer wraps it."""
+    close = runner.controller.on_interval_end
+
+    def closed(record):
+        close(record)
+        observe(record)
+
+    runner.controller.on_interval_end = closed
 
 
 def test_run_is_deterministic():
@@ -92,16 +107,21 @@ def test_reuse_histograms_track_l1_miss_stream():
     # whose L2-bound lines the histograms count too.
     cut = Trace(full.ops[:75_000], full.addresses[:75_000])
     to_l2 = ("l2_hits", "l3_hits", "mem_accesses")
-    n = FAST.interval_len
     for tr in (full, cut):
         runner = Runner(detector_config=FAST, seed=5, validate=True)
         base_sent = defaultdict(int)  # label -> lines the detailed run sent to L2
-        for start in range(0, len(tr), n):
-            before = runner.val_hier.totals()
-            runner.step(tr.ops[start:start + n], tr.addresses[start:start + n])
+        before = runner.val_hier.totals()
+
+        def observe(record):
+            nonlocal before
             after = runner.val_hier.totals()
-            base_sent[runner.intervals[-1].phase_id] += sum(after[k] - before[k] for k in to_l2)
-        r = runner.finish()
+            base_sent[record.phase_id] += sum(after[k] - before[k] for k in to_l2)
+            before = after
+
+        on_each_interval(runner, observe)
+        r = runner.run([(tr.ops, tr.addresses)])
+        # A trailing partial interval runs under the last record's label.
+        base_sent[r.intervals[-1].phase_id] += sum(r.base_totals[k] - before[k] for k in to_l2)
         sent = defaultdict(int)
         for rec in r.intervals:
             sent[rec.phase_id] += sum(getattr(rec, k) for k in to_l2)
@@ -147,36 +167,19 @@ def test_seed_changes_model_draws_not_structure():
     assert a.phase_count == b.phase_count
 
 
-def test_step_after_partial_interval_raises():
+def test_run_rejects_ops_and_addresses_of_different_lengths():
     tr = small_trace()
     ops, addrs = tr.ops, tr.addresses
-    runner = Runner(detector_config=FAST, validate=True)
-    assert isinstance(runner.step(ops[:2000], addrs[:2000]), IntervalRecord)
-    with pytest.raises(ValueError, match="at most 2000"):
-        runner.step(ops[2000:4001], addrs[2000:4001])
-    assert runner.step(ops[2000:2500], addrs[2000:2500]) is None
-    with pytest.raises(ValueError, match="partial interval"):
-        runner.step(ops[2500:4500], addrs[2500:4500])
-    r = runner.finish()
-    assert len(r.intervals) == 1
-    for totals in (r.totals, r.base_totals):
-        assert totals["l1_hits"] + totals["l2_hits"] + totals["l3_hits"] \
-            + totals["mem_accesses"] == 2500
-
-
-def test_step_rejects_ops_and_addresses_of_different_lengths():
-    tr = small_trace()
-    ops, addrs = tr.ops, tr.addresses
-    runner = Runner(detector_config=FAST, validate=True)
     for n_ops in (1000, 3000):
-        with pytest.raises(ValueError, match=f"{n_ops} ops for 2000 addresses"):
-            runner.step(ops[:n_ops], addrs[:2000])
-    # Nothing of a rejected step reached the caches or the detector.
-    record = runner.step(ops[:2000], addrs[:2000])
-    assert record.interval_index == 0
-    for totals in (runner.hierarchy.totals(), runner.val_hier.totals()):
-        assert totals["l1_hits"] + totals["l2_hits"] + totals["l3_hits"] \
-            + totals["mem_accesses"] == 2000
+        runner = Runner(detector_config=FAST, validate=True)
+        with pytest.raises(ValueError, match=f"^{n_ops} ops for 2000 addresses$"):
+            runner.run([(ops[:2500], addrs[:2500]), (ops[:n_ops], addrs[2500:4500])])
+        # The first block's full interval ran; nothing of the rejected
+        # block, which would complete the second, reached either hierarchy.
+        assert len(runner.intervals) == 1
+        for totals in (runner.hierarchy.totals(), runner.val_hier.totals()):
+            assert totals["l1_hits"] + totals["l2_hits"] + totals["l3_hits"] \
+                + totals["mem_accesses"] == 2000
 
 
 # Measured on meabo3-small seed 1: at most 0.50 % per phase. When an
@@ -202,16 +205,18 @@ L1_16K_4WAY = CacheConfig(16 * 1024, 4, 32, 4)
 ])
 def test_per_phase_cycle_error_is_small(preset, l1):
     runner = Runner(HierarchyConfig(l1=l1), seed=1, validate=True, collect_reuse=False)
-    trace = build_preset(preset, seed=1)
-    n = runner.interval_len
     cycles = defaultdict(lambda: [0, 0])  # phase -> [swapped run, detailed run]
-    for start in range(0, len(trace), n):
-        before = runner.hierarchy.cycles, runner.val_hier.cycles
-        record = runner.step(trace.ops[start:start + n], trace.addresses[start:start + n])
-        if record is not None:
-            c = cycles[record.phase_id]
-            c[0] += runner.hierarchy.cycles - before[0]
-            c[1] += runner.val_hier.cycles - before[1]
+    before = [0, 0]
+
+    def observe(record):
+        now = runner.hierarchy.cycles, runner.val_hier.cycles
+        c = cycles[record.phase_id]
+        for i in (0, 1):
+            c[i] += now[i] - before[i]
+            before[i] = now[i]
+
+    on_each_interval(runner, observe)
+    runner.run(generate_blocks(*preset_specs(preset, 1)))
     swapped = {r.phase_id for r in runner.intervals if r.directive != "base"}
     assert len(swapped) >= 3
     for pid, (got, want) in cycles.items():
@@ -219,7 +224,7 @@ def test_per_phase_cycle_error_is_small(preset, l1):
 
 
 def test_directive_holds_through_on_interval_end(monkeypatch):
-    # A wrapper of on_interval_end gets the record step returns, whose
+    # A wrapper of on_interval_end gets the interval's record, whose
     # interval_index and phase_id the benchmark's tracer reads, and reads
     # the directive the closing interval ran under, which the call leaves
     # in place. It classifies the directive as the tracer does:
@@ -240,12 +245,10 @@ def test_directive_holds_through_on_interval_end(monkeypatch):
         assert runner.controller.directive is d
 
     monkeypatch.setattr(runner.controller, "on_interval_end", wrapped)
-    tr, n = small_trace(), FAST.interval_len
-    returned = [runner.step(tr.ops[start:start + n], tr.addresses[start:start + n])
-                for start in range(0, len(tr), n)]
-    records = runner.finish().intervals
-    assert len(args) == len(returned) == len(records)
-    assert all(a is r is rec for a, r, rec in zip(args, returned, records))
+    tr = small_trace()
+    records = runner.run([(tr.ops, tr.addresses)]).intervals
+    assert len(args) == len(records) == len(tr) // FAST.interval_len
+    assert all(a is rec for a, rec in zip(args, records))
     assert seen == [r.directive for r in records]
     assert "base" in seen and len(set(seen)) > 1
     # Every base interval of a cataloged phase trained it.
@@ -258,30 +261,45 @@ def test_trailing_partial_interval_runs_under_the_last_label():
     # under the label of the last full one. In the first case that
     # interval completed its phase's training budget: the partial one runs
     # the chosen model, and the detailed L1 stays frozen through it.
-    runner = Runner(detector_config=FAST, seed=5)
     tr, n = small_trace(), FAST.interval_len
+
+    def traced(length):
+        """A run of the first `length` references; each full interval's
+        index when it completed its phase's training budget, and the
+        detailed L1's fingerprint as each full interval closed."""
+        runner = Runner(detector_config=FAST, seed=5)
+        phases = runner.controller.phases
+        trained, fingerprints = [], []
+
+        def observe(record):
+            if record.directive == "base" and record.phase_id >= 0 \
+                    and phases[record.phase_id].chosen is not None:
+                trained.append(record.interval_index)
+            fingerprints.append(runner.hierarchy.l1.fingerprint())
+
+        on_each_interval(runner, observe)
+        runner.run([(tr.ops[:length], tr.addresses[:length])])
+        return runner, trained, fingerprints
+
+    _, trained, _ = traced(len(tr))
+    assert trained and (trained[0] + 2) * n <= len(tr)
+    runner, _, fingerprints = traced((trained[0] + 1) * n + n // 2)
+    record = runner.intervals[-1]
+    assert record.interval_index == trained[0]
     phases = runner.controller.phases
-    for start in range(0, len(tr) - n, n):
-        record = runner.step(tr.ops[start:start + n], tr.addresses[start:start + n])
-        if record.directive == "base" and record.phase_id >= 0 \
-                and phases[record.phase_id].chosen is not None:
-            break
-    else:
-        pytest.fail("no interval completed a phase's training budget")
-    fp = runner.hierarchy.l1.fingerprint()
-    end = start + n + n // 2
-    assert runner.step(tr.ops[start + n:end], tr.addresses[start + n:end]) is None
     assert runner.controller.directive == Directive(record.phase_id,
                                                     phases[record.phase_id].chosen)
-    assert runner.hierarchy.l1.fingerprint() == fp
+    assert runner.hierarchy.l1.fingerprint() == fingerprints[-1]
+    totals = runner.hierarchy.totals()
+    assert totals["l1_hits"] + totals["l2_hits"] + totals["l3_hits"] \
+        + totals["mem_accesses"] == (trained[0] + 1) * n + n // 2
 
     # A trace shorter than one interval has no full interval: it runs
     # under the initial directive's label, -1, and catalogs no phase.
     runner = Runner(detector_config=FAST, seed=5, validate=True)
-    assert runner.step(tr.ops[:n // 2], tr.addresses[:n // 2]) is None
+    r = runner.run([(tr.ops[:n // 2], tr.addresses[:n // 2])])
     assert runner.controller.directive == Directive(-1, None)
     assert not runner.detector.table and not runner.controller.phases
-    r = runner.finish()
     assert r.intervals == [] and r.phase_count == 0
     assert list(r.reuse) == list(r.base_reuse) == [-1]
     for totals in (r.totals, r.base_totals):
@@ -289,16 +307,21 @@ def test_trailing_partial_interval_runs_under_the_last_label():
             + totals["mem_accesses"] == n // 2
 
 
-def test_op_other_than_read_or_write_rejected_before_any_cache(monkeypatch):
-    # models.contexts maps only op 1 to the write bit: an op of 2 would
-    # pass through as the write bit, and one of 3 as the write and far
-    # bits. The check comes before the detector or any cache sees the
-    # interval.
+@pytest.fixture
+def caches_untouched(monkeypatch):
+    """Fail the test if the detector or any cache sees an interval."""
     def touched(self, addresses):
         raise AssertionError(f"{type(self).__name__} saw the interval")
 
     monkeypatch.setattr(SetAssociativeCache, "misses", touched)
     monkeypatch.setattr(PhaseDetector, "observe_interval", touched)
+
+
+def test_op_other_than_read_or_write_rejected_before_any_cache(caches_untouched):
+    # models.contexts maps only op 1 to the write bit: an op of 2 would
+    # pass through as the write bit, and one of 3 as the write and far
+    # bits. The check comes before the detector or any cache sees the
+    # interval.
     tr = small_trace()
     ops = array("B", tr.ops)
     ops[5] = 2
@@ -313,11 +336,27 @@ def test_op_check_names_the_reference_by_its_position_in_the_trace():
         run_simulation(tr, seed=1)
 
 
-def _streamed(path, **settings):
-    runner = Runner(**settings)
-    for ops, addresses in read_intervals(path, runner.interval_len):
-        runner.step(ops, addresses)
-    return runner.finish()
+# A list-backed trace is range-checked by check_references. At the default
+# interval length the positions lie both in the phase signature's sample
+# (1, 3) and outside it (500, 9 999, 19 999), so the check cannot rest on
+# what the signature reads.
+@pytest.mark.parametrize("address, at", [
+    *((2**64 + 5, at) for at in (1, 3, 500, 9_999, 19_999)),
+    (-1, 9_999),
+])
+def test_address_out_of_range_rejected_before_any_cache(caches_untouched, address, at):
+    tr = small_trace()
+    addresses = list(tr.addresses[:20_000])
+    addresses[at] = address
+    runner = Runner(seed=1, validate=True)
+    message = rf"^address at reference {at} is outside 0\.\.2\*\*64-1$"
+    with pytest.raises(ValueError, match=message):
+        runner.run([(tr.ops[:20_000], addresses)])
+    assert runner.intervals == []
+    for totals in (runner.hierarchy.totals(), runner.val_hier.totals()):
+        assert not any(totals.values())
+    with pytest.raises(ValueError, match=message):
+        run_simulation(Trace(tr.ops[:20_000], addresses), seed=1)
 
 
 def _with_comments(text):
@@ -354,12 +393,16 @@ def test_streamed_run_matches_loaded_run(tmp_path, monkeypatch, case):
     p.write_text(edit((tmp_path / "gen.txt").read_text()))
     settings = dict(detector_config=PhaseDetectorConfig(interval_len=interval_len, stable_min=2),
                     controller_config=ControllerConfig(train_intervals=1), seed=3, validate=True)
-    # The whole file read as one interval, then run from memory.
-    whole = list(read_intervals(p, 1 << 20))
-    loaded = run_simulation(Trace(*whole[0]) if whole else Trace(), **settings)
+    # The whole file read into one Trace, then run from memory.
+    loaded = Trace()
+    for ops, addresses in read_blocks(p):
+        loaded.ops.frombytes(ops)
+        loaded.addresses += addresses
+    loaded = run_simulation(loaded, **settings)
     assert sum(loaded.totals[k] for k in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses")) \
         == (0 if case == "empty" else 2874)
-    assert _result_to_report(_streamed(p, **settings)) == _result_to_report(loaded)
+    streamed = Runner(**settings).run(read_blocks(p))
+    assert _result_to_report(streamed) == _result_to_report(loaded)
 
     out = tmp_path / "out"
     assert main(["run", "--trace", str(p), "--validate", "--seed", "3", "--train-intervals", "1",

@@ -22,20 +22,19 @@ from swapsim.trace import (
     Trace,
     TraceFormatError,
     build_preset,
-    generate_intervals,
     generate_trace,
     preset_specs,
-    read_intervals,
+    read_blocks,
     write_preset,
     write_trace,
 )
 from oracles import trace_text
 
 
-def parsed(path, interval_len=7):
-    """The ops and addresses of a trace file, read an interval at a time."""
-    intervals = list(read_intervals(path, interval_len))
-    return [o for ops, _ in intervals for o in ops], [a for _, addrs in intervals for a in addrs]
+def parsed(path):
+    """The ops and addresses of a trace file, read a block at a time."""
+    blocks = list(read_blocks(path))
+    return [o for ops, _ in blocks for o in ops], [a for _, addrs in blocks for a in addrs]
 
 
 def test_parse_basic_lines(tmp_path):
@@ -98,12 +97,12 @@ def test_parse_missing_field(tmp_path):
 def test_empty_file_yields_nothing(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("")
-    assert list(read_intervals(p, 7)) == []
+    assert list(read_blocks(p)) == []
 
 
 def per_line_load(path):
     """The line-at-a-time parser whose syntax, values and messages
-    read_intervals keeps."""
+    read_blocks keeps."""
     ops, addresses = [], []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
@@ -275,9 +274,6 @@ def test_canonical_lines_parse_in_bulk(tmp_path, monkeypatch, chunk):
                           *(1 << 63 | i * 0x9E3779B97F4A7C15 % 2**63 for i in range(498))]))
     write_trace(t, p)
     assert parsed(p) == (list(t.ops), list(t.addresses))
-    streamed = list(read_intervals(p, 64))
-    assert [a for _, addrs in streamed for a in addrs] == list(t.addresses)
-    assert [o for ops, _ in streamed for o in ops] == list(t.ops)
     # Every chunk of "0X" or of 17 digits (leading zeros, below 2**64)
     # does.
     line_chunks = []
@@ -315,7 +311,7 @@ def test_trace_gen_files_parse_by_column(tmp_path, monkeypatch):
     for name, seed in (("locality", 9973), ("meabo3-small", 1)):
         p = tmp_path / f"{name}.txt"
         n = write_preset(name, seed, p)
-        assert sum(len(ops) for ops, _ in read_intervals(p, 10_000)) == n
+        assert sum(len(ops) for ops, _ in read_blocks(p)) == n
 
 
 # Spellings `int(s, 16)` takes that are not a hex address.
@@ -340,16 +336,6 @@ def test_non_hex_address_names_its_line(tmp_path, spelling, canonical):
     with pytest.raises(TraceFormatError) as e:
         parsed(p)
     assert str(e.value) == f"line {lineno}: {reason}"
-
-
-@pytest.mark.parametrize("interval_len", [0, -5])
-def test_intervals_reject_nonpositive_length(tmp_path, interval_len):
-    p = tmp_path / "t.txt"
-    p.write_text(canonical_text(25))
-    spec = SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 25, 0)
-    for intervals in (read_intervals(p, interval_len), generate_intervals([spec], interval_len)):
-        with pytest.raises(ValueError, match=rf"^interval_len must be positive, got {interval_len}$"):
-            list(intervals)
 
 
 def test_run_memory_flat_in_trace_length(tmp_path):
@@ -404,7 +390,7 @@ def test_trace_gen_holds_one_block(tmp_path):
 
 
 def test_synthetic_run_memory_flat_in_iterations(tmp_path, monkeypatch):
-    # `swapsim run --synthetic` streams the generated intervals: four
+    # `swapsim run --synthetic` streams the generated blocks: four
     # iterations of the phase list take no more memory than one, once the
     # working set is in the caches, the reuse tracker and the phase table.
     marker = SyntheticPhaseSpec(PhaseKind.MARKER, 10_000, seed=3)
@@ -489,7 +475,7 @@ def test_write_trace_matches_per_line_writer(tmp_path, t):
     p = tmp_path / "t.txt"
     write_trace(t, p)
     assert p.read_bytes() == trace_text(t.ops, t.addresses).encode()
-    assert parsed(p, 4096) == (list(t.ops), list(t.addresses))
+    assert parsed(p) == (list(t.ops), list(t.addresses))
 
 
 @pytest.mark.parametrize("ops, addresses, message", [
@@ -512,8 +498,16 @@ def test_write_trace_rejects_out_of_range_address(tmp_path, address):
     # Before the file is opened, so an existing file keeps its bytes.
     p = tmp_path / "t.txt"
     p.write_bytes(b"R 0x40\n")
-    with pytest.raises(ValueError, match=r"outside 0\.\.2\*\*64-1"):
+    with pytest.raises(ValueError, match=r"^address at reference 1 is outside 0\.\.2\*\*64-1$"):
         write_trace(Trace(bytearray([0, 1]), [0x10, address]), p)
+    assert p.read_bytes() == b"R 0x40\n"
+    # check_references names the reference in a long trace too.
+    addresses = [0x40] * 20_000
+    for at in (1, 3, 500, 9_999, 19_999):
+        addresses[at] = address
+        with pytest.raises(ValueError, match=rf"^address at reference {at} is outside"):
+            write_trace(Trace(bytes(20_000), addresses), p)
+        addresses[at] = 0x40
     assert p.read_bytes() == b"R 0x40\n"
 
 
