@@ -237,7 +237,7 @@ class MarkovModel:
         return correct, near_misses
 
 
-# Per swappable kind, smallest first (`scoring.select_best` breaks score
+# Per swappable kind, smallest first (`controller.select_best` breaks score
 # ties in this order): constructor, the paper's storage bytes (hit count
 # and rate; three NxN matrices of 8 B values) and comparisons per hit check.
 _SWAPPABLE = {

@@ -21,10 +21,9 @@ from array import array
 from dataclasses import dataclass
 
 from .cache import Hierarchy, HierarchyConfig
-from .controller import ControllerConfig, SwapController
+from .controller import ControllerConfig, ScoreVector, SwapController
 from .metrics import IntervalRecord, ReuseHistogram
 from .phase import PhaseDetector, PhaseDetectorConfig
-from .scoring import ScoreVector
 from .trace import Trace, check_references
 
 
@@ -44,7 +43,7 @@ class RunResult:
     @property
     def scores(self) -> dict[int, dict[str, float]]:
         """Each score vector's distance from the ideal, and only that: the
-        choice first drops any kind more than `scoring.ACCURACY_GATE` below
+        choice first drops any kind more than `controller.ACCURACY_GATE` below
         the best accuracy (on `locality` seed 1 at a 64 B L1, markov4 scores
         0.222 and 0.142, yet markov8, at 0.413 and 0.395, is chosen)."""
         return {pid: {kind: vec.distance_from_ideal() for kind, vec in vectors.items()}

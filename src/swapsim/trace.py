@@ -260,6 +260,7 @@ def _format_columns(ops, addresses) -> str:
 
 # Each phase position in the spec list gets a disjoint 256 MiB address
 # region, so distinct phases never share working-set signature bits.
+# A layout past it raises ValueError; the README gives each kind's limit.
 _REGION_STRIDE = 1 << 28
 
 # L1 way size with the default geometry; aliased layouts place lines this
@@ -309,7 +310,12 @@ def _draw(rng: random.Random, n_lines: int, count: int, p_write: float) -> tuple
     return lines, writes
 
 
-# Each emitter yields its phase occurrence in blocks of at most `_BLOCK` references.
+# Each emitter checks its layout's span, then yields blocks of at most `_BLOCK` references.
+def _check_span(spec: SyntheticPhaseSpec, span: int) -> None:
+    """Raise ValueError if a layout `span` bytes long leaves `spec`'s region."""
+    if span > _REGION_STRIDE:
+        raise ValueError(f"a {spec.kind.value} working set of {spec.resolved_working_set} bytes"
+                         f" spans {span} bytes, past a phase's {_REGION_STRIDE}-byte region")
 
 
 def _emit_draws(spec: SyntheticPhaseSpec, base: int, rng: random.Random,
@@ -320,6 +326,7 @@ def _emit_draws(spec: SyntheticPhaseSpec, base: int, rng: random.Random,
     # still draws its line and op.
     n_lines = max(1, spec.resolved_working_set // 32)
     group = min(group, n_lines)
+    _check_span(spec, -(-n_lines // group) * _ALIAS_STRIDE)
     # words[k][j]: address of the k-th word of a burst on line j.
     words = [[base + (j // group) * _ALIAS_STRIDE + (j % group) * 32 + 8 * k
               for j in range(n_lines)] for k in range(burst)]
@@ -347,6 +354,7 @@ def _emit_sweeps(spec: SyntheticPhaseSpec, base: int, rng: random.Random,
     streams = size // run
     words = max(run, spec.resolved_working_set // streams // (8 * run) * run)
     stride = (8 * words + _ALIAS_STRIDE) & ~(_ALIAS_STRIDE - 1)
+    _check_span(spec, (streams - 1) * stride + 8 * words)
     block = _BLOCK - _BLOCK % size
     for start in range(0, spec.length, block):
         n = min(block, spec.length - start)

@@ -13,8 +13,8 @@ from collections import Counter
 import pytest
 
 from swapsim.cli import EXIT_OK, main
+from swapsim.controller import ScoreVector
 from swapsim.models import SWAP_KINDS
-from swapsim.scoring import ScoreVector
 from swapsim.trace import PhaseKind, SyntheticPhaseSpec, generate_trace, write_trace
 
 FAST = ["--interval-len", "2000", "--stable-min", "2"]

@@ -183,7 +183,7 @@ def test_size_and_complexity_accounting():
     small = CacheConfig(16 * 1024, 4, 64, 4)
     assert model_size_bytes(ModelKind.BASE, small) == 64 * 4 * 8
     assert model_hit_check_comparisons(ModelKind.BASE, small) == 8
-    # `scoring.select_best` breaks exact ties in SWAP_KINDS order, the smaller model first.
+    # `controller.select_best` breaks exact ties in SWAP_KINDS order, the smaller model first.
     assert SWAP_KINDS == tuple(sorted(SWAP_KINDS, key=lambda k: (
         model_size_bytes(k, DEFAULT_L1), model_hit_check_comparisons(k, DEFAULT_L1))))
 

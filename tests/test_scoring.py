@@ -4,8 +4,7 @@ import math
 import pytest
 
 from swapsim.cache import DEFAULT_L1
-from swapsim.models import ModelKind
-from swapsim.scoring import (
+from swapsim.controller import (
     ACCURACY_GATE,
     IDEAL_VECTOR,
     ScoreVector,
@@ -13,6 +12,7 @@ from swapsim.scoring import (
     score,
     select_best,
 )
+from swapsim.models import ModelKind
 
 
 def test_near_miss_ratio_paths():

@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from array import array
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,6 +23,7 @@ from swapsim.trace import (
     Trace,
     TraceFormatError,
     build_preset,
+    generate_blocks,
     generate_trace,
     preset_specs,
     read_blocks,
@@ -616,6 +618,82 @@ def test_marker_runs_after_every_phase_exactly_when_given():
     assert regions(generate_trace(specs, iterations=2)) == ([1] * 300 + [2] * 200) * 2
     assert regions(generate_trace(specs, iterations=2, marker_spec=marker)) == (
         [1] * 300 + [3] * 50 + [2] * 200 + [3] * 50) * 2
+
+
+MIB = 1 << 20
+# The largest working set of each kind whose layout fits a phase's 256 MiB
+# region. High-locality and random-access place 4 and 32 lines of 32 B in
+# each 4 KiB way, and a part line adds nothing. Vector-add's three arrays
+# of 11 184 640 words, each past the last starting on the next 4 KiB
+# boundary, would end 8 KiB past the region. The marker loops over words.
+LARGEST_FITTING = {
+    PhaseKind.HIGH_LOCALITY: 8 * MIB + 31,
+    PhaseKind.RANDOM_ACCESS: 64 * MIB + 31,
+    PhaseKind.VECTOR_ADD: 268_431_359,
+    PhaseKind.MARKER: 256 * MIB + 7,
+}
+
+
+@st.composite
+def specs_near_limits(draw):
+    kind = draw(st.sampled_from(PhaseKind))
+    limit = LARGEST_FITTING[kind]
+    working_set = draw(st.one_of(st.integers(0, 64 * 1024), st.integers(0, limit),
+                                 st.integers(limit - 4096, limit + 4096)))
+    return SyntheticPhaseSpec(kind, draw(st.integers(1, 3000)), draw(st.integers(0, 2**32)),
+                              working_set)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(specs_near_limits(), min_size=1, max_size=3),
+       iterations=st.integers(1, 2), marker_spec=st.none() | specs_near_limits())
+@example(specs=[SyntheticPhaseSpec(kind, 3000, seed=1, working_set_bytes=limit)
+                for kind, limit in LARGEST_FITTING.items()], iterations=1,
+         marker_spec=SyntheticPhaseSpec(PhaseKind.MARKER, 100, seed=2,
+                                        working_set_bytes=LARGEST_FITTING[PhaseKind.MARKER]))
+@example(specs=[SyntheticPhaseSpec(PhaseKind.MARKER, 100, seed=1),
+                SyntheticPhaseSpec(PhaseKind.HIGH_LOCALITY, 100, seed=1,
+                                   working_set_bytes=8 * MIB + 32)], iterations=1, marker_spec=None)
+def test_generated_phases_stay_in_their_regions(specs, iterations, marker_spec):
+    # Phase position i emits only into [(i + 1) * 2**28, (i + 2) * 2**28),
+    # and the marker only into the region after the last phase's. The first
+    # run of a spec past its kind's limit raises before it yields anything.
+    runs = []
+    for _ in range(iterations):
+        for i, spec in enumerate(specs):
+            runs.append((i + 1, spec))
+            if marker_spec is not None:
+                runs.append((len(specs) + 1, marker_spec))
+    want, past = [], False
+    for region, spec in runs:
+        if spec.resolved_working_set > LARGEST_FITTING[spec.kind]:
+            past = True
+            break
+        want += [region] * spec.length
+    got = []
+    with pytest.raises(ValueError, match="past a phase's") if past else nullcontext():
+        for _, addresses in generate_blocks(specs, iterations, marker_spec):
+            got += [a >> 28 for a in addresses]
+    assert got == want
+
+
+@pytest.mark.parametrize("kind", PhaseKind, ids=lambda k: k.value)
+def test_working_set_past_its_limit_raises_before_any_block(kind):
+    # The layout is checked before the emitter builds its per-line address
+    # table (41 MiB at high-locality's limit) and before its first block.
+    working_set = LARGEST_FITTING[kind] + 1
+    blocks = generate_blocks([SyntheticPhaseSpec(kind, 1000, seed=1,
+                                                 working_set_bytes=working_set)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                rf"^a {kind.value} working set of {working_set} bytes spans \d+ bytes,"
+                r" past a phase's 268435456-byte region$")):
+            next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MIB
 
 
 def test_phase_spec_validation():
