@@ -1,4 +1,4 @@
-"""Command-line entry point: `run`, `trace-gen`, and `report` subcommands.
+"""Command-line entry point: `run` and `trace-gen` subcommands.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
@@ -64,9 +64,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--synthetic", choices=PRESET_NAMES, required=True)
     gen.add_argument("--seed", type=int, default=1)
     gen.add_argument("--out", required=True)
-
-    rep = sub.add_parser("report", help="re-render CSV files from a prior run")
-    rep.add_argument("--run", required=True, help="output directory of a prior run")
     return p
 
 
@@ -144,57 +141,19 @@ def _result_to_report(result: RunResult) -> dict:
     }
 
 
-# The keys of a report's interval records and the columns of intervals.csv.
-_INTERVAL_FIELDS = [f.name for f in dataclasses.fields(IntervalRecord)]
-
-
-def _check_report(report) -> None:
-    """Raise ValueError unless `report` has every key and shape that
-    `_write_csvs` reads."""
-    def malformed(what):
-        return ValueError(f"malformed report.json: {what}")
-
-    if not isinstance(report, dict):
-        raise malformed("top level is not a JSON object")
-    intervals = report.get("intervals")
-    if not isinstance(intervals, list):
-        raise malformed("'intervals' is not a list")
-    for n, r in enumerate(intervals):
-        if not isinstance(r, dict) or not all(k in r for k in _INTERVAL_FIELDS):
-            raise malformed(f"intervals[{n}] lacks one of {', '.join(_INTERVAL_FIELDS)}")
-    for key in ("reuse", "base_reuse"):
-        data = report.get(key)
-        if not data:
-            continue
-        if not isinstance(data, dict):
-            raise malformed(f"{key!r} is not a JSON object")
-        for pid, hist in data.items():
-            try:
-                int(pid)
-            except ValueError:
-                raise malformed(f"{key}: phase id {pid!r} is not an integer") from None
-            if (not isinstance(hist, dict) or "cold" not in hist
-                    or not isinstance(hist.get("buckets"), list)
-                    or not all(isinstance(b, list) and len(b) == 2 for b in hist["buckets"])):
-                raise malformed(f"{key}[{pid!r}] needs 'cold' and 'buckets' of [distance, count] rows")
-
-
 def _write_csvs(report: dict, out: Path) -> None:
     with open(out / "intervals.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(_INTERVAL_FIELDS)
-        for r in report["intervals"]:
-            w.writerow(["" if r[k] is None else r[k] for k in _INTERVAL_FIELDS])
+        # A record's dict keeps its fields' order; csv writes None as "".
+        w.writerow(field.name for field in dataclasses.fields(IntervalRecord))
+        w.writerows(r.values() for r in report["intervals"])
 
     with open(out / "reuse.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["stream", "phase_id", "distance", "count"])
-        for stream_key in ("reuse", "base_reuse"):
-            data = report.get(stream_key)
-            if not data:
-                continue
-            stream = "model" if stream_key == "reuse" else "base"
-            for pid, hist in sorted(data.items(), key=lambda kv: int(kv[0])):
+        # Phase ids are in numeric order, as _reuse_report inserted them.
+        for stream, data in (("model", report["reuse"]), ("base", report["base_reuse"])):
+            for pid, hist in (data or {}).items():
                 w.writerow([stream, pid, "cold", hist["cold"]])
                 for distance, count in hist["buckets"]:
                     w.writerow([stream, pid, distance, count])
@@ -246,28 +205,13 @@ def _cmd_trace_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    run_dir = Path(args.run)
-    with open(run_dir / "report.json", "r", encoding="utf-8") as f:
-        try:
-            report = json.load(f)
-        except (ValueError, RecursionError) as e:
-            raise ValueError(f"malformed report.json: {e}") from None
-    _check_report(report)
-    _write_csvs(report, run_dir)
-    print(f"re-rendered CSV files in {run_dir}")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "trace-gen":
-            return _cmd_trace_gen(args)
-        return _cmd_report(args)
+        return _cmd_trace_gen(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -145,6 +145,12 @@ def _parse_columns(text: str) -> tuple[bytes, array] | None:
     return ops.translate(_OP_BYTES), array("Q", addresses)
 
 
+def _quoted(text: str) -> str:
+    """`text` quoted for an error message: its first 40 characters, with
+    `...` after the quote when it is longer."""
+    return repr(text[:40]) + "..." * (len(text) > 40)
+
+
 def _parse_lines(text: str, lineno: int) -> tuple[array, array]:
     """The `(ops, addresses)` of `text`, line `lineno` on, one line at a time."""
     ops = array("B")
@@ -155,18 +161,18 @@ def _parse_lines(text: str, lineno: int) -> tuple[array, array]:
             continue
         if len(parts) != 2:
             raise TraceFormatError(
-                f"line {lineno}: expected '<op> <address>', got {line.strip()!r}")
+                f"line {lineno}: expected '<op> <address>', got {_quoted(line.strip())}")
         op_s, addr_s = parts
         op = _OP_CODES.get(op_s)
         if op is None:
-            raise TraceFormatError(f"line {lineno}: invalid op code {op_s!r}")
+            raise TraceFormatError(f"line {lineno}: invalid op code {_quoted(op_s)}")
         try:
             # ASCII hex digits only, after an optional "0x"; "-" is out of range.
             if not (addr_s.isascii() and addr_s.lstrip("-").isalnum()):
                 raise ValueError
             addr = int(addr_s, 16)
         except ValueError:
-            raise TraceFormatError(f"line {lineno}: invalid address {addr_s!r}") from None
+            raise TraceFormatError(f"line {lineno}: invalid address {_quoted(addr_s)}") from None
         if addr_s[0] == "-" or addr >= 1 << 64:
             raise TraceFormatError(f"line {lineno}: address out of 64-bit range")
         ops.append(op)

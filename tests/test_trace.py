@@ -102,6 +102,10 @@ def test_empty_file_yields_nothing(tmp_path):
     assert list(read_blocks(p)) == []
 
 
+def quoted(text):
+    return repr(text[:40]) + "..." * (len(text) > 40)
+
+
 def per_line_load(path):
     """The line-at-a-time parser whose syntax, values and messages
     read_blocks keeps."""
@@ -113,11 +117,11 @@ def per_line_load(path):
                 continue
             if len(parts) != 2:
                 raise TraceFormatError(
-                    f"line {lineno}: expected '<op> <address>', got {line.strip()!r}")
+                    f"line {lineno}: expected '<op> <address>', got {quoted(line.strip())}")
             op_s, addr_s = parts
             op = {"R": 0, "W": 1}.get(op_s)
             if op is None:
-                raise TraceFormatError(f"line {lineno}: invalid op code {op_s!r}")
+                raise TraceFormatError(f"line {lineno}: invalid op code {quoted(op_s)}")
             # ASCII letters and digits, or a "-" that is out of range: int()
             # also takes "_", "+" and non-ASCII digits.
             try:
@@ -125,7 +129,7 @@ def per_line_load(path):
                     raise ValueError
                 addr = int(addr_s, 16)
             except ValueError:
-                raise TraceFormatError(f"line {lineno}: invalid address {addr_s!r}") from None
+                raise TraceFormatError(f"line {lineno}: invalid address {quoted(addr_s)}") from None
             if addr_s[0] == "-" or addr >= 1 << 64:
                 raise TraceFormatError(f"line {lineno}: address out of 64-bit range")
             ops.append(op)
@@ -138,6 +142,21 @@ def outcome(load, path):
         return load(path)
     except Exception as e:  # compared, type and message, with the other parser's
         return type(e), str(e)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("R 0x10 " * 300_000,
+     "line 2: expected '<op> <address>', got 'R 0x10 R 0x10 R 0x10 R 0x10 R 0x10 R 0x1'..."),
+    ("R " + "g" * 2_000_000, f"line 2: invalid address '{'g' * 40}'..."),
+], ids=["long-line", "long-address"])
+def test_long_bad_text_is_cut_in_the_message(tmp_path, capsys, line, message):
+    # A malformed line megabytes long is quoted by its first 40 characters.
+    p = tmp_path / "t.txt"
+    p.write_text(f"R 0x10\n{line}\nW 0x20\n")
+    assert main(["run", "--trace", str(p), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and len(err) < 100
+    assert outcome(per_line_load, p) == (TraceFormatError, message)
 
 
 # Characters str.split() treats as whitespace but a text file does not
