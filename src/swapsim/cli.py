@@ -33,13 +33,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# How a numeric config field is read, keyed by its annotation (a string,
-# under `from __future__ import annotations`): its flag type, the JSON
-# values it accepts and their name. bool is an int subclass, so it is
-# rejected separately.
-_NUMBER_FIELDS = {"int": (int, (int,), "an integer"), "float": (float, (int, float), "a number")}
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="swapsim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -55,10 +48,9 @@ def _build_parser() -> _Parser:
     run.add_argument("--validate", action="store_true",
                      help="run a detailed hierarchy in lockstep, in the same thread, as ground truth")
     run.add_argument("--out", default="swapsim-out", help="output directory")
-    run.add_argument("--config", help="JSON config file (flags win)")
-    for f in dataclasses.fields(PhaseDetectorConfig):
-        run.add_argument("--" + f.name.replace("_", "-"), type=_NUMBER_FIELDS[f.type][0],
-                         default=None)
+    run.add_argument("--interval-len", type=int, default=PhaseDetectorConfig.interval_len)
+    run.add_argument("--stable-min", type=int, default=PhaseDetectorConfig.stable_min)
+    run.add_argument("--config", help="JSON config file of hierarchy settings")
 
     gen = sub.add_parser("trace-gen", help="write a synthetic trace file")
     gen.add_argument("--synthetic", choices=PRESET_NAMES, required=True)
@@ -72,40 +64,31 @@ class _ConfigFile:
     """The sections a --config file may have."""
 
     hierarchy: HierarchyConfig = HierarchyConfig()
-    detector: PhaseDetectorConfig = PhaseDetectorConfig()
 
 
-def _section(value, default, flags: dict, prefix: str = ""):
+def _section(value, default, prefix: str = ""):
     """Return the dataclass `default` with the keys of the config section
-    `value` put in, then each entry of `flags` whose key is `prefix` plus
-    a field name. A field holding a dataclass is a nested section, whose
-    keys left out keep their defaults. Raise ValueError naming the section
-    or `section.key` when `value` is not a JSON object, has a key that is
-    not a field, or gives an `int` or `float` field a value of another
-    type."""
+    `value` put in. A field holding a dataclass is a nested section, whose
+    keys left out keep their defaults; every other field is an `int`.
+    Raise ValueError naming the section or `section.key` when `value` is
+    not a JSON object, has a key that is not a field, or gives a field a
+    value that is not a JSON integer."""
     where = prefix[:-1] or "top level"
     if not isinstance(value, dict):
         raise ValueError(f"config {where} must be a JSON object, not {type(value).__name__}")
-    fields = dataclasses.fields(default)
-    unknown = sorted(set(value) - {f.name for f in fields})
+    unknown = sorted(set(value) - {f.name for f in dataclasses.fields(default)})
     if unknown:
         raise ValueError(f"unknown {where} key(s) in config: {', '.join(unknown)}")
     changes = {}
-    for f in fields:
-        key = prefix + f.name
-        current = getattr(default, f.name)
+    for name, v in value.items():
+        key = prefix + name
+        current = getattr(default, name)
         if dataclasses.is_dataclass(current):
-            changes[f.name] = _section(value.get(f.name, {}), current, flags, key + ".")
-            continue
-        if f.name in value:
-            v = value[f.name]
-            if f.type in _NUMBER_FIELDS:
-                _, accepted, name = _NUMBER_FIELDS[f.type]
-                if isinstance(v, bool) or not isinstance(v, accepted):
-                    raise ValueError(f"config {key} must be {name}, not {type(v).__name__}")
-            changes[f.name] = v
-        if key in flags:
-            changes[f.name] = flags[key]
+            v = _section(v, current, key + ".")
+        # bool is an int subclass, but `true` is not an integer.
+        elif isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"config {key} must be an integer, not {type(v).__name__}")
+        changes[name] = v
     return dataclasses.replace(default, **changes)
 
 
@@ -160,16 +143,13 @@ def _write_csvs(report: dict, out: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    # Each detector flag's dest is its field name; a flag wins over the file.
-    flags = {f"detector.{f.name}": getattr(args, f.name)
-             for f in dataclasses.fields(PhaseDetectorConfig)
-             if getattr(args, f.name) is not None}
     try:
         file_cfg = {}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as f:
                 file_cfg = json.load(f)
-        cfg = _section(file_cfg, _ConfigFile(), flags)
+        cfg = _section(file_cfg, _ConfigFile())
+        det_cfg = PhaseDetectorConfig(interval_len=args.interval_len, stable_min=args.stable_min)
         ctrl_cfg = _controller_config(args)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise UsageError(f"config file {args.config} is not valid JSON: {e}") from None
@@ -185,7 +165,7 @@ def _cmd_run(args) -> int:
     blocks = (read_blocks(args.trace) if args.trace
               else generate_blocks(*preset_specs(args.synthetic, args.seed)))
     # Streamed: a malformed line stops the run before anything is written.
-    result = Runner(hierarchy_config=cfg.hierarchy, detector_config=cfg.detector,
+    result = Runner(hierarchy_config=cfg.hierarchy, detector_config=det_cfg,
                     controller_config=ctrl_cfg, seed=args.seed,
                     validate=args.validate).run(blocks)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,7 +198,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,9 +21,12 @@ from operator import or_
 _LANE = b"\xff" * 8 + b"\x00" * 8
 _SWAP = sys.byteorder == "big"  # lanes are read as little-endian bytes
 
-# A signature is an int of up to sig_len bits: 2 MiB at 2**24 bits, while
-# 2**32 bits already run out of memory in signature_diff.
-MAX_SIG_LEN = 1 << 24
+# Two signatures are similar below THRESHOLD, by signature_diff. Each
+# distinct address, its low DROP_BITS dropped (one 8-byte word), sets one
+# of the 2**SIG_BITS (1024) signature bits.
+THRESHOLD = 0.5
+SIG_BITS = 10
+DROP_BITS = 3
 
 # An interval longer than 2 * SAMPLE_REFS is hashed from SAMPLE_RUNS runs of
 # SAMPLE_REFS // SAMPLE_RUNS contiguous references, spread evenly over it.
@@ -35,23 +38,12 @@ SAMPLE_RUNS = 16
 
 @dataclass(frozen=True)
 class PhaseDetectorConfig:
-    threshold: float = 0.5
     interval_len: int = 10_000
-    sig_len: int = 1024
-    drop_bits: int = 3
     stable_min: int = 5
 
     def __post_init__(self):
-        if not (0 < self.threshold <= 1):
-            raise ValueError("threshold must be in (0, 1]")
         if self.interval_len <= 0:
             raise ValueError("interval_len must be positive")
-        if self.sig_len <= 0 or (self.sig_len & (self.sig_len - 1)) != 0:
-            raise ValueError("sig_len must be a power of two")
-        if self.sig_len > MAX_SIG_LEN:
-            raise ValueError("sig_len must be at most 2**24")
-        if self.drop_bits < 0:
-            raise ValueError("drop_bits must be nonnegative")
         if self.stable_min < 1:
             raise ValueError("stable_min must be >= 1")
 
@@ -71,10 +63,10 @@ def _sample(addresses) -> set:
     return sample
 
 
-def interval_signature(addresses, config: PhaseDetectorConfig) -> int:
+def interval_signature(addresses) -> int:
     """OR of one bit per distinct 64-bit address of the interval's sample
-    (see SAMPLE_REFS): the top log2(sig_len) bits of its SplitMix64
-    finalizer hash, its low drop_bits dropped.
+    (see SAMPLE_REFS): the top SIG_BITS bits of its SplitMix64 finalizer
+    hash, its low DROP_BITS dropped.
 
     The distinct addresses are hashed all at once, each in its own 128-bit
     lane of one int. A lane value below 2**64 times a 64-bit constant stays
@@ -87,17 +79,15 @@ def interval_signature(addresses, config: PhaseDetectorConfig) -> int:
     if _SWAP:
         lanes.byteswap()
     m = int.from_bytes(_LANE * n, "little")
-    # A shift past 64 would pull the next lane's value into this one; any
-    # 64-bit address shifted that far is 0 anyway.
-    x = int.from_bytes(lanes, "little") >> min(config.drop_bits, 64) & m
+    x = int.from_bytes(lanes, "little") >> DROP_BITS & m
     x ^= x >> 30 & m
     x = x * 0xBF58476D1CE4E5B9 & m
     x ^= x >> 27 & m
     # The finalizer's last step, x ^= x >> 31, leaves the top 31 bits as
-    # they are, and a signature reads at most 24 of them. Shifted down,
-    # they land in the low half of their lane; the high half, which takes
-    # the next lane's low bits, is not read.
-    x = (x * 0x94D049BB133111EB & m) >> 64 - (config.sig_len.bit_length() - 1)
+    # they are, and a signature reads the top SIG_BITS of them. Shifted
+    # down, they land in the low half of their lane; the high half, which
+    # takes the next lane's low bits, is not read.
+    x = (x * 0x94D049BB133111EB & m) >> 64 - SIG_BITS
     lanes = array("Q", x.to_bytes(16 * n, "little"))
     if _SWAP:
         lanes.byteswap()
@@ -126,12 +116,12 @@ class PhaseDetector:
         self._phase = -1
 
     def _similar(self, a: int, b: int) -> bool:
-        return signature_diff(a, b) < self.config.threshold
+        return signature_diff(a, b) < THRESHOLD
 
     def observe_interval(self, addresses) -> int:
         """Close one full interval given its addresses; returns its phase
         id, -1 for an unstable, unclassified interval."""
-        sig = interval_signature(addresses, self.config)
+        sig = interval_signature(addresses)
         if self._similar(sig, self._last_sig):
             self._stable += 1
             if self._stable >= self.config.stable_min and self._phase == -1:

@@ -128,7 +128,8 @@ class Runner:
             chosen=chosen,
             score_vectors=score_vectors,
             reuse=self.hierarchy.reuse or {},
-            base_reuse=self.val_hier.reuse if self.val_hier is not None else None,
+            # Like base_totals, None only when the run is not validated.
+            base_reuse=(self.val_hier.reuse or {}) if self.val_hier is not None else None,
         )
 
     def _step(self, ops, addresses) -> None:

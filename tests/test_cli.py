@@ -220,24 +220,15 @@ def test_csvs_render_report_json(tmp_path):
     assert rows("reuse.csv") == want
 
 
-def test_config_file_with_flag_override(trace_file, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"detector": {"interval_len": 4000, "stable_min": 2},
-                               "hierarchy": {"memory_latency": 300}}))
-    out = tmp_path / "out"
-    code = run_cli("run", "--trace", trace_file, "--seed", "1",
-                   "--config", str(cfg), "--interval-len", "2000", "--out", str(out))
-    assert code == EXIT_OK
-    report = json.loads((out / "report.json").read_text())
-    assert report["interval_len"] == 2000  # the flag wins over the file
-
-
 def test_usage_error_on_unknown_detector_key(trace_file, tmp_path, capsys):
+    # The detector is set by its two flags only; a config file holds the
+    # hierarchy alone.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"detector": {"interval_length": 4000}}))
+    cfg.write_text(json.dumps({"detector": {"interval_len": 4000}}))
     code = run_cli("run", "--trace", trace_file, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
-    assert "usage error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "usage error: unknown top level key(s) in config: detector\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag", ["--interval-len", "--train-intervals"])
@@ -266,12 +257,15 @@ def test_report_is_not_a_command(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
-def test_usage_error_on_oversized_sig_len(capsys):
-    # Rejected by the config check before any interval runs.
-    for sig_len in (2**65, 2**32):
-        code = run_cli("run", "--synthetic", "locality", "--sig-len", str(sig_len))
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("usage error:")
+@pytest.mark.parametrize("flag, value", [("--threshold", "0.4"), ("--sig-len", "1024"),
+                                         ("--drop-bits", "3")])
+def test_signature_constants_are_not_flags(tmp_path, capsys, flag, value):
+    # phase.THRESHOLD, SIG_BITS and DROP_BITS are constants; no flag sets them.
+    code = run_cli("run", "--synthetic", "locality", flag, value, "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_usage_error_on_cache_with_too_many_sets(tmp_path, capsys):
@@ -320,23 +314,23 @@ def test_readme_imports_resolve():
         exec(line, {})
 
 
+def test_readme_flags_are_options():
+    # Every flag the README's CLI section names is an option of a subcommand.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    options = {o for sub in commands.values() for o in sub._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert {"--interval-len", "--stable-min", "--config", "--train-intervals"} <= named
+    assert named <= options, sorted(named - options)
+
+
 def test_config_section_keeps_defaults():
     cfg = _section({"hierarchy": {"l1": {"hit_latency": 2}, "memory_latency": 300}},
-                   _ConfigFile(), {})
+                   _ConfigFile())
     assert cfg.hierarchy.l1 == dataclasses.replace(DEFAULT_L1, hit_latency=2)
     assert cfg.hierarchy.l2 == DEFAULT_L2
     assert cfg.hierarchy.memory_latency == 300
-    assert cfg.detector == PhaseDetectorConfig()
-
-
-@pytest.mark.parametrize("interval_len, code", [(0, EXIT_OK), (2.5, EXIT_USAGE)])
-def test_flag_wins_over_checked_file_value(trace_file, tmp_path, interval_len, code):
-    # The flag is merged in before the detector config is built, so a file
-    # value it overrides need not be valid; it must still have its type.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"detector": {"interval_len": interval_len}}))
-    assert run_cli("run", "--trace", trace_file, "--config", str(cfg),
-                   "--out", str(tmp_path / "o"), *FAST) == code
 
 
 def test_detector_flags_match_fields():
@@ -378,11 +372,11 @@ def test_usage_error_on_invalid_json_config(trace_file, tmp_path, capsys, text):
     ({"hierarchy": {"assoc": 4}}, "hierarchy"),
     ({"hierarchy": {"l2": {"assoc": 4}}}, "hierarchy.l2"),
     ({"hierarchie": {}}, "top level"),
-    ({"detector": {"interval_len": 2.5}}, "detector.interval_len"),
+    ({"hierarchy": {"l2": {"associativity": 2.5}}}, "hierarchy.l2.associativity"),
     ({"hierarchy": {"l1": {"total_bytes": "x"}}}, "hierarchy.l1.total_bytes"),
-    ({"detector": {"threshold": "a"}}, "detector.threshold"),
+    ({"hierarchy": {"l3": {"hit_latency": "a"}}}, "hierarchy.l3.hit_latency"),
     ({"hierarchy": {"memory_latency": "9"}}, "hierarchy.memory_latency"),
-    ({"detector": {"interval_len": True}}, "detector.interval_len"),
+    ({"hierarchy": {"l1": {"line_bytes": True}}}, "hierarchy.l1.line_bytes"),
 ])
 def test_usage_error_on_malformed_config(trace_file, tmp_path, capsys, cfg, section):
     path = tmp_path / "cfg.json"

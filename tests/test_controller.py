@@ -20,7 +20,7 @@ def train_accesses(ctrl, phase_id, n=50, base=0x1000):
 
 
 def run_labeled(ctrl, phase_id, n=50, base=0x1000):
-    """One interval in the order Runner.step takes: run it under its label,
+    """One interval in the order Runner.run takes: run it under its label,
     then close it with its record (counters zero: the controller reads
     none). Returns the directive it ran under, which closing it leaves in
     place."""

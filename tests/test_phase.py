@@ -23,40 +23,38 @@ def bits(*idx):
     return v
 
 
-def test_splitmix64_reference_vector():
+def test_splitmix64_reference_vector(monkeypatch):
     # First output of the published SplitMix64 sequence from seed 0: the
-    # finalizer applied to seed + 0x9E3779B97F4A7C15. With drop_bits 0 the
-    # widest signature sets the bit named by the top 24 bits of the hash.
-    cfg = PhaseDetectorConfig(sig_len=2**24, drop_bits=0)
-    assert interval_signature([0x9E3779B97F4A7C15], cfg) == bits(0xE220A8)
-    assert interval_signature([0], cfg) == bits(0)
-    assert interval_signature([1], cfg) == bits(0x569216)
+    # finalizer applied to seed + 0x9E3779B97F4A7C15. With no bits dropped
+    # a 2**24-bit signature sets the bit named by the top 24 bits of the hash.
+    monkeypatch.setattr(phase, "SIG_BITS", 24)
+    monkeypatch.setattr(phase, "DROP_BITS", 0)
+    assert interval_signature([0x9E3779B97F4A7C15]) == bits(0xE220A8)
+    assert interval_signature([0]) == bits(0)
+    assert interval_signature([1]) == bits(0x569216)
     # Both in one interval: each address hashes in its own lane.
-    assert interval_signature([1, 0x9E3779B97F4A7C15], cfg) == bits(0x569216, 0xE220A8)
+    assert interval_signature([1, 0x9E3779B97F4A7C15]) == bits(0x569216, 0xE220A8)
 
 
 def test_hash_address_golden_values():
     # One address sets one signature bit.
-    cfg = PhaseDetectorConfig()
-    assert interval_signature([0x0], cfg) == bits(0)
-    assert interval_signature([0x8], cfg) == bits(346)
-    assert interval_signature([0x7FFF0040], cfg) == bits(165)
-    assert interval_signature([0xDEADBEEF], cfg) == bits(167)
+    assert interval_signature([0x0]) == bits(0)
+    assert interval_signature([0x8]) == bits(346)
+    assert interval_signature([0x7FFF0040]) == bits(165)
+    assert interval_signature([0xDEADBEEF]) == bits(167)
 
 
 def test_hash_address_range_and_granularity():
-    cfg = PhaseDetectorConfig()
     for a in range(0, 4096, 64):
-        sig = interval_signature([a], cfg)
-        assert sig.bit_count() == 1 and sig < 1 << cfg.sig_len
-    # drop_bits=3 makes all addresses within one 8-byte word collide
-    assert interval_signature([0x100, 0x107], cfg) == interval_signature([0x100], cfg)
+        sig = interval_signature([a])
+        assert sig.bit_count() == 1 and sig < 1 << 2**phase.SIG_BITS
+    # DROP_BITS=3 makes all addresses within one 8-byte word collide
+    assert interval_signature([0x100, 0x107]) == interval_signature([0x100])
 
 
 def test_hash_avalanche():
     # Neighboring granules should scatter across the signature.
-    cfg = PhaseDetectorConfig()
-    assert interval_signature(range(0, 8 * 500, 8), cfg).bit_count() > 300
+    assert interval_signature(range(0, 8 * 500, 8)).bit_count() > 300
 
 
 def test_signature_diff_examples():
@@ -80,19 +78,9 @@ def test_signature_diff_properties():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PhaseDetectorConfig(threshold=0.0)
-    with pytest.raises(ValueError):
-        PhaseDetectorConfig(sig_len=1000)
-    with pytest.raises(ValueError):
-        PhaseDetectorConfig(sig_len=2**65)  # wider than the 64-bit hash
-    with pytest.raises(ValueError, match=r"2\*\*24"):
-        PhaseDetectorConfig(sig_len=2**25)  # too wide to diff in memory
-    with pytest.raises(ValueError):
         PhaseDetectorConfig(interval_len=0)
     with pytest.raises(ValueError):
         PhaseDetectorConfig(stable_min=0)
-    with pytest.raises(ValueError):
-        PhaseDetectorConfig(drop_bits=-1)
 
 
 def loop_addresses(n, base=0x1000, words=64):
@@ -174,11 +162,11 @@ def test_observe_matches_hash_address():
     assert det._last_sig == bits(165, 167, 346, 0)
 
 
-def exact_signature(addresses, config):
+def exact_signature(addresses):
     """The signature of every reference: the OR of the signatures of
     chunks short enough to be hashed whole."""
     chunk = 2 * SAMPLE_REFS
-    return reduce(or_, (interval_signature(addresses[k:k + chunk], config)
+    return reduce(or_, (interval_signature(addresses[k:k + chunk])
                         for k in range(0, len(addresses), chunk)), 0)
 
 
@@ -192,7 +180,7 @@ def detect(trace, signature, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(phase, "interval_signature", signature)
         labels = [det.observe_interval(i) for i in intervals]
-    return labels, [signature(i, det.config) for i in intervals], len(det.table)
+    return labels, [signature(i) for i in intervals], len(det.table)
 
 
 def distances(sigs):
@@ -214,9 +202,8 @@ def test_sampling_survives_misaligned_phases(seed, monkeypatch):
     sampled, _, sampled_phases = detect(trace, interval_signature, monkeypatch)
     assert len(exact) == 79
     assert sampled_phases == exact_phases
-    threshold = PhaseDetectorConfig().threshold
     for d, e, s in zip(distances(exact_sigs), exact, sampled):
-        assert e == s or abs(d - threshold) <= 0.1
+        assert e == s or abs(d - phase.THRESHOLD) <= 0.1
 
 
 @pytest.mark.parametrize("preset", ["meabo3-small", "locality"])
@@ -229,9 +216,8 @@ def test_sampled_signature_keeps_its_margin(preset, seed, monkeypatch):
     exact, exact_sigs, _ = detect(trace, exact_signature, monkeypatch)
     sampled, sampled_sigs, _ = detect(trace, interval_signature, monkeypatch)
     assert sampled == exact
-    threshold = PhaseDetectorConfig().threshold
     for e, s in zip(distances(exact_sigs), distances(sampled_sigs)):
-        assert e >= threshold or s <= 0.25
+        assert e >= phase.THRESHOLD or s <= 0.25
 
 
 def test_sampled_detector_catalogs_no_churn_phase(monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swapsim import phase
 from swapsim.cache import DEFAULT_L1, CacheConfig, Hierarchy, HierarchyConfig, SetAssociativeCache
 from swapsim.controller import ControllerConfig, PhaseModelState, SwapController
 from swapsim.metrics import REUSE_CAP, IntervalRecord, ReuseDistanceTracker
@@ -326,48 +327,51 @@ def test_splitmix64_oracle_reference_vector():
     assert splitmix64(1) == 0x5692161D100B05E5
 
 
-# drop_bits beyond 64 and the top of the address range check that no lane
-# of the whole-interval hash leaks into its neighbour.
+# A DROP_BITS of 64, which drops every bit, and the top of the address
+# range check that no lane of the whole-interval hash leaks into its
+# neighbour.
 @settings(max_examples=100, deadline=None)
 @given(addrs=st.lists(st.integers(0, 2**64 - 1), max_size=200),
-       sig_len=st.sampled_from([1, 2, 64, 1024, 2**16]),
-       drop_bits=st.integers(0, 130),
+       sig_bits=st.sampled_from([0, 1, 6, 10, 16]),
+       drop_bits=st.integers(0, 64),
        packed=st.booleans())
-@example(addrs=[], sig_len=1024, drop_bits=3, packed=True)
-@example(addrs=[1, 2**64 - 1], sig_len=1024, drop_bits=65, packed=False)
-@example(addrs=[2**64 - 1, 2**63, 5], sig_len=2**16, drop_bits=0, packed=True)
-def test_interval_signature_is_or_of_hashes(addrs, sig_len, drop_bits, packed):
-    cfg = PhaseDetectorConfig(interval_len=max(1, len(addrs)), sig_len=sig_len,
-                              drop_bits=drop_bits)
-    shift = 64 - (sig_len.bit_length() - 1)
+@example(addrs=[], sig_bits=10, drop_bits=3, packed=True)
+@example(addrs=[1, 2**64 - 1], sig_bits=10, drop_bits=64, packed=False)
+@example(addrs=[2**64 - 1, 2**63, 5], sig_bits=16, drop_bits=0, packed=True)
+def test_interval_signature_is_or_of_hashes(addrs, sig_bits, drop_bits, packed):
     expected = 0
     for a in addrs:
-        expected |= 1 << (splitmix64(a >> drop_bits) >> shift)
+        expected |= 1 << (splitmix64(a >> drop_bits) >> 64 - sig_bits)
     # run_simulation passes each interval as an array("Q") slice.
     interval = array("Q", addrs) if packed else addrs
-    assert interval_signature(interval, cfg) == expected
-    det = PhaseDetector(cfg)
-    det.observe_interval(interval)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(phase, "SIG_BITS", sig_bits)
+        m.setattr(phase, "DROP_BITS", drop_bits)
+        assert interval_signature(interval) == expected
+        det = PhaseDetector(PhaseDetectorConfig(interval_len=max(1, len(addrs))))
+        det.observe_interval(interval)
     assert det._last_sig == expected
 
 
 @pytest.mark.parametrize("n", [5_001, 10_000, 10_007])
 @pytest.mark.parametrize("packed", [False, True])
-def test_long_interval_signature_hashes_only_its_sample(n, packed):
+def test_long_interval_signature_hashes_only_its_sample(n, packed, monkeypatch):
     # Above 2 * SAMPLE_REFS references, only SAMPLE_RUNS runs of
     # SAMPLE_REFS // SAMPLE_RUNS references, one every n // SAMPLE_RUNS,
-    # set bits. A 2**24-bit signature shows any address hashed outside them.
+    # set bits. A 2**24-bit signature shows any address hashed outside
+    # them; the default 1024 bits fill up at about 2 500 random addresses.
     assert n > 2 * SAMPLE_REFS
     rng = random.Random(n)
     addrs = [rng.getrandbits(64) for _ in range(n + 6)]
-    cfg = PhaseDetectorConfig(sig_len=2**24, drop_bits=0)
+    monkeypatch.setattr(phase, "SIG_BITS", 24)
+    monkeypatch.setattr(phase, "DROP_BITS", 0)
     run, step = SAMPLE_REFS // SAMPLE_RUNS, n // SAMPLE_RUNS
     expected = 0
     for start in range(0, SAMPLE_RUNS * step, step):
         for a in addrs[3 + start:3 + start + run]:
             expected |= 1 << (splitmix64(a) >> 40)
     interval = array("Q", addrs)[3:3 + n] if packed else addrs[3:3 + n]
-    assert interval_signature(interval, cfg) == expected
+    assert interval_signature(interval) == expected
 
 
 # (sets, ways, line_bytes), 1-set and 1-way caches included.

@@ -91,6 +91,17 @@ def test_no_validation_no_accuracy():
     assert all(rec.accuracy is None for rec in r.intervals)
 
 
+@pytest.mark.parametrize("validate", [False, True])
+def test_base_reuse_is_none_only_without_validation(validate):
+    # Like base_totals, base_reuse is None exactly when the run is not
+    # validated, whether or not reuse distances are collected.
+    tr = small_trace()
+    r = run_simulation(tr, detector_config=FAST, seed=5, validate=validate, collect_reuse=False)
+    assert r.reuse == {}
+    assert r.base_reuse == ({} if validate else None)
+    assert (r.base_reuse is None) == (r.base_totals is None)
+
+
 def test_swapped_fraction_and_phase_grouping():
     tr = small_trace()
     r = run_simulation(tr, detector_config=FAST, seed=5)
