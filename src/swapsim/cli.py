@@ -17,7 +17,7 @@ from .metrics import IntervalRecord, per_phase_accuracy
 from .models import SWAP_KINDS, ModelKind
 from .phase import PhaseDetectorConfig
 from .sim import Runner, RunResult
-from .trace import PRESET_NAMES, generate_blocks, preset_specs, read_blocks, write_preset
+from .trace import PRESET_NAMES, generate_blocks, preset_specs, read_blocks, write_blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,6 +29,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # Each flag has one spelling: `--valid` is not `--validate`.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -54,7 +58,7 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("trace-gen", help="write a synthetic trace file")
     gen.add_argument("--synthetic", choices=PRESET_NAMES, required=True)
-    gen.add_argument("--seed", type=int, default=1)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     return p
 
@@ -180,7 +184,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace_gen(args) -> int:
-    refs = write_preset(args.synthetic, args.seed, args.out)
+    refs = write_blocks(generate_blocks(*preset_specs(args.synthetic, args.seed)), args.out)
     print(f"wrote {args.out} ({refs} references)")
     return EXIT_OK
 

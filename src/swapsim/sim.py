@@ -86,28 +86,24 @@ class Runner:
     def run(self, blocks) -> RunResult:
         """Check each block of the trace, cut the blocks into intervals of
         `interval_len` references and run each, then any shorter rest;
-        return the result. An interval within a block is a slice of it;
-        only one that spans blocks is copied, so the run holds one block
-        plus less than one interval."""
+        return the result. An interval within a block is a slice of it. A
+        block that arrives while an interval is pending is joined to it, so
+        a streamed run holds a block, its joined copy and less than one
+        interval; blocks much shorter than an interval each copy the
+        pending part again."""
         n = self.interval_len
         # The start of an interval that the next block completes.
-        rest_ops, rest = array("B"), array("Q")
+        rest_ops, rest = b"", array("Q")
         offset = 0
         for ops, addresses in blocks:
             addresses = check_references(ops, addresses, offset)
             offset += len(addresses)
-            start = 0
             if rest:
-                start = n - len(rest)
-                rest_ops.frombytes(bytes(ops[:start]))
-                rest += addresses[:start]
-                if len(rest) < n:
-                    continue
-                self._step(rest_ops, rest)
-            end = len(addresses) - (len(addresses) - start) % n
-            for i in range(start, end, n):
+                ops, addresses = rest_ops + bytes(ops), rest + addresses
+            end = len(addresses) - len(addresses) % n
+            for i in range(0, end, n):
                 self._step(ops[i:i + n], addresses[i:i + n])
-            rest_ops, rest = array("B", bytes(ops[end:])), addresses[end:]
+            rest_ops, rest = bytes(ops[end:]), addresses[end:]
         if rest:
             self._step(rest_ops, rest)
 

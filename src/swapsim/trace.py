@@ -83,7 +83,7 @@ _OP_CODES = {"R": 0, "W": 1}
 _OP_BYTES = bytes.maketrans(b"RW", b"\x00\x01")
 
 # References generated or written at a time. This bounds the temporaries
-# of generation and of write_trace, whatever the trace length.
+# of generation and of write_blocks, whatever the trace length or block size.
 _BLOCK = 8192
 
 # Characters read from a trace file at a time. This bounds the parser's
@@ -209,27 +209,28 @@ def check_references(ops, addresses, offset: int = 0) -> array:
 
 
 def write_trace(trace: Trace, path) -> None:
-    """Write `trace` as a trace file, one `_BLOCK` of lines at a time. A
-    trace that check_references rejects raises ValueError before the file
-    is opened."""
-    ops = trace.ops
-    addresses = check_references(ops, trace.addresses)
-    _write_blocks(((ops[start:start + _BLOCK], addresses[start:start + _BLOCK])
-                   for start in range(0, len(ops), _BLOCK)), path)
+    """Write `trace` as a trace file. A trace that check_references rejects
+    raises ValueError before the file is opened."""
+    write_blocks([(trace.ops, check_references(trace.ops, trace.addresses))], path)
 
 
-def _write_blocks(blocks, path) -> int:
-    """Write the `(ops, addresses)` blocks, in order, as a trace file;
-    return the number of references written. A block whose addresses all
-    have one hex width is built by column, any other with one C-level `%`
-    format; both write `%#x`'s bytes, so the text does not depend on where
-    the blocks end. The file is opened before the first block is taken, so
-    a bad path fails before a generator makes any."""
+def write_blocks(blocks, path) -> int:
+    """Write the `(ops, addresses)` blocks as a trace file, the inverse of
+    read_blocks, and return the number of references. Each block is
+    checked as Runner.run checks it: a bad reference raises ValueError
+    naming its index in the stream, once the blocks before it are written.
+    Each `_BLOCK` of references is built by column when its addresses have
+    one hex width, else by one C-level `%` format; both write `%#x`'s
+    bytes, wherever the blocks end. The file is opened before the first
+    block is taken, so a bad path fails before a generator makes any."""
     n = 0
     with open(path, "w", encoding="utf-8") as f:
         for ops, addresses in blocks:
-            f.write(_format_columns(ops, addresses)
-                    or "".join(map(_LINE_FORMATS.__getitem__, ops)) % tuple(addresses))
+            addresses = check_references(ops, addresses, n)
+            for i in range(0, len(ops), _BLOCK):
+                o, a = ops[i:i + _BLOCK], addresses[i:i + _BLOCK]
+                f.write(_format_columns(o, a)
+                        or "".join(map(_LINE_FORMATS.__getitem__, o)) % tuple(a))
             n += len(ops)
     return n
 
@@ -444,7 +445,7 @@ PRESET_NAMES = tuple(_PRESETS)
 _PRESET_KINDS = (PhaseKind.HIGH_LOCALITY, PhaseKind.VECTOR_ADD, PhaseKind.RANDOM_ACCESS)
 
 
-def preset_specs(name: str, seed: int = 1) -> tuple[list[SyntheticPhaseSpec], int, SyntheticPhaseSpec]:
+def preset_specs(name: str, seed: int) -> tuple[list[SyntheticPhaseSpec], int, SyntheticPhaseSpec]:
     """Return (phases, iterations, marker_spec) for a named preset.
 
     `meabo3` mirrors the three-computational-phase benchmark layout: high
@@ -461,14 +462,7 @@ def preset_specs(name: str, seed: int = 1) -> tuple[list[SyntheticPhaseSpec], in
     return phases, iterations, SyntheticPhaseSpec(PhaseKind.MARKER, marker_len, seed * 1000 + 4)
 
 
-def build_preset(name: str, seed: int = 1) -> Trace:
+def build_preset(name: str, seed: int) -> Trace:
     phases, iterations, marker = preset_specs(name, seed)
     return generate_trace(phases, iterations=iterations, marker_spec=marker)
 
-
-def write_preset(name: str, seed: int, path) -> int:
-    """Write preset `name` as a trace file, each block as it is generated,
-    and return the number of references; it holds one block, not the
-    trace. A bad path fails before anything is generated."""
-    phases, iterations, marker = preset_specs(name, seed)
-    return _write_blocks(generate_blocks(phases, iterations, marker), path)

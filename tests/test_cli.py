@@ -135,6 +135,19 @@ def test_trace_gen_bad_out_fails_before_generating(tmp_path, monkeypatch, capsys
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+def test_default_seed_trace_gen_round_trip(tmp_path, monkeypatch):
+    # With no --seed anywhere, `run --trace` of the file `trace-gen` wrote
+    # writes what `run --synthetic` writes: both take one default seed. A
+    # shorter locality keeps its seeding.
+    monkeypatch.setitem(swapsim.trace._PRESETS, "locality", (6_000, 12_000, 0, 2_002, 1))
+    path = tmp_path / "t.txt"
+    assert run_cli("trace-gen", "--synthetic", "locality", "--out", str(path)) == EXIT_OK
+    assert run_cli("run", "--trace", str(path), *FAST, "--out", str(tmp_path / "t")) == EXIT_OK
+    assert run_cli("run", "--synthetic", "locality", *FAST, "--out", str(tmp_path / "s")) == EXIT_OK
+    for name in ("report.json", "intervals.csv", "reuse.csv"):
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "t" / name).read_bytes()
+
+
 def test_synthetic_run_matches_run_of_its_trace_file(tmp_path, monkeypatch):
     # `run --synthetic` streams generated intervals; `run --trace` parses
     # the file `trace-gen` writes of the same preset. 2 * 20 004
@@ -266,6 +279,19 @@ def test_signature_constants_are_not_flags(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and flag in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["--interval", "0"], ["--valid"], ["--stable", "5"]])
+def test_abbreviated_flag_is_unrecognized(tmp_path, capsys, argv):
+    # Each flag has one spelling; a prefix of it is not another.
+    out = tmp_path / "o"
+    assert run_cli("run", "--synthetic", "locality", *argv, "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: unrecognized arguments: {' '.join(argv)}\n"
+    assert not out.exists()
+    # The full flag, and its `--flag=value` form, still parse.
+    args = _build_parser().parse_args(["run", "--synthetic", "locality", "--validate",
+                                       "--interval-len=7", "--stable-min", "5"])
+    assert (args.validate, args.interval_len, args.stable_min) == (True, 7, 5)
 
 
 def test_usage_error_on_cache_with_too_many_sets(tmp_path, capsys):

@@ -27,7 +27,7 @@ from swapsim.trace import (
     generate_trace,
     preset_specs,
     read_blocks,
-    write_preset,
+    write_blocks,
     write_trace,
 )
 from oracles import trace_text
@@ -331,7 +331,7 @@ def test_trace_gen_files_parse_by_column(tmp_path, monkeypatch):
                         lambda *a: pytest.fail("a trace-gen chunk reached the per-line parser"))
     for name, seed in (("locality", 9973), ("meabo3-small", 1)):
         p = tmp_path / f"{name}.txt"
-        n = write_preset(name, seed, p)
+        n = write_blocks(generate_blocks(*preset_specs(name, seed)), p)
         assert sum(len(ops) for ops, _ in read_blocks(p)) == n
 
 
@@ -466,7 +466,9 @@ def test_write_trace_extreme_and_empty(tmp_path):
 def written_traces(draw):
     """Traces of `digits`-digit hex addresses, 1 to 16, a drawn share of
     them one digit wider, with random ops, over lengths around a block;
-    the share may leave some blocks or all of one width."""
+    the share may leave some blocks or all of one width. With each, up to
+    five cut points, repeats and ends included, so its blocks may be
+    empty, longer than `_BLOCK`, or split a run of one width."""
     block = swapsim.trace._BLOCK
     n = draw(st.sampled_from([1, 2, block - 1, block, block + 1, 3 * block + 5]))
     digits = draw(st.integers(1, 16))
@@ -481,22 +483,52 @@ def written_traces(draw):
         addresses[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
             narrow + (wide if wide_share else ())))
     ops = array("B", (rng.getrandbits(1) for _ in range(n)))
-    return Trace(ops, addresses)
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    return Trace(ops, addresses), cuts
+
+
+# A block longer than `_BLOCK` after an empty one, all of one width.
+_LONG = 2 * swapsim.trace._BLOCK + 3
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(t=written_traces())
-@example(t=Trace(array("B", [0, 1]), array("Q", [0xF, 0x10])))
-@example(t=Trace(array("B", [1, 0, 1]), array("Q", [0x0, 0x1, 0xF])))
-@example(t=Trace(array("B", [1, 0]), array("Q", [2**64 - 1, 2**63])))
-@example(t=Trace(array("B", [0, 0]), array("Q", [2**60, 2**64 - 1])))
-@example(t=Trace(bytearray([0, 1]), [0x10, 0x20]))  # a list of addresses
-def test_write_trace_matches_per_line_writer(tmp_path, t):
+@given(written=written_traces())
+@example(written=(Trace(array("B", [0, 1]), array("Q", [0xF, 0x10])), [1]))
+@example(written=(Trace(array("B", [1, 0, 1]), array("Q", [0x0, 0x1, 0xF])), [0, 2, 2, 3]))
+@example(written=(Trace(array("B", [1, 0]), array("Q", [2**64 - 1, 2**63])), []))
+@example(written=(Trace(array("B", [0, 0]), array("Q", [2**60, 2**64 - 1])), [1]))
+@example(written=(Trace(bytearray([0, 1]), [0x10, 0x20]), [1]))  # a list of addresses
+@example(written=(Trace(bytes(_LONG), array("Q", range(0x1000, 0x1000 + _LONG))), [5, 5]))
+def test_write_trace_matches_per_line_writer(tmp_path, written):
+    t, cuts = written
     p = tmp_path / "t.txt"
+    text = trace_text(t.ops, t.addresses).encode()
     write_trace(t, p)
-    assert p.read_bytes() == trace_text(t.ops, t.addresses).encode()
+    assert p.read_bytes() == text
     assert parsed(p) == (list(t.ops), list(t.addresses))
+    # The same references cut into blocks anywhere give the same bytes.
+    bounds = [0, *cuts, len(t)]
+    blocks = [(t.ops[a:b], t.addresses[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert write_blocks(blocks, p) == len(t)
+    assert p.read_bytes() == text
+
+
+@pytest.mark.parametrize("ops, address, message", [
+    (bytes([0, 2]), 0x40, "op 2 at reference 5 is not 0 (read) or 1 (write)"),
+    (bytes(2), 2**64, "address at reference 5 is outside 0..2**64-1"),
+    (bytes(2), -1, "address at reference 5 is outside 0..2**64-1"),
+])
+def test_write_blocks_names_a_bad_reference_in_the_stream(tmp_path, ops, address, message):
+    # A bad reference in a later block is named by its index in the whole
+    # stream; the blocks before it are already in the file.
+    first = (bytes([0, 1, 0, 1]), array("Q", [0x10, 0x20, 0x30, 0x40]))
+    blocks = [first, (b"", array("Q")), (ops, [0x40, address]), first]
+    p = tmp_path / "t.txt"
+    with pytest.raises(ValueError) as e:
+        write_blocks(blocks, p)
+    assert str(e.value) == message
+    assert p.read_text() == "R 0x10\nW 0x20\nR 0x30\nW 0x40\n"
 
 
 @pytest.mark.parametrize("ops, addresses, message", [
@@ -769,7 +801,7 @@ def test_random_access_uniform_over_lines():
 
 
 def test_meabo3_structure():
-    phases, iters, marker = preset_specs("meabo3")
+    phases, iters, marker = preset_specs("meabo3", 1)
     assert [p.kind for p in phases] == [
         PhaseKind.HIGH_LOCALITY,
         PhaseKind.VECTOR_ADD,
@@ -777,7 +809,7 @@ def test_meabo3_structure():
     ]
     assert iters == 3
     assert marker.kind is PhaseKind.MARKER
-    t = build_preset("meabo3")
+    t = build_preset("meabo3", 1)
     expect = 3 * (3 * 280_000 + 3 * 120_000)
     assert len(t) == expect
 
@@ -804,4 +836,4 @@ def test_preset_table_pins_every_preset():
 
 def test_unknown_preset():
     with pytest.raises(ValueError):
-        preset_specs("nope")
+        preset_specs("nope", 1)
