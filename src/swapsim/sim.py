@@ -17,14 +17,13 @@ on_interval_end gets its record.
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
 
 from .cache import Hierarchy, HierarchyConfig
 from .controller import ControllerConfig, ScoreVector, SwapController
 from .metrics import IntervalRecord, ReuseHistogram
 from .phase import PhaseDetector, PhaseDetectorConfig
-from .trace import Trace, check_references
+from .trace import Trace, check_references, join_blocks
 
 
 @dataclass
@@ -86,26 +85,28 @@ class Runner:
     def run(self, blocks) -> RunResult:
         """Check each block of the trace, cut the blocks into intervals of
         `interval_len` references and run each, then any shorter rest;
-        return the result. An interval within a block is a slice of it. A
-        block that arrives while an interval is pending is joined to it, so
-        a streamed run holds a block, its joined copy and less than one
-        interval; blocks much shorter than an interval each copy the
-        pending part again."""
+        return the result. An interval within a block is a slice of it; the
+        blocks of one that spans blocks are joined once a block completes
+        it, so a streamed run copies each reference at most three times and
+        holds at most two copies of an interval and a block."""
         n = self.interval_len
-        # The start of an interval that the next block completes.
-        rest_ops, rest = b"", array("Q")
+        # The blocks of an interval that a later block completes, and their length.
+        pending, held = [], 0
         offset = 0
         for ops, addresses in blocks:
             addresses = check_references(ops, addresses, offset)
             offset += len(addresses)
-            if rest:
-                ops, addresses = rest_ops + bytes(ops), rest + addresses
-            end = len(addresses) - len(addresses) % n
-            for i in range(0, end, n):
-                self._step(ops[i:i + n], addresses[i:i + n])
-            rest_ops, rest = bytes(ops[end:]), addresses[end:]
-        if rest:
-            self._step(rest_ops, rest)
+            pending.append((ops, addresses))
+            held += len(addresses)
+            if held >= n:
+                if held > len(addresses):
+                    ops, addresses = join_blocks(pending)
+                end = held - held % n
+                pending, held = [(ops[end:], addresses[end:])], held - end
+                for i in range(0, end, n):
+                    self._step(ops[i:i + n], addresses[i:i + n])
+        if held:
+            self._step(*join_blocks(pending))
 
         chosen = {}
         score_vectors = {}

@@ -4,9 +4,9 @@ Trace files are plain text, one reference per line: `R 0x7fff0040` or
 `W 0x10`. Lines starting with `#` are comments, blank lines are skipped.
 The parser (read_blocks) and the generator (generate_blocks) yield
 bounded `(ops, addresses)` blocks, a bytes-like of ops as in `Trace` and
-an `array("Q")`. `sim.Runner` cuts them into intervals, generate_trace
-concatenates them and the writer writes them, so no stage holds a whole
-trace.
+an `array("Q")`. `sim.Runner` cuts them into intervals, join_blocks
+concatenates them and write_blocks writes them, so no stage holds a
+whole trace.
 """
 from __future__ import annotations
 
@@ -208,6 +208,16 @@ def check_references(ops, addresses, offset: int = 0) -> array:
         raise ValueError(f"address at reference {at} is outside 0..2**64-1") from None
 
 
+def join_blocks(blocks) -> tuple[array, array]:
+    """Return the `(ops, addresses)` blocks, whose addresses are each an
+    `array("Q")`, as one `(array("B"), array("Q"))` copy."""
+    ops, addresses = array("B"), array("Q")
+    for block_ops, block_addresses in blocks:
+        ops.frombytes(block_ops)
+        addresses += block_addresses
+    return ops, addresses
+
+
 def write_trace(trace: Trace, path) -> None:
     """Write `trace` as a trace file. A trace that check_references rejects
     raises ValueError before the file is opened."""
@@ -398,11 +408,7 @@ def generate_trace(
     Given a `marker_spec`, its stream runs after every computational
     phase. Output is a pure function of the specs and seeds.
     """
-    trace = Trace()
-    for ops, addresses in generate_blocks(phases, iterations, marker_spec):
-        trace.ops.frombytes(ops)
-        trace.addresses += addresses
-    return trace
+    return Trace(*join_blocks(generate_blocks(phases, iterations, marker_spec)))
 
 
 def generate_blocks(
@@ -463,6 +469,5 @@ def preset_specs(name: str, seed: int) -> tuple[list[SyntheticPhaseSpec], int, S
 
 
 def build_preset(name: str, seed: int) -> Trace:
-    phases, iterations, marker = preset_specs(name, seed)
-    return generate_trace(phases, iterations=iterations, marker_spec=marker)
+    return generate_trace(*preset_specs(name, seed))
 

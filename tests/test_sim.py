@@ -6,6 +6,7 @@ from array import array
 
 import pytest
 
+import swapsim.sim
 import swapsim.trace
 from swapsim.cache import DEFAULT_L1, CacheConfig, HierarchyConfig, SetAssociativeCache
 from swapsim.cli import EXIT_OK, _result_to_report, main
@@ -21,6 +22,7 @@ from swapsim.trace import (
     build_preset,
     generate_blocks,
     generate_trace,
+    join_blocks,
     preset_specs,
     read_blocks,
     write_trace,
@@ -191,6 +193,33 @@ def test_run_rejects_ops_and_addresses_of_different_lengths():
         for totals in (runner.hierarchy.totals(), runner.val_hier.totals()):
             assert totals["l1_hits"] + totals["l2_hits"] + totals["l3_hits"] \
                 + totals["mem_accesses"] == 2000
+
+
+def test_streamed_run_joins_an_interval_once(monkeypatch):
+    # Blocks of 1 to 7 references against intervals of 10 000: the blocks
+    # of an interval are joined once a block completes it, so the copies
+    # stay linear in the trace, and the intervals are the trace's slices.
+    tr = small_trace()
+    n = 10_000
+    joined, steps = [], []
+
+    def counting(blocks):
+        ops, addresses = join_blocks(blocks)
+        joined.append(len(addresses))
+        return ops, addresses
+
+    monkeypatch.setattr(swapsim.sim, "join_blocks", counting)
+    monkeypatch.setattr(Runner, "_step", lambda self, ops, addresses:
+                        steps.append((bytes(ops), addresses.tobytes())))
+    rng = random.Random(7)
+    cuts = [0]
+    while cuts[-1] < len(tr.addresses):
+        cuts.append(min(len(tr.addresses), cuts[-1] + rng.randint(1, 7)))
+    Runner(detector_config=PhaseDetectorConfig(interval_len=n)).run(
+        (tr.ops[a:b], tr.addresses[a:b]) for a, b in zip(cuts, cuts[1:]))
+    assert sum(joined) <= 2 * len(tr.addresses)
+    assert steps == [(bytes(tr.ops[i:i + n]), tr.addresses[i:i + n].tobytes())
+                     for i in range(0, len(tr.addresses), n)]
 
 
 # Measured on meabo3-small seed 1: at most 0.50 % per phase. When an

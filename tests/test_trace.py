@@ -25,6 +25,7 @@ from swapsim.trace import (
     build_preset,
     generate_blocks,
     generate_trace,
+    join_blocks,
     preset_specs,
     read_blocks,
     write_blocks,
@@ -512,6 +513,16 @@ def test_write_trace_matches_per_line_writer(tmp_path, written):
     blocks = [(t.ops[a:b], t.addresses[a:b]) for a, b in zip(bounds, bounds[1:])]
     assert write_blocks(blocks, p) == len(t)
     assert p.read_bytes() == text
+
+
+def test_join_blocks_copies_the_stream():
+    # Any bytes-like ops, empty blocks included; the result is a new pair.
+    first = (bytes([0, 1]), array("Q", [1, 2]))
+    blocks = [first, (bytearray(), array("Q")), (array("B", [1]), array("Q", [2**64 - 1]))]
+    ops, addresses = join_blocks(blocks)
+    assert (ops, addresses) == (array("B", [0, 1, 1]), array("Q", [1, 2, 2**64 - 1]))
+    assert addresses is not first[1]
+    assert join_blocks([]) == (array("B"), array("Q"))
 
 
 @pytest.mark.parametrize("ops, address, message", [
