@@ -210,10 +210,12 @@ def check_references(ops, addresses, offset: int = 0) -> array:
 
 def join_blocks(blocks) -> tuple[array, array]:
     """Return the `(ops, addresses)` blocks, whose addresses are each an
-    `array("Q")`, as one `(array("B"), array("Q"))` copy."""
+    `array("Q")` and whose ops are any sequence check_references takes, as
+    one `(array("B"), array("Q"))` copy."""
     ops, addresses = array("B"), array("Q")
     for block_ops, block_addresses in blocks:
-        ops.frombytes(block_ops)
+        # `bytes` returns the parser's `bytes` blocks themselves.
+        ops.frombytes(bytes(block_ops))
         addresses += block_addresses
     return ops, addresses
 

@@ -367,6 +367,12 @@ def test_detector_flags_match_fields():
     args = _build_parser().parse_args(argv)
     for f in fields:
         assert type(getattr(args, f.name)).__name__ == f.type
+    # Left out, each flag takes its config field's default, so a run
+    # without them writes what one with them at those values writes.
+    defaults = _build_parser().parse_args(argv[:3])
+    for f in fields:
+        assert getattr(defaults, f.name) == getattr(PhaseDetectorConfig(), f.name)
+    assert defaults.train_intervals == swapsim.controller.ControllerConfig().train_intervals
 
 
 def test_validate_help_says_lockstep(capsys):

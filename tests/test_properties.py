@@ -508,7 +508,9 @@ def phased_runs(draw):
     """A trace of intervals that repeat a few short patterns, so phases
     recur and get swapped, ending in a partial interval; its detector
     config; and a cut of the trace into blocks, which may be empty, span
-    several intervals, or end inside the partial interval."""
+    several intervals, or end inside the partial interval. Each block's
+    ops are an `array("B")` slice, `bytes` or a `list`, all of which
+    check_references takes."""
     interval_len = draw(st.sampled_from([8, 16, 40]))
     ref = st.tuples(st.integers(0, 1), st.integers(0, 1 << 14))
     patterns = draw(st.lists(st.lists(ref, min_size=1, max_size=12), min_size=1, max_size=3))
@@ -517,7 +519,8 @@ def phased_runs(draw):
     refs += draw(st.lists(ref, min_size=1, max_size=interval_len - 1))
     trace = Trace(array("B", [w for w, _ in refs]), array("Q", [a for _, a in refs]))
     cuts = sorted(draw(st.lists(st.integers(0, len(refs)), max_size=8)))
-    blocks = [(trace.ops[a:b], trace.addresses[a:b])
+    as_ops = st.sampled_from([lambda ops: ops, bytes, list])
+    blocks = [(draw(as_ops)(trace.ops[a:b]), trace.addresses[a:b])
               for a, b in zip([0, *cuts], [*cuts, len(refs)])]
     return trace, PhaseDetectorConfig(interval_len=interval_len,
                                       stable_min=draw(st.integers(1, 2))), blocks

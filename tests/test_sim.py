@@ -434,11 +434,7 @@ def test_streamed_run_matches_loaded_run(tmp_path, monkeypatch, case):
     settings = dict(detector_config=PhaseDetectorConfig(interval_len=interval_len, stable_min=2),
                     controller_config=ControllerConfig(train_intervals=1), seed=3, validate=True)
     # The whole file read into one Trace, then run from memory.
-    loaded = Trace()
-    for ops, addresses in read_blocks(p):
-        loaded.ops.frombytes(ops)
-        loaded.addresses += addresses
-    loaded = run_simulation(loaded, **settings)
+    loaded = run_simulation(Trace(*join_blocks(read_blocks(p))), **settings)
     assert sum(loaded.totals[k] for k in ("l1_hits", "l2_hits", "l3_hits", "mem_accesses")) \
         == (0 if case == "empty" else 2874)
     streamed = Runner(**settings).run(read_blocks(p))

@@ -326,14 +326,17 @@ def test_canonical_lines_parse_in_bulk(tmp_path, monkeypatch, chunk):
 
 def test_trace_gen_files_parse_by_column(tmp_path, monkeypatch):
     # Every chunk of the files `trace-gen` writes for the benchmark's
-    # `validate-file` input and for CI's meabo3-small run takes the column
-    # parser: their reading cost rests on it.
+    # `validate-file` input and for meabo3-small, which holds all four
+    # phase kinds, takes the column parser: their reading cost rests on
+    # it. Each file, at full size, parses to exactly the stream the
+    # generator makes, so `run --trace` of it runs what `run --synthetic`
+    # does.
     monkeypatch.setattr(swapsim.trace, "_parse_lines",
                         lambda *a: pytest.fail("a trace-gen chunk reached the per-line parser"))
     for name, seed in (("locality", 9973), ("meabo3-small", 1)):
         p = tmp_path / f"{name}.txt"
-        n = write_blocks(generate_blocks(*preset_specs(name, seed)), p)
-        assert sum(len(ops) for ops, _ in read_blocks(p)) == n
+        write_blocks(generate_blocks(*preset_specs(name, seed)), p)
+        assert join_blocks(read_blocks(p)) == join_blocks(generate_blocks(*preset_specs(name, seed)))
 
 
 # Spellings `int(s, 16)` takes that are not a hex address.
