@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metrics import ReuseDistanceTracker, ReuseHistogram
+from .metrics import SAMPLE_BITS, SAMPLE_HASH, SAMPLE_MASK, ReuseDistanceTracker, ReuseHistogram
 
 
 # Sets are allocated up front, one dict each: 2**20 sets (a 1 GiB 16-way
@@ -116,8 +116,9 @@ class SetAssociativeCache:
 class Hierarchy:
     """Three-level inclusive-allocation hierarchy with per-level hit counters;
     cycles follow from the counts. `reuse` (None unless `collect_reuse`) maps
-    each interval label to the reuse distances, in L2 lines, of the lines sent
-    to L2 under it, an empty histogram if none. Single-threaded per instance."""
+    each interval label to the reuse distances, in L2 lines, of the sampled
+    lines sent to L2 under it, an empty histogram if none. Single-threaded
+    per instance."""
 
     def __init__(self, config: HierarchyConfig | None = None, collect_reuse: bool = False):
         self.config = config or HierarchyConfig()
@@ -147,15 +148,19 @@ class Hierarchy:
     def serve_misses(self, addresses, misses: list[int], label: int) -> None:
         """Count an interval's L1 hits, and send the references at the
         missed positions, in order, through L2, L3 and memory, allocating
-        at every level that missed, and file their reuse distances under
-        `label`. L2 sees only the L1 miss stream and L3 only the L2 miss
-        stream, so each level runs as one batch."""
+        at every level that missed, and file the reuse distances of their
+        sampled lines under `label`, scaled to all lines. L2 sees only the
+        L1 miss stream and L3 only the L2 miss stream, so each level runs
+        as one batch."""
         self.l1_hits += len(addresses) - len(misses)
         to_l2 = [addresses[i] for i in misses]
         if self.reuse is not None:
             shift = self.l2._line_shift
+            sampled = [line for a in to_l2
+                       if not (line := a >> shift) * SAMPLE_HASH & SAMPLE_MASK]
             self.reuse.setdefault(label, ReuseHistogram()).add_all(
-                self._tracker.observe_all([a >> shift for a in to_l2]))
+                [d if d is None else d << SAMPLE_BITS
+                 for d in self._tracker.observe_all(sampled)])
         to_l3 = [to_l2[i] for i in self.l2.misses(to_l2)]
         to_mem = self.l3.misses(to_l3)
         self.l2_hits += len(to_l2) - len(to_l3)

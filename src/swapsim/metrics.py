@@ -26,6 +26,14 @@ class IntervalRecord:
 # the tracker need not tell them apart.
 REUSE_CAP = 500
 
+# Reuse distances are sampled (SHARDS, Waldspurger et al., 2015): a
+# hierarchy tracks a line iff the top SAMPLE_BITS bits of its Fibonacci
+# hash, line * SAMPLE_HASH mod 2**64, are zero, so R = 2**-SAMPLE_BITS of
+# the lines, and scales each sampled distance by 1/R.
+SAMPLE_BITS = 3
+SAMPLE_HASH = 0x9E3779B97F4A7C15
+SAMPLE_MASK = ((1 << SAMPLE_BITS) - 1) << (64 - SAMPLE_BITS)
+
 
 class ReuseDistanceTracker:
     """LRU stack distance over distinct lines (Mattson et al., 1970), cut

@@ -10,20 +10,21 @@ trace.read_blocks or trace.generate_blocks, so a trace file or preset is
 never held whole. The detector labels each interval before it runs (the
 paper decides at its end), and the interval runs under the directive its
 label sets: one loop chosen by it, whose L1 misses then go through L2 and
-L3 in order; each hierarchy files the reuse distances of the lines it
-sends to L2 under that label. After each full interval the controller's
-on_interval_end gets its record.
+L3 in order; each hierarchy files the reuse distances of a sample of the
+lines it sends to L2 under that label. After each full interval the
+controller's on_interval_end gets its record.
 """
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 
 from .cache import Hierarchy, HierarchyConfig
 from .controller import ControllerConfig, ScoreVector, SwapController
 from .metrics import IntervalRecord, ReuseHistogram
 from .phase import PhaseDetector, PhaseDetectorConfig
-from .trace import Trace, check_references, join_blocks
+from .trace import Trace, check_references
 
 
 @dataclass
@@ -85,28 +86,36 @@ class Runner:
     def run(self, blocks) -> RunResult:
         """Check each block of the trace, cut the blocks into intervals of
         `interval_len` references and run each, then any shorter rest;
-        return the result. An interval within a block is a slice of it; the
-        blocks of one that spans blocks are joined once a block completes
-        it, so a streamed run copies each reference at most three times and
-        holds at most two copies of an interval and a block."""
+        return the result. An interval within a block is a slice of it; one
+        that spans blocks is copied, as they come, into one pending pair of
+        arrays, which runs once a block completes it. So a streamed run
+        copies each address at most twice and holds at most one copy of an
+        interval beside the block."""
         n = self.interval_len
-        # The blocks of an interval that a later block completes, and their length.
-        pending, held = [], 0
+        # The start of an interval that a later block completes.
+        ops_in, addresses_in = array("B"), array("Q")
         offset = 0
         for ops, addresses in blocks:
             addresses = check_references(ops, addresses, offset)
             offset += len(addresses)
-            pending.append((ops, addresses))
-            held += len(addresses)
-            if held >= n:
-                if held > len(addresses):
-                    ops, addresses = join_blocks(pending)
-                end = held - held % n
-                pending, held = [(ops[end:], addresses[end:])], held - end
-                for i in range(0, end, n):
-                    self._step(ops[i:i + n], addresses[i:i + n])
-        if held:
-            self._step(*join_blocks(pending))
+            start = 0
+            if addresses_in:
+                start = min(n - len(addresses_in), len(addresses))
+                # `bytes` returns the parser's `bytes` blocks, and their
+                # slices, themselves.
+                ops_in.frombytes(bytes(ops[:start]))
+                addresses_in += addresses[:start]
+                if len(addresses_in) < n:
+                    continue
+                self._step(ops_in, addresses_in)
+                ops_in, addresses_in = array("B"), array("Q")
+            end = len(addresses) - (len(addresses) - start) % n
+            for i in range(start, end, n):
+                self._step(ops[i:i + n], addresses[i:i + n])
+            ops_in.frombytes(bytes(ops[end:]))
+            addresses_in += addresses[end:]
+        if addresses_in:
+            self._step(ops_in, addresses_in)
 
         chosen = {}
         score_vectors = {}

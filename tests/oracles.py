@@ -16,9 +16,13 @@ file format that `trace.write_trace` writes, one line at a time.
 
 `percent_change` compares a swapped run's totals with the detailed run's,
 as the acceptance criteria read them.
+
+`is_sampled` defines which L2 lines a hierarchy tracks the reuse of, and
+`sampled_reuse_histograms` the histograms it files for them.
 """
 import random
 
+from swapsim.metrics import SAMPLE_BITS, ReuseDistanceTracker, ReuseHistogram
 from swapsim.models import MarkovModel
 from swapsim.trace import PhaseKind
 
@@ -119,6 +123,25 @@ def quadratic_reuse_distances(stream):
     for t, line in enumerate(stream):
         out.append(len(set(stream[last[line] + 1:t])) if line in last else None)
         last[line] = t
+    return out
+
+
+def is_sampled(line):
+    """Whether a hierarchy tracks the reuse of L2 line `line`: its hash,
+    `line * 0x9E3779B97F4A7C15 mod 2**64`, is below 2**(64 - SAMPLE_BITS)."""
+    return line * 0x9E3779B97F4A7C15 % 2**64 < 2**(64 - SAMPLE_BITS)
+
+
+def sampled_reuse_histograms(chunks):
+    """label -> the histogram a hierarchy files for the `(label, lines)`
+    chunks of L2 lines it sends to L2 in order: one exact tracker over the
+    sampled lines, each distance multiplied by 2**SAMPLE_BITS."""
+    tracker = ReuseDistanceTracker()
+    out = {}
+    for label, lines in chunks:
+        distances = tracker.observe_all([line for line in lines if is_sampled(line)])
+        out.setdefault(label, ReuseHistogram()).add_all(
+            [d if d is None else d * 2**SAMPLE_BITS for d in distances])
     return out
 
 

@@ -1,5 +1,6 @@
 """Detailed cache model and hierarchy accounting."""
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,8 +14,8 @@ from swapsim.cache import (
     HierarchyConfig,
     SetAssociativeCache,
 )
-from swapsim.metrics import ReuseDistanceTracker, ReuseHistogram
-from oracles import ReferenceLRU
+from swapsim.metrics import SAMPLE_BITS
+from oracles import ReferenceLRU, is_sampled, sampled_reuse_histograms
 
 LEVELS = ("l1_hits", "l2_hits", "l3_hits", "mem_accesses")
 
@@ -168,7 +169,8 @@ def test_serve_misses_leaves_l1_untouched():
 
 def test_hierarchy_records_reuse_of_lines_sent_to_l2():
     # Distances are filed under each call's label, from one tracker that
-    # runs across the calls, over L2 lines (64 B), not L1 lines (32 B).
+    # runs across the calls over the sampled L2 lines (64 B), not L1 lines
+    # (32 B).
     assert Hierarchy().reuse is None
     rng = random.Random(3)
     addrs = [rng.randrange(1 << 17) for _ in range(3000)]
@@ -178,16 +180,15 @@ def test_hierarchy_records_reuse_of_lines_sent_to_l2():
     misses = h.run_detailed(addrs, 3)
     h.serve_misses(addrs2, misses2, 5)
     sent = [addrs[i] >> 6 for i in misses], [addrs2[i] >> 6 for i in misses2]
-    distances = ReuseDistanceTracker().observe_all(sent[0] + sent[1])
-    want = ReuseHistogram(), ReuseHistogram()
-    want[0].add_all(distances[:len(sent[0])])
-    want[1].add_all(distances[len(sent[0]):])
+    want = sampled_reuse_histograms([(3, sent[0]), (5, sent[1])])
     assert list(h.reuse) == [3, 5]
-    for got, w in zip((h.reuse[3], h.reuse[5]), want):
+    for label, w in want.items():
+        got = h.reuse[label]
         assert (got.cold_count, got.buckets) == (w.cold_count, w.buckets)
-    assert h.reuse[3].total == len(misses) and h.reuse[5].total == len(misses2)
+    kept = [[line for line in lines if is_sampled(line)] for lines in sent]
+    assert h.reuse[3].total == len(kept[0]) and h.reuse[5].total == len(kept[1])
     # Some distances cross from the second call's lines back to the first's.
-    assert h.reuse[5].cold_count < len(set(sent[1]))
+    assert h.reuse[5].cold_count < len(set(kept[1]))
 
 
 def test_label_that_sends_no_line_to_l2_gets_an_empty_histogram():
@@ -196,3 +197,54 @@ def test_label_that_sends_no_line_to_l2_gets_an_empty_histogram():
     h.serve_misses([0x40, 0x80, 0xc0], [], 7)
     assert list(h.reuse) == [7]
     assert h.reuse[7].total == 0 and h.reuse[7].to_rows() == []
+
+
+def test_reuse_sampling_keeps_a_line_by_its_value_alone():
+    # The tracker gets exactly the sampled lines of the L2-bound stream,
+    # whatever their order, the call they come in and their byte offset.
+    rng = random.Random(11)
+    stream = rng.sample(range(1 << 20), 4096) * 2
+    want = Counter(line for line in stream if is_sampled(line))
+    assert 0 < len(want) < 4096
+    for _ in range(3):
+        rng.shuffle(stream)
+        h = Hierarchy(collect_reuse=True)
+        seen = []
+
+        def observe_all(lines, observe_all=h._tracker.observe_all):
+            seen.extend(lines)
+            return observe_all(lines)
+
+        h._tracker.observe_all = observe_all
+        at = 0
+        while at < len(stream):
+            lines = stream[at:at + rng.randint(1, 900)]
+            at += len(lines)
+            h.serve_misses([line << 6 | rng.randrange(64) for line in lines],
+                           list(range(len(lines))), rng.randrange(-1, 3))
+        assert Counter(seen) == want
+
+
+# The share of 2**16 lines, consecutive or 2**k apart, that is sampled was
+# at most 0.11 % off R at R = 1/8 (0.07 % at 1/4, 0.34 % at 1/16).
+SAMPLE_RATE_MARGIN = 0.005
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_reuse_sampling_keeps_its_rate_on_strided_lines(k):
+    n = 1 << 16
+    h = Hierarchy(collect_reuse=True)
+    h.serve_misses([(j << k) << 6 for j in range(n)], list(range(n)), 0)
+    # Every line is new, so every sampled one is a first touch.
+    want = n / (1 << SAMPLE_BITS)
+    assert abs(h.reuse[0].cold_count - want) <= SAMPLE_RATE_MARGIN * want
+
+
+def test_label_whose_lines_are_all_dropped_gets_an_empty_histogram():
+    # Lines reach L2 under label 9, but none is sampled.
+    h = Hierarchy(collect_reuse=True)
+    dropped = [line for line in range(64) if not is_sampled(line)][:5]
+    h.serve_misses([line << 6 for line in dropped], list(range(5)), 9)
+    assert h.mem_accesses == 5
+    assert list(h.reuse) == [9]
+    assert h.reuse[9].total == 0 and h.reuse[9].to_rows() == []

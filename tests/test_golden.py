@@ -52,29 +52,29 @@ CASES = {
 
 GOLDEN = {
     "validate": (
-        "18faf4f507bddbe3fd069e08deff69737aaa8a86cda920144316bde1c90b6be3",
+        "6fe1214fc3b2ac3fff2eb7bcaa0f78e49715a9785fdb17cb6b91a359599eb38b",
         "4ddaa536ad6f2eff4a98dfe6e67c16a5ef5f9e0595cbc755c94c63a1c990ce5f",
-        "f6768465e938262d96f1cab2ffb0ad74868d4ba776dc52caae1df50931779a90",
+        "3ec547845888733ff84f3ea6af94906cabee166eedf2adf50d93de50d1067f11",
     ),
     "fixed-rate": (
-        "85b6f554cef1d6fdd956050419309b38dc83eebfd8b62d877faf737fe9473f9a",
+        "d51b208d5d6a4840270a941484d608ddb3df1532ea1b0ac514c19f8affb9be8a",
         "12f555867606ffaa3eb16844f5cfa9fb0643885bb4a46724b526f9aaa643d42d",
-        "cb00e0c28800488a578bd4b9c59ea7ce3d6ff86cb999b046e8d98deb59b3d7d5",
+        "ac752a94a02fef39c5cf8050179994de9d364cdb2e03cc4a1726f63043f0c282",
     ),
     "markov4": (
-        "512b3bd00a47c734b37ae7fa4ffd3a9ea3564adf28280ac8ea792dcb2d1c84b4",
+        "3aaf5ae5d43048f573250ea74080eb4e1760fadb5b1ff3ec51e8070081992309",
         "e2b268cda37ee19c5d20256f6b9ffd1273891107fee2ae079c294bb9c01685a4",
-        "2cf6a52204537b3c078b9268a2753a851c73063c677085473a0b3f5a25d30d4f",
+        "633ae81d5559ebb63656a8a90ad283b64b90ff089d5ad72c8ec16c805e8430f8",
     ),
     "markov8": (
-        "3a69f8c2cc0c461057bb7f4f9525819b6d0c367471cd5fb8785b0fa52dc22ab5",
+        "810a23e28f9c4a949133a6870225c4b922a36c4c30b3194545cddd4ff7fd5c67",
         "90a79ae95e2fc6517babbdc409a0b9c4ecf46d5b69f2273b89e806fce5c46e34",
-        "9471888b2970571ac3bfca4706fcbc238f4e7889fa19f3209c0aba9edddf788c",
+        "336dff2470087f08a4a47056d279dac222ba9e7dfa83dec01a67142f4ac271f9",
     ),
     "tail": (
-        "2d6dd6162429d125ab9277948928166dedb19888621c9d9863305840482202c3",
+        "bc1071b753e08c9d64407a374e892d4515c8d76630b5a7e1e7035adc94aa0cc1",
         "fee62a633936320cba35bc6fea8b293d1db02cfb48541702bfb4ea324e01ff12",
-        "abfae8a475a984212fc7a987ac53b44fbcd08ca3f4ad507794f349ad5afbed95",
+        "e8599fbb2e22d87d794b90b9cd54a998cb0714afe4cf52c6de4789e80cace7cc",
     ),
 }
 
@@ -129,9 +129,9 @@ def test_golden_hashes(case, traces, tmp_path):
 # `run --synthetic meabo3-small --seed 1 --validate` at the default
 # detector, controller and cache configuration.
 PRESET_GOLDEN = (
-    "8ac512624fb828417f0f8553e8429f9a8795c6c4754ab1270726dd0f668c2608",
+    "15d64764c104b1f50e18186676c352dc2c4b3c2660d651d6ce192a1c5fc62f74",
     "c1defa91352da77d8e14ba9e942f50d1f0e3dd7f166a686278b50f9ff7cdb277",
-    "2b5dce56e2ca44376830990df969547152f158343148e010706c682aae7f5dd7",
+    "e781e139b9183c30821e297321bdccf070f528438d42a0e37e2ce4e39da31b51",
 )
 
 
