@@ -18,7 +18,10 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
+from collections import deque
 from functools import partial
+from itertools import compress, repeat, starmap
+from operator import not_
 
 from .cache import CacheConfig
 
@@ -129,10 +132,15 @@ class FixedHitRateModel:
 
     def predict_interval(self, ops, addresses, prev_address: int, rng) -> list[int]:
         """Predict every reference of an interval, one draw each; returns
-        the positions predicted to miss."""
+        the positions predicted to miss. At a rate of 1 or 0 every outcome
+        is known, so the draws are taken by a C-level consumer."""
         rand = rng.random
+        n = len(addresses)
         p = max(_pair_p(self.counts, 2, 0), 0.0)
-        return [i for i in range(len(addresses)) if not rand() < p]
+        if p == 1.0 or p == 0.0:
+            deque(starmap(rand, repeat((), n)), maxlen=0)
+            return [] if p else list(range(n))
+        return [i for i in range(n) if not rand() < p]
 
     def shadow_interval(self, ctxs: bytes, miss, near) -> tuple[float, float]:
         """`_shadow_sums` on the one-row chain: each reference predicts from
@@ -174,38 +182,57 @@ class MarkovModel:
         self._hits = _HIT_STATES[n_states]
 
     def _compiled(self) -> list[float]:
-        """`_pair_p` of every row and context, flattened: entry
-        `(row << 2) | (is_write << 1) | far`, where row `n_states` stands
-        for "no last state" and predicts from the context's hit state."""
+        """`_pair_p` of every row and context, flattened. Entry
+        `32 + (row << 2 | ctx)` reads row `row`, where row `n_states` stands
+        for "no last state" and predicts from the context's hit state. Entry
+        `m | prev << 2 | ctx` reads the row a reference of context `prev`
+        moved the chain to: its hit state (m = 0) or miss state (m = 16)."""
         if self._table is None:
-            n = self.n_states
-            self._table = [_pair_p(self.counts, n, (row if row < n else h) * n + h)
-                           for row in range(n + 1) for h in self._hits]
+            n, hits = self.n_states, self._hits
+            rows = [_pair_p(self.counts, n, (row if row < n else h) * n + h)
+                    for row in range(n + 1) for h in hits]
+            self._table = [rows[(hits[prev] + m) << 2 | ctx]
+                           for m in (0, 1) for prev in range(4) for ctx in range(4)] + rows
         return self._table
 
     def predict_interval(self, ops, addresses, prev_address: int, rng) -> list[int]:
         """Predict every reference of an interval from the compiled table,
         moving the chain to each drawn state; returns the positions predicted
-        to miss. `prev_address` is the reference before the interval (-1 for none)."""
+        to miss. `prev_address` is the reference before the interval (-1 for none).
+
+        A context never seen reads -1.0 in every row, so its references
+        miss with no draw and keep the state: they leave the loop and rejoin
+        the misses at the end. Every other reference reads entry `m | code`:
+        its `code` is `prev << 2 | ctx` from its context and the one before
+        (32 plus the start row's offset at the first), and `m` is 16 after a
+        miss, else 0."""
         table = self._compiled()
-        # The state is held as the offset of its row in the table.
-        hit_row = [h << 2 for h in self._hits]
-        miss_row = [h + 1 << 2 for h in self._hits]
-        none = self.n_states << 2
-        r = none if self.last_state is None else self.last_state << 2
+        ctxs = contexts(ops, addresses, prev_address)
+        n = len(ctxs)
+        unseen = bytes(c for c in range(4) if table[32 + c] < 0.0)
+        kept = ctxs.translate(None, unseen)
+        at, dropped = range(n), []
+        if len(kept) < n:
+            flags = ctxs.translate(bytes(c in unseen for c in range(256)))
+            dropped = list(compress(at, flags))
+            at = compress(at, map(not_, flags))
+        if not kept:
+            return dropped
+        row = self.n_states if self.last_state is None else self.last_state
+        # Byte i of `c << 10 | c` is kept[i - 1] << 2 | kept[i]; byte 0 is kept[0].
+        c = int.from_bytes(kept, "little")
+        codes = ((c << 10 | c) + 32 + (row << 2)).to_bytes(len(kept) + 1, "little")
         rand = rng.random
         misses = []
-        for i, ctx in enumerate(contexts(ops, addresses, prev_address)):
-            p_hit = table[r | ctx]
-            if p_hit < 0.0:
-                misses.append(i)  # unseen context: miss, no draw, state kept
-            elif rand() < p_hit:
-                r = hit_row[ctx]
+        m = 0
+        for i, code in zip(at, codes):
+            if rand() < table[m | code]:
+                m = 0
             else:
-                r = miss_row[ctx]
+                m = 16
                 misses.append(i)
-        self.last_state = None if r == none else r >> 2
-        return misses
+        self.last_state = self._hits[kept[-1]] + (m >> 4)
+        return sorted(misses + dropped) if dropped else misses
 
     def shadow_interval(self, ctxs: bytes, miss, near) -> tuple[float, float]:
         """The expected correct predictions and near misses of an interval,

@@ -223,7 +223,9 @@ def join_blocks(blocks) -> tuple[array, array]:
 def write_trace(trace: Trace, path) -> None:
     """Write `trace` as a trace file. A trace that check_references rejects
     raises ValueError before the file is opened."""
-    write_blocks([(trace.ops, check_references(trace.ops, trace.addresses))], path)
+    addresses = check_references(trace.ops, trace.addresses)
+    with open(path, "w", encoding="utf-8") as f:
+        _write_lines(f, trace.ops, addresses)
 
 
 def write_blocks(blocks, path) -> int:
@@ -231,20 +233,23 @@ def write_blocks(blocks, path) -> int:
     read_blocks, and return the number of references. Each block is
     checked as Runner.run checks it: a bad reference raises ValueError
     naming its index in the stream, once the blocks before it are written.
-    Each `_BLOCK` of references is built by column when its addresses have
-    one hex width, else by one C-level `%` format; both write `%#x`'s
-    bytes, wherever the blocks end. The file is opened before the first
-    block is taken, so a bad path fails before a generator makes any."""
+    The file is opened before the first block is taken, so a bad path
+    fails before a generator makes any."""
     n = 0
     with open(path, "w", encoding="utf-8") as f:
         for ops, addresses in blocks:
-            addresses = check_references(ops, addresses, n)
-            for i in range(0, len(ops), _BLOCK):
-                o, a = ops[i:i + _BLOCK], addresses[i:i + _BLOCK]
-                f.write(_format_columns(o, a)
-                        or "".join(map(_LINE_FORMATS.__getitem__, o)) % tuple(a))
+            _write_lines(f, ops, check_references(ops, addresses, n))
             n += len(ops)
     return n
+
+
+def _write_lines(f, ops, addresses: array) -> None:
+    """Write checked references to `f`. Each `_BLOCK` of them is built by
+    column when its addresses have one hex width, else by one C-level `%`
+    format; both write `%#x`'s bytes, wherever the blocks end."""
+    for i in range(0, len(ops), _BLOCK):
+        o, a = ops[i:i + _BLOCK], addresses[i:i + _BLOCK]
+        f.write(_format_columns(o, a) or "".join(map(_LINE_FORMATS.__getitem__, o)) % tuple(a))
 
 
 def _format_columns(ops, addresses) -> str:

@@ -153,21 +153,35 @@ def test_compiled_markov_matches_predict(n, counts, zero_rows, zero_pairs):
        zero_rows=st.sets(st.integers(0, 7)),
        zero_pairs=st.sets(st.integers(0, 3)),
        stream=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7)), max_size=60),
+       last=st.one_of(st.none(), st.integers(0, 7)),
+       prev_address=st.one_of(st.just(-1), st.integers(0x3F00, 0x4100)),
+       cut=st.integers(0, 60),
        seed=st.integers(0, 2**32 - 1))
-def test_compiled_markov_matches_predict_over_a_stream(n, counts, zero_rows, zero_pairs,
-                                                       stream, seed):
-    # Addresses walk 32-byte steps, so neighbours are near or far.
+# Writes unseen, and a cut between two of them: the chain's state crosses
+# the cut through references that leave the loop.
+@example(n=8, counts=[1] * 64, zero_rows=set(), zero_pairs={1, 3}, last=5, prev_address=0x4000,
+         stream=[(0, 1), (1, 0), (1, 2), (0, 0), (1, 1), (0, 2)], cut=2, seed=0)
+def test_compiled_markov_matches_predict_over_a_stream(n, counts, zero_rows, zero_pairs, stream,
+                                                       last, prev_address, cut, seed):
+    # Addresses walk 32-byte steps, so neighbours are near or far. The
+    # stream runs as two intervals cut at `cut`, the chain's state and the
+    # address before the second carried across.
     addrs = [0x4000 + 32 * sum(step for _, step in stream[:i + 1]) for i in range(len(stream))]
     ops = [w for w, _ in stream]
     ref = markov(n, counts, zero_rows, zero_pairs)
     got = markov(n, counts, zero_rows, zero_pairs)
+    ref.last_state = got.last_state = None if last is None else last % n
     ref_rng, got_rng = random.Random(seed), random.Random(seed)
-    want, prev = [], -1
+    want, prev = [], prev_address >> 6
     for i, (w, a) in enumerate(zip(ops, addrs)):
         if not predict(ref, w << 1 | (a >> 6 != prev), ref_rng):
             want.append(i)
         prev = a >> 6
-    assert got.predict_interval(ops, addrs, -1, got_rng) == want
+    cut = min(cut, len(ops))
+    first = got.predict_interval(ops[:cut], addrs[:cut], prev_address, got_rng)
+    second = got.predict_interval(ops[cut:], addrs[cut:], addrs[cut - 1] if cut else prev_address,
+                                  got_rng)
+    assert first + [cut + i for i in second] == want
     assert got.last_state == ref.last_state
     assert got_rng.random() == ref_rng.random()
 

@@ -578,6 +578,19 @@ def test_write_trace_rejects_out_of_range_address(tmp_path, address):
     assert p.read_bytes() == b"R 0x40\n"
 
 
+def test_write_trace_checks_its_references_once(tmp_path, monkeypatch):
+    # Each check copies the ops; a trace is checked before the file opens
+    # and not again while it is written.
+    checked = []
+    check = swapsim.trace.check_references
+    monkeypatch.setattr(swapsim.trace, "check_references",
+                        lambda *args: checked.append(args) or check(*args))
+    t = Trace(array("B", [0, 1, 0]), [0x10, 0x2000, 0x30])
+    write_trace(t, tmp_path / "t.txt")
+    assert len(checked) == 1
+    assert (tmp_path / "t.txt").read_text() == trace_text(t.ops, t.addresses)
+
+
 def test_trace_gen_file_pinned(tmp_path):
     # The locality preset's vector-add phase wraps its sweep.
     p = tmp_path / "locality.txt"
